@@ -204,7 +204,8 @@ _LINK_A = 0.2
 
 def model_double_pendulum(group) -> ExperimentSpec:
     group = _group(group)
-    link = aluminium_box("link", _LINK_A, 0.1, 0.05)   # 2.7 kg
+    # two 2.7 kg links, named apart: model files refer to bodies by name
+    links = [aluminium_box(f"link{i}", _LINK_A, 0.1, 0.05) for i in range(2)]
     half = _LINK_A / 2
     joints = [
         Joint("spherical", None, 0, anchor_a=np.zeros(3), anchor_b=[-half, 0, 0],
@@ -212,7 +213,7 @@ def model_double_pendulum(group) -> ExperimentSpec:
         Joint("spherical", 0, 1, anchor_a=[half, 0, 0], anchor_b=[-half, 0, 0],
               name="joint2"),
     ]
-    model = MbsModel([link, link], joints, [Gravity([0.0, 0.0, -GRAVITY])],
+    model = MbsModel(links, joints, [Gravity([0.0, 0.0, -GRAVITY])],
                      representation=_representation(group))
     poses = [Pose(np.eye(3), np.array([half, 0.0, 0.0])),
              Pose(np.eye(3), np.array([_LINK_A + half, 0.0, 0.0]))]

@@ -723,20 +723,6 @@ def project_velocities(model: MbsModel, state: MbsState) -> MbsState:
     return out
 
 
-def geometry_residuals(model: MbsModel, poses) -> list[tuple[float, float]]:
-    """Per-joint (position, orientation) residual norms."""
-    out = []
-    for joint in model.joints:
-        h = joint_geometry(joint, poses, model)
-        npos = joint.n_position_rows
-        if joint.kind == "prismatic":
-            ori, pos = h[:3], h[3:]
-        else:
-            pos, ori = h[:npos], h[npos:]
-        out.append((float(np.linalg.norm(pos)), float(np.linalg.norm(ori))))
-    return out
-
-
 def check_initial_state(model: MbsModel, state: MbsState,
                         tol_pos: float = 1e-12, tol_vel: float = 1e-9) -> None:
     """Hard feasibility gate used by model builders and the loader."""

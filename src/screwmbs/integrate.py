@@ -13,6 +13,7 @@ part is a plain RK update sharing the same stage coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ from .dualquat import (
     euler_reconstruct_rates,
     pose_from_dq,
     quat_from_rotation,
+    quat_rotation_rows,
     reconstruct_rates,
-    rotation_from_quat,
 )
 from .dynamics import MbsModel, MbsState, accelerations
 from .liealg import CSpaceGroup, Pose
@@ -213,28 +214,40 @@ def _kahan_add(x, dx, comp):
     return s, [(b - a) - y for a, b, y in zip(x, s, ys)]
 
 
+def _sampling(group: CSpaceGroup, n_bodies: int, t0: float, dt: float,
+              t_final: float, stride: int):
+    """Step count, sampled step indices and the empty record of a run.
+
+    Every ``stride``-th step is sampled; the initial and final states
+    always are.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    n_steps = max(0, int(round((t_final - t0) / dt)))
+    sample_idx = list(range(0, n_steps + 1, stride))
+    if sample_idx[-1] != n_steps:
+        sample_idx.append(n_steps)
+    n_samples = len(sample_idx)
+    rec = TrajectoryRecord(
+        times=np.empty(n_samples),
+        rotations=np.empty((n_samples, n_bodies, 3, 3)),
+        positions=np.empty((n_samples, n_bodies, 3)),
+        velocities=np.empty((n_samples, n_bodies, 6)),
+        group_name=group.name,
+        dt=dt,
+    )
+    return n_steps, sample_idx, rec
+
+
 def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
               dt: float, t_final: float, tableau: ButcherTableau,
               stride: int = 1) -> TrajectoryRecord:
     """Fixed-step loop from state0.t to t_final, sampling every ``stride``
     steps (the initial and final states are always recorded)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    n_steps = max(0, int(round((t_final - state0.t) / dt)))
     n = model.n_bodies
-    sample_idx = list(range(0, n_steps + 1, stride))
-    if sample_idx[-1] != n_steps:
-        sample_idx.append(n_steps)
-    rec = TrajectoryRecord(
-        times=np.empty(len(sample_idx)),
-        rotations=np.empty((len(sample_idx), n, 3, 3)),
-        positions=np.empty((len(sample_idx), n, 3)),
-        velocities=np.empty((len(sample_idx), n, 6)),
-        group_name=group.name,
-        dt=dt,
-    )
+    n_steps, sample_idx, rec = _sampling(group, n, state0.t, dt, t_final, stride)
 
     def record(slot, t, poses, v):
         rec.times[slot] = t
@@ -276,25 +289,25 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
 # ---------------------------------------------------------------------------
 
 def _quat_chart(group_name: str):
-    """Per-body (pack, unpack, rates) functions of the quaternion chart."""
+    """Width and per-body (pack, unpack, rates) functions of the quaternion
+    chart; chart coordinates and rates are flat float sequences."""
     if group_name == "se3":
-        def pack(pose, _v):
-            return dq_from_pose(pose).as_vector()
+        def pack(pose):
+            return dq_from_pose(pose).as_vector().tolist()
 
         def unpack(y):
-            return pose_from_dq(DualQuaternion.from_vector(y))
+            return pose_from_dq(DualQuaternion(y[:4], y[4:]))
 
         def rates(y, v):
-            return reconstruct_rates(DualQuaternion.from_vector(y), v)
+            return reconstruct_rates(DualQuaternion(y[:4], y[4:]), v)
 
         return 8, pack, unpack, rates
 
-    def pack(pose, _v):
-        return np.concatenate([quat_from_rotation(pose.R), pose.r])
+    def pack(pose):
+        return quat_from_rotation(pose.R).tolist() + pose.r.tolist()
 
     def unpack(y):
-        q = y[:4]
-        return Pose(rotation_from_quat(q / np.linalg.norm(q)), y[4:].copy())
+        return Pose(np.array(quat_rotation_rows(*y[:4])), np.array(y[4:]))
 
     def rates(y, v):
         return euler_reconstruct_rates(y[:4], y[4:], v)
@@ -309,59 +322,44 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
 
     Dual quaternions parameterize SE(3), Euler parameters plus position the
     direct product; the reconstructed rates are tangent to the unit-norm and
-    Pluecker invariants, whose drift is recorded per sample.
+    Pluecker invariants, whose drift is recorded per sample.  The state is
+    one flat float list: the chart coordinates of every body, then the 6n
+    velocities.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     width, pack, unpack, chart_rates = _quat_chart(group.name)
     n = model.n_bodies
     nq = width * n
-
-    def split(y):
-        return [y[width * i:width * (i + 1)] for i in range(n)], \
-            y[nq:].reshape(n, 6)
+    n_steps, sample_idx, rec = _sampling(group, n, state0.t, dt, t_final, stride)
+    rec.quat_defects = np.zeros((rec.n_samples, 2))
 
     def f(t, y):
-        qs, vel = split(y)
-        poses = [unpack(q) for q in qs]
-        vdot = accelerations(model, poses, vel, t)
-        out = np.empty_like(y)
-        for i, q in enumerate(qs):
-            out[width * i:width * (i + 1)] = chart_rates(q, vel[i])
-        out[nq:] = vdot.reshape(-1)
+        charts = [y[width * i:width * (i + 1)] for i in range(n)]
+        vel = y[nq:]
+        vdot = accelerations(model, [unpack(q) for q in charts], vel, t)
+        out = []
+        for i, q in enumerate(charts):
+            out.extend(chart_rates(q, vel[6 * i:6 * i + 6]))
+        out.extend(vdot.reshape(-1).tolist())
         return out
 
-    y = np.empty(nq + 6 * n)
-    for i, pose in enumerate(state0.poses):
-        y[width * i:width * (i + 1)] = pack(pose, state0.velocities[i])
-    y[nq:] = state0.velocities.reshape(-1)
-
-    n_steps = max(0, int(round((t_final - state0.t) / dt)))
-    sample_idx = list(range(0, n_steps + 1, stride))
-    if sample_idx[-1] != n_steps:
-        sample_idx.append(n_steps)
-    rec = TrajectoryRecord(
-        times=np.empty(len(sample_idx)),
-        rotations=np.empty((len(sample_idx), n, 3, 3)),
-        positions=np.empty((len(sample_idx), n, 3)),
-        velocities=np.empty((len(sample_idx), n, 6)),
-        group_name=group.name,
-        dt=dt,
-        quat_defects=np.zeros((len(sample_idx), 2)),
-    )
+    y = []
+    for pose in state0.poses:
+        y.extend(pack(pose))
+    y.extend(state0.velocities.reshape(-1).tolist())
 
     def record(slot, t, y):
         rec.times[slot] = t
-        qs, vel = split(y)
-        for i, q in enumerate(qs):
+        for i in range(n):
+            q = y[width * i:width * (i + 1)]
             pose = unpack(q)
             rec.rotations[slot, i] = pose.R
             rec.positions[slot, i] = pose.r
-            norm_defect = abs(float(np.linalg.norm(q[:4])) - 1.0)
-            plucker = abs(float(q[:4] @ q[4:])) if width == 8 else 0.0
+            norm_defect = abs(math.sqrt(sum(x * x for x in q[:4])) - 1.0)
+            plucker = (abs(sum(a * b for a, b in zip(q[:4], q[4:])))
+                       if width == 8 else 0.0)
             rec.quat_defects[slot, 0] = max(rec.quat_defects[slot, 0], norm_defect)
             rec.quat_defects[slot, 1] = max(rec.quat_defects[slot, 1], plucker)
-        rec.velocities[slot] = vel
+        rec.velocities[slot] = np.reshape(y[nq:], (n, 6))
     record(0, state0.t, y)
 
     slot = 1
@@ -372,9 +370,9 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
             ks = []
             for j in range(tableau.stages):
                 deps = tableau._deps[j]
-                yj = y + dt * sum(w * ks[l] for l, w in deps) if deps else y
-                ks.append(f(t + tableau.c[j] * dt, yj))
-            y = y + dt * sum(w * k for w, k in zip(tableau.b, ks) if w != 0.0)
+                yj = _combine(dt, deps, ks, y) if deps else y
+                ks.append(f(t + float(tableau.c[j]) * dt, yj))
+            y = _combine(dt, tableau._weights, ks, y)
         except Exception as exc:
             raise IntegrationError(str(exc), step, t) from exc
         if slot < len(sample_idx) and step == sample_idx[slot]:

@@ -511,12 +511,6 @@ def dp_matrix(c: Pose) -> np.ndarray:
     return m
 
 
-def dp_bracket(x1, x2) -> np.ndarray:
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return np.concatenate([np.cross(x1[:3], x2[:3]), np.zeros(3)])
-
-
 def dp_ad(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     m = np.zeros((6, 6))

@@ -171,7 +171,17 @@ def load_model_file(path, group="se3", project: bool = False):
 
 
 def dump_model(model: MbsModel, state: MbsState, name: str = "model") -> str:
-    """Serialize a model and its initial state to the file schema."""
+    """Serialize a model and its initial state to the file schema.
+
+    Joints, forces and initial states refer to bodies by name, so the names
+    must be unique; raises ModelFileError otherwise.
+    """
+    names = [body.name for body in model.bodies]
+    duplicates = sorted({b for b in names if names.count(b) > 1})
+    if duplicates:
+        raise ModelFileError(f"duplicate body names {duplicates}: the file "
+                             "would refer to bodies ambiguously")
+
     def listify(a):
         return [float(x) for x in np.asarray(a).reshape(-1)]
 

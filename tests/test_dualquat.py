@@ -212,6 +212,96 @@ class TestReconstructRates:
         assert_allclose(rates[4:], v[3:], atol=0)
 
 
+def solve_rates(a: DualQuaternion, v, mixed: bool = False) -> np.ndarray:
+    """Reference: the 6x8 map augmented with the normalization and Pluecker
+    gradient rows, solved as a dense square system."""
+    m = np.zeros((8, 8))
+    m[:6] = h_mixed(a) if mixed else h_body(a)
+    m[6, :4] = a.q
+    m[7, :4] = a.qe
+    m[7, 4:] = a.q
+    rhs = np.zeros(8)
+    rhs[:6] = v
+    return np.linalg.solve(m, rhs)
+
+
+def solve_euler_rates(q, v) -> np.ndarray:
+    """Reference: the 6x7 map augmented with the norm gradient row."""
+    m = np.zeros((7, 7))
+    m[:6] = h_euler_params(q)
+    m[6, :4] = q
+    rhs = np.zeros(7)
+    rhs[:6] = v
+    return np.linalg.solve(m, rhs)
+
+
+def off_unit_dq(rng) -> DualQuaternion:
+    """|Q| in [0.5, 2] and an unconstrained dual part, like RK stage values."""
+    q = random_unit_quat(rng) * rng.uniform(0.5, 2.0)
+    return DualQuaternion(q, rng.normal(size=4))
+
+
+class TestClosedFormAgainstSolve:
+    """The closed-form inverse equals the augmented solve off the unit
+    sphere, where the RK stages evaluate it."""
+
+    RTOL = 1e-12
+
+    def assert_close(self, out, ref):
+        out = np.asarray(out)
+        assert np.abs(out - ref).max() <= self.RTOL * np.abs(ref).max()
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_dual_quaternion_rates(self, mixed):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            a = off_unit_dq(rng)
+            v = rng.uniform(-2, 2, 6)
+            self.assert_close(reconstruct_rates(a, v, mixed=mixed),
+                              solve_rates(a, v, mixed=mixed))
+
+    def test_euler_rates(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            q = random_unit_quat(rng) * rng.uniform(0.5, 2.0)
+            v = rng.uniform(-2, 2, 6)
+            self.assert_close(euler_reconstruct_rates(q, rng.normal(size=3), v),
+                              solve_euler_rates(q, v))
+
+    def test_float_sequences_accepted(self):
+        a = off_unit_dq(np.random.default_rng(19))
+        v = np.array([0.3, -0.1, 0.7, 1.0, -2.0, 0.5])
+        rates = reconstruct_rates(DualQuaternion(a.q.tolist(), a.qe.tolist()), v.tolist())
+        assert rates == reconstruct_rates(a, v)
+        assert all(type(x) is float for x in rates)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_zero_rotation_quaternion_raises(self, mixed):
+        a = DualQuaternion(np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4]))
+        with pytest.raises(ValueError) as info:
+            reconstruct_rates(a, np.ones(6), mixed=mixed)
+        assert not isinstance(info.value, ZeroDivisionError)
+
+    def test_zero_euler_quaternion_raises(self):
+        with pytest.raises(ValueError):
+            euler_reconstruct_rates(np.zeros(4), np.zeros(3), np.ones(6))
+
+    def test_zero_rotation_quaternion_has_no_pose(self):
+        with pytest.raises(ValueError):
+            pose_from_dq(DualQuaternion(np.zeros(4), np.zeros(4)))
+
+    def test_pose_from_dq_off_unit(self):
+        # R from Q / |Q|, r = 2 vec(Qe Q*) with the unscaled Q
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            a = off_unit_dq(rng)
+            pose = pose_from_dq(a)
+            assert_allclose(pose.R, rotation_from_quat(a.q / np.linalg.norm(a.q)),
+                            rtol=0, atol=1e-14)
+            assert_allclose(pose.r, 2.0 * quat_mul(a.qe, quat_conj(a.q))[1:],
+                            rtol=0, atol=1e-14)
+
+
 class TestInvariantPreservation:
     def test_rk4_constant_twist_keeps_invariants(self):
         # integrate dA/dt = reconstruct_rates(A, V) for 1 s at dt = 1e-3
@@ -220,7 +310,7 @@ class TestInvariantPreservation:
         dt = 1e-3
 
         def f(yv):
-            return reconstruct_rates(DualQuaternion.from_vector(yv), v)
+            return np.asarray(reconstruct_rates(DualQuaternion.from_vector(yv), v))
 
         for _ in range(1000):
             k1 = f(y)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from screwmbs import bench, integrate as integrate_module
 from screwmbs.dynamics import (
     Gravity,
     Joint,
@@ -17,6 +18,7 @@ from screwmbs.integrate import (
     IntegrationError,
     coupled_step,
     integrate,
+    integrate_quaternion,
     mk_step,
     tableau_explicit_trapezoidal,
     tableau_rk4,
@@ -253,3 +255,49 @@ class TestIntegrate:
         for _ in range(100_000):
             poses = mk_step(SE3, poses, field, 0.0, 1e-3, tab)
         assert poses[0].orthonormality_defect() < 1e-9
+
+
+class TestIntegrateQuaternion:
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_chart_calls_go_through_module_names(self, monkeypatch, group):
+        # per-layer tracing wraps exactly these module attributes, so the
+        # stage loop must look them up there on every body and stage
+        calls = {}
+
+        def counting(name):
+            fn = getattr(integrate_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("pose_from_dq", "reconstruct_rates", "euler_reconstruct_rates")
+        for name in names:
+            monkeypatch.setattr(integrate_module, name, counting(name))
+        spec = bench.build("double-pendulum", group)
+        tab = tableau_rk4()
+        steps, bodies = 5, spec.model.n_bodies
+        rec = integrate_quaternion(spec.model, spec.group, spec.state0, 1e-3,
+                                   steps * 1e-3, tab, stride=2)
+        per_stage = tab.stages * steps * bodies
+        if group == "se3":
+            # the recorded samples convert the pose once more per body
+            expected = {"pose_from_dq": per_stage + rec.n_samples * bodies,
+                        "reconstruct_rates": per_stage}
+        else:
+            expected = {"euler_reconstruct_rates": per_stage}
+        assert calls == expected
+
+    @pytest.mark.parametrize("group", [SE3, SO3R3])
+    def test_sampling_matches_matrix_chart(self, group):
+        model = free_model("body" if group is SE3 else "mixed")
+        state = MbsState([Pose.identity()], np.array([[0.1, 0.2, 0, 0, 0.3, 0]]))
+        a = integrate(model, group, state, 0.1, 1.05, tableau_rk4(), stride=4)
+        b = integrate_quaternion(model, group, state, 0.1, 1.05, tableau_rk4(), stride=4)
+        assert np.array_equal(a.times, b.times)
+        assert a.quat_defects is None and b.quat_defects.shape == (4, 2)
+        assert_allclose(b.rotations, a.rotations, atol=1e-6)
+        for fn in (integrate, integrate_quaternion):
+            with pytest.raises(ValueError, match="stride"):
+                fn(model, group, state, 0.1, 1.0, tableau_rk4(), stride=0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -79,7 +81,7 @@ class TestLoad:
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("name", ["heavy-top", "rp-chain", "four-bar"])
+    @pytest.mark.parametrize("name", sorted(bench.BUILDERS))
     @pytest.mark.parametrize("group", ["se3", "so3xr3"])
     def test_builtin_roundtrip(self, tmp_path, name, group):
         spec = bench.build(name, group)
@@ -104,6 +106,13 @@ class TestRoundtrip:
         spec = bench.build("cardan", "se3")
         doc = yaml.safe_load(dump_model(spec.model, spec.state0, "cardan"))
         assert {b["name"] for b in doc["bodies"]} == {"input-shaft", "drive-shaft"}
+
+    def test_dump_rejects_duplicate_body_names(self):
+        spec = bench.build("double-pendulum", "se3")
+        model = spec.model
+        model.bodies[1] = replace(model.bodies[1], name=model.bodies[0].name)
+        with pytest.raises(ModelFileError, match="duplicate body names"):
+            dump_model(model, spec.state0)
 
 
 class TestErrors:
