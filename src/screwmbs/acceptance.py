@@ -72,10 +72,9 @@ class RunCache:
         worst = 0.0
         for k in range(rec.n_samples):
             h = joint_geometry(joint, rec.poses_at(k), spec.model)
-            if part == "pos":
-                h = h[3:] if joint.kind == "prismatic" else h[:joint.n_position_rows]
-            elif part == "ori":
-                h = h[:3] if joint.kind == "prismatic" else h[joint.n_position_rows:]
+            if part != "all":
+                pos, ori = joint.split_residual(h)
+                h = pos if part == "pos" else ori
             worst = max(worst, float(np.linalg.norm(h)))
         return worst
 

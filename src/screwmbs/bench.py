@@ -419,11 +419,7 @@ def metric_joint_residuals(record: TrajectoryRecord, model: MbsModel,
     pos = np.empty(record.n_samples)
     ori = np.empty(record.n_samples)
     for k in range(record.n_samples):
-        h = joint_geometry(joint, record.poses_at(k), model)
-        if joint.kind == "prismatic":
-            o, p = h[:3], h[3:]
-        else:
-            p, o = h[:joint.n_position_rows], h[joint.n_position_rows:]
+        p, o = joint.split_residual(joint_geometry(joint, record.poses_at(k), model))
         pos[k] = np.linalg.norm(p)
         ori[k] = np.linalg.norm(o)
     label = joint.name or joint.kind

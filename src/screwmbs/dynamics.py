@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .liealg import Pose, add3, cross3, dot3, hat3, mtv3, mv3, sub3
 
@@ -134,10 +133,14 @@ class Joint:
     def dim(self) -> int:
         return _JOINT_DIMS[self.kind]
 
-    @property
-    def n_position_rows(self) -> int:
-        # anchor rows for point joints, offset rows for the prismatic
-        return 2 if self.kind == "prismatic" else 3
+    def split_residual(self, h):
+        """(position, orientation) parts of a residual ``joint_geometry``
+        returned: the anchor rows of a point joint come first, while the
+        prismatic joint lists its three rotation-lock rows before its two
+        offset rows."""
+        if self.kind == "prismatic":
+            return h[3:], h[:3]
+        return h[:3], h[3:]
 
     def rows(self):
         """Row descriptors: ('anchor',), ('axisdot', na, mb), ('offsetdot', n),
@@ -271,10 +274,10 @@ class MbsModel:
         if self.representation == BODY_FIXED:
             return self._spatial_inertias
         blocks = []
-        for body, r in zip(self.bodies, rotations):
+        for body, block, r in zip(self.bodies, self._spatial_inertias, rotations):
             r0 = body.com_offset
             if not r0.any():
-                blocks.append(spatial_inertia(body))
+                blocks.append(block)
                 continue
             m = np.zeros((6, 6))
             m[:3, :3] = body.inertia_ref
@@ -640,10 +643,18 @@ def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
     return kkt, np.array(rhs)
 
 
+# LAPACK gesv, imported at the first solve: a model without joints never
+# solves, and scipy.linalg is about half the import time of ``cli``
+_dgesv = None
+
+
 def solve_index1(model: MbsModel, kkt, rhs):
     """Dense LU solve (LAPACK gesv); singularity raises naming the model's
     joints."""
-    _, _, sol, info = lapack.dgesv(kkt, rhs)
+    global _dgesv
+    if _dgesv is None:
+        from scipy.linalg.lapack import dgesv as _dgesv
+    _, _, sol, info = _dgesv(kkt, rhs)
     if info != 0:
         names = ", ".join(j.name or j.kind for j in model.joints)
         raise RedundantConstraintError(

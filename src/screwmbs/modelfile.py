@@ -26,6 +26,12 @@ from .dynamics import (
 from .liealg import GROUPS, Pose, is_rotation, so3_exp
 
 
+# libyaml's C parser where this PyYAML build has it: the same constructor
+# and resolver as SafeLoader, so the same documents, parsed several times
+# faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ModelFileError(ValueError):
     """Schema violation in a model definition file."""
 
@@ -77,7 +83,7 @@ def load_model_file(path, group="se3", project: bool = False):
     """
     group = GROUPS[group] if isinstance(group, str) else group
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, Loader=_LOADER)
     if not isinstance(doc, dict):
         raise ModelFileError("top level must be a mapping")
 

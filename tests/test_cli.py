@@ -1,11 +1,17 @@
 import csv
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
 
-from screwmbs import acceptance, cli
+from screwmbs import acceptance, bench, cli
 from screwmbs.acceptance import CheckResult
+from screwmbs.dynamics import kinetic_energy, total_energy
+from screwmbs.integrate import integrate
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -109,6 +115,58 @@ class TestSimulateCsv:
                 tmp_path, monkeypatch)
         assert (tmp_path / "ht-se3-dt0.01.csv").exists()
         assert (tmp_path / "ht-se3-dt0.005.csv").exists()
+
+
+class TestRunMetrics:
+    """The one-pass CSV columns equal the tested bench.metric_* series."""
+
+    @pytest.mark.parametrize("name", sorted(bench.BUILDERS))
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_columns_match_metric_functions(self, name, group):
+        spec = bench.build(name, group)
+        model = spec.model
+        record = integrate(model, spec.group, spec.state0, 1e-3, 0.02, spec.tableau)
+        cols = cli.run_metrics(spec, record)
+        assert list(cols) == cli.csv_columns(spec)
+        assert cols["t_s"] == record.times.tolist()
+        for j, joint in enumerate(model.joints):
+            label = joint.name or joint.kind
+            pos, ori = bench.metric_joint_residuals(record, model, j)
+            assert cols[f"{label}_pos_residual_m"] == pos.values.tolist()
+            assert cols.get(f"{label}_ori_residual", [0.0] * len(ori.values)) \
+                == ori.values.tolist()
+        if spec.reference is not None:
+            for i in range(model.n_bodies):
+                assert cols[f"body{i}_rot_err_rad"] == bench.metric_rotation_error(
+                    record, spec.reference, i).values.tolist()
+                assert cols[f"body{i}_pos_err_m"] == bench.metric_position_error(
+                    record, spec.reference, i).values.tolist()
+        if spec.com_reference is not None:
+            assert cols["com_drift_m"] == bench.metric_com_drift(
+                record, model, spec.com_reference).values.tolist()
+        states = [record.state_at(k) for k in range(record.n_samples)]
+        assert cols["kinetic_energy_j"] == [kinetic_energy(model, s) for s in states]
+        assert cols["total_energy_j"] == [total_energy(model, s) + spec.energy_datum
+                                          for s in states]
+
+
+def test_jointless_simulate_never_imports_scipy_linalg(tmp_path):
+    """scipy.linalg (about half of the import time) loads at the first KKT
+    solve, which a model without joints never reaches."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""
+        import sys
+        from screwmbs import cli
+        rc = cli.main(["simulate", "--model", "free-body-offset", "--dt", "1e-3",
+                       "--tf", "0.01", "--out", {str(tmp_path / "fb.csv")!r}])
+        assert rc == 0, rc
+        assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSweep:

@@ -215,6 +215,30 @@ class TestJointDerivativeConsistency:
         assert np.abs(central_diff(jv, t0) - (j_vdot - eta)).max() < 1e-5
 
 
+@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("joint", JOINTS, ids=lambda j: f"{j.kind}-{'g' if j.body_a is None else 'bb'}")
+def test_split_residual_anchors_coincide(joint, representation):
+    """With the anchors coincident and the rotations arbitrary, the position
+    part vanishes and the whole residual sits in the orientation part."""
+    n = joint.body_b + 1
+    model = _dummy_model(representation, n, joint)
+    rng = np.random.default_rng(29)
+    poses = [Pose(se3_exp(np.concatenate([rng.normal(size=3), [0, 0, 0]])).R,
+                  rng.normal(size=3)) for _ in range(n)]
+    pa = (joint.anchor_a if joint.body_a is None
+          else poses[joint.body_a].r + poses[joint.body_a].R @ joint.anchor_a)
+    rb = poses[joint.body_b].R
+    poses[joint.body_b] = Pose(rb, pa - rb @ joint.anchor_b)
+    h = joint_geometry(joint, poses, model)
+    pos, ori = joint.split_residual(h)
+    assert len(pos) + len(ori) == joint.dim
+    assert np.abs(pos).max() < 1e-14
+    if joint.kind == "spherical":
+        assert len(ori) == 0
+    else:
+        assert np.abs(ori).max() > 1e-3
+
+
 class TestPaperJacobianForms:
     def test_heavy_top_body_fixed(self):
         model = heavy_top_model(BODY_FIXED)

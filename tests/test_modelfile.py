@@ -5,7 +5,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from screwmbs import bench
+from screwmbs import bench, modelfile
 from screwmbs.dynamics import InfeasibleStateError
 from screwmbs.modelfile import (
     ModelFileError,
@@ -107,6 +107,18 @@ class TestRoundtrip:
         doc = yaml.safe_load(dump_model(spec.model, spec.state0, "cardan"))
         assert {b["name"] for b in doc["bodies"]} == {"input-shaft", "drive-shaft"}
 
+    @pytest.mark.parametrize("name", sorted(bench.BUILDERS))
+    def test_c_loader_matches_pure_python(self, name):
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML built without libyaml")
+        assert modelfile._LOADER is yaml.CSafeLoader
+        spec = bench.build(name, "se3")
+        text = dump_model(spec.model, spec.state0, name)
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        reference = yaml.safe_load(text)
+        assert fast == reference
+        assert repr(fast) == repr(reference)
+
     def test_dump_rejects_duplicate_body_names(self):
         spec = bench.build("double-pendulum", "se3")
         model = spec.model
@@ -119,6 +131,12 @@ class TestErrors:
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("bodies: [unclosed\n")
+        with pytest.raises(yaml.YAMLError):
+            load_model_file(str(path), "se3")
+
+    def test_tab_indentation_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "tabs.yaml"
+        path.write_text("bodies:\n\t- name: a\n\t  mass_kg: 1.0\n")
         with pytest.raises(yaml.YAMLError):
             load_model_file(str(path), "se3")
 
