@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import Pose, add3, cross3, dot3, hat3, mtv3, mv3, sub3
+from .liealg import Pose, add3, cross3, dot3, hat3, mm3, mtv3, mv3, sub3
 
 BODY_FIXED = "body"
 MIXED = "mixed"
@@ -142,12 +142,9 @@ class Joint:
             return h[3:], h[:3]
         return h[:3], h[3:]
 
-    def rows(self):
+    def _build_rows(self):
         """Row descriptors: ('anchor',), ('axisdot', na, mb), ('offsetdot', n),
         with the body-frame directions as float tuples (built once)."""
-        return self._rows
-
-    def _build_rows(self):
         if self.kind == "spherical":
             return (("anchor",),)
         alpha, beta = _float_tuple(self.axis_a), _float_tuple(self.axis_b)
@@ -274,18 +271,12 @@ class MbsModel:
         if self.representation == BODY_FIXED:
             return self._spatial_inertias
         blocks = []
-        for body, block, r in zip(self.bodies, self._spatial_inertias, rotations):
-            r0 = body.com_offset
-            if not r0.any():
-                blocks.append(block)
-                continue
-            m = np.zeros((6, 6))
-            m[:3, :3] = body.inertia_ref
-            coup = -body.mass * (r @ hat3(r0))
-            m[:3, 3:] = coup.T
-            m[3:, :3] = coup
-            m[3:, 3:] = body.mass * np.eye(3)
-            blocks.append(m)
+        for block, mass, r0, r in zip(self._spatial_inertias, self._masses,
+                                      self._offsets, rotations):
+            if r0 is not None:
+                block = block.copy()
+                _put_mixed_coupling(block, 0, mass, r0, np.asarray(r).tolist())
+            blocks.append(block)
         return blocks
 
 
@@ -348,9 +339,13 @@ def _mixed_bias(inertia_rows, mass: float, r0, rot, omega) -> tuple:
     return (a[0], a[1], a[2], mass * b[0], mass * b[1], mass * b[2])
 
 
-def _mixed_coupling(mass: float, r0, rot) -> np.ndarray:
-    # -m R hat(r0), row by row: (R hat(r0))[i] = R[i] x r0
-    return np.array([[-mass * c for c in cross3(row, r0)] for row in rot])
+def _put_mixed_coupling(m, at: int, mass: float, r0, rot) -> None:
+    """Write the mixed-representation coupling of an off-COM body, -m R hat(r0)
+    and its transpose, into the 6x6 block of m that starts at (at, at)."""
+    # row by row: (R hat(r0))[i] = R[i] x r0
+    coup = np.array([[-mass * c for c in cross3(row, r0)] for row in rot])
+    m[at + 3:at + 6, at:at + 3] = coup
+    m[at:at + 3, at + 3:at + 6] = coup.T
 
 
 def newton_euler_mixed(body: RigidBody, rotation, v, wrench) -> tuple[np.ndarray, np.ndarray]:
@@ -358,13 +353,9 @@ def newton_euler_mixed(body: RigidBody, rotation, v, wrench) -> tuple[np.ndarray
     rot = np.asarray(rotation, dtype=float).tolist()
     v = np.asarray(v, dtype=float).tolist()
     r0 = _float_tuple(body.com_offset) if body.com_offset.any() else None
-    m = np.zeros((6, 6))
-    m[:3, :3] = body.inertia_ref
-    m[3:, 3:] = body.mass * np.eye(3)
+    m = spatial_inertia(body)
     if r0 is not None:
-        coup = _mixed_coupling(body.mass, r0, rot)
-        m[:3, 3:] = coup.T
-        m[3:, :3] = coup
+        _put_mixed_coupling(m, 0, body.mass, r0, rot)
     bias = _mixed_bias(body.inertia_ref.tolist(), body.mass, r0, rot, v[:3])
     return m, np.asarray(wrench, dtype=float) - np.array(bias)
 
@@ -406,14 +397,16 @@ def force_assembly(model: MbsModel, poses, t: float = 0.0) -> np.ndarray:
 def _frames(poses, velocities) -> list[tuple]:
     """Per-body (R rows, r, omega, v) as plain floats for the stage kernels.
 
-    ``velocities`` is (n, 6) array-like; a flat list of 6n floats (the
-    stage loop's form) is used as it is.
+    ``poses`` holds ``Pose`` objects or the stage loop's (R rows, r) float
+    pairs, which are used as they are; ``velocities`` is (n, 6) array-like,
+    and a flat list of 6n floats (the stage loop's form) is used as it is.
     """
     if not (isinstance(velocities, list) and velocities
             and isinstance(velocities[0], float)):
         velocities = np.asarray(velocities, dtype=float).reshape(-1).tolist()
-    return [(p.R.tolist(), p.r.tolist(), velocities[6 * i:6 * i + 3],
-             velocities[6 * i + 3:6 * i + 6]) for i, p in enumerate(poses)]
+    poses = [(p.R.tolist(), p.r.tolist()) if isinstance(p, Pose) else p for p in poses]
+    return [(rot, r, velocities[6 * i:6 * i + 3], velocities[6 * i + 3:6 * i + 6])
+            for i, (rot, r) in enumerate(poses)]
 
 
 def _body_rhs(model: MbsModel, frames) -> list[float]:
@@ -506,14 +499,23 @@ def joint_geometry(joint: Joint, poses, model: MbsModel | None = None) -> np.nda
 
 def _joint_rows(joint: Joint, frame_a, frame_b, mixed: bool):
     """Float kernel of joint_rows on (R rows, r, omega, v) frames: per-row
-    6-lists for body_a (None at ground) and body_b, and the eta list."""
+    6-lists for body_a (None at ground) and body_b, and the eta list.
+
+    Axis-dot rows are built in body a's frame from Rab = Ra^T Rb.  Every row
+    is the exact derivative of joint_geometry for any Ra, Rb with
+    Rdot = R hat(omega): the integrated R leave SO(3) by roundoff, and rows
+    that assume R^T R = I turn that defect into constraint drift.
+    """
     ra, pa, wa, va = frame_a
     rb, pb, wb, vb = frame_b
     aa, ab = joint._anchors
     grounded = joint.body_a is None
     if grounded:
+        rab = rb
         pa, pa_dot, pa_dd = aa, _Z3, _Z3
     else:
+        if joint.kind != "spherical" or not mixed:
+            rab = mm3(zip(*ra), rb)
         pa = add3(pa, mv3(ra, aa))
         pa_dot, pa_dd = _anchor_motion(mixed, ra, wa, va, aa)
     pb = add3(pb, mv3(rb, ab))
@@ -522,6 +524,7 @@ def _joint_rows(joint: Joint, frame_a, frame_b, mixed: bool):
     rows_a = None if grounded else []
     rows_b = []
     eta = []
+    beta_prev = None
     for row in joint._rows:
         if row[0] == "anchor":
             if mixed:
@@ -537,11 +540,9 @@ def _joint_rows(joint: Joint, frame_a, frame_b, mixed: bool):
                 # h = Rb^T (pa - pb), child frame
                 u = mtv3(rb, sub3(pa, pb))
                 if not grounded:
-                    # Rb^T Ra, column by column, back to rows
-                    rba = list(zip(*(mtv3(rb, col) for col in zip(*ra))))
-                    for i in range(3):
-                        c = cross3(rba[i], aa)
-                        rows_a.append([-c[0], -c[1], -c[2], *rba[i]])
+                    for col in zip(*rab):      # rows of Rb^T Ra
+                        c = cross3(col, aa)
+                        rows_a.append([-c[0], -c[1], -c[2], *col])
                 # hat(u) + hat(anchor_b)
                 s0, s1, s2 = add3(u, ab)
                 rows_b.extend(([0.0, -s2, s1, -1.0, 0.0, 0.0],
@@ -552,18 +553,22 @@ def _joint_rows(joint: Joint, frame_a, frame_b, mixed: bool):
                 t3 = mtv3(rb, sub3(pa_dd, pb_dd))
                 eta.extend([-(t1[i] - 2.0 * t2[i] + t3[i]) for i in range(3)])
         elif row[0] == "axisdot":
-            # h = (Ra alpha) . (Rb beta)
+            # h = alpha . b', b' = Rab beta
             alpha, beta = row[1], row[2]
-            a_s = mv3(ra, alpha)
-            b_s = mv3(rb, beta)
+            if beta is not beta_prev:
+                # b' and its second rate, shared by consecutive rows on one
+                # beta: Rab'' = wa^2 Rab - 2 wa Rab wb + Rab wb^2 (hats)
+                beta_prev = beta
+                b_a = mv3(rab, beta)
+                wb_beta = cross3(wb, beta)
+                c = mv3(rab, wb_beta)
+                t = cross3(wa, b_a)
+                t = cross3(wa, (t[0] - 2.0 * c[0], t[1] - 2.0 * c[1], t[2] - 2.0 * c[2]))
+                b_dd = add3(t, mv3(rab, cross3(wb, wb_beta)))
             if not grounded:
-                rows_a.append([*cross3(alpha, mtv3(ra, b_s)), 0.0, 0.0, 0.0])
-            rows_b.append([*cross3(beta, mtv3(rb, a_s)), 0.0, 0.0, 0.0])
-            a_dot = mv3(ra, cross3(wa, alpha))
-            b_dot = mv3(rb, cross3(wb, beta))
-            a_dd = mv3(ra, cross3(wa, cross3(wa, alpha)))
-            b_dd = mv3(rb, cross3(wb, cross3(wb, beta)))
-            eta.append(-(dot3(a_dd, b_s) + 2.0 * dot3(a_dot, b_dot) + dot3(a_s, b_dd)))
+                rows_a.append([*cross3(alpha, b_a), 0.0, 0.0, 0.0])
+            rows_b.append([*cross3(beta, mtv3(rab, alpha)), 0.0, 0.0, 0.0])
+            eta.append(-dot3(alpha, b_dd))
         else:  # offsetdot: h = (Ra n) . (pb - pa)
             n = row[1]
             n_s = mv3(ra, n)
@@ -573,7 +578,7 @@ def _joint_rows(joint: Joint, frame_a, frame_b, mixed: bool):
                 c = sub3(cross3(n, mtv3(ra, d)), cross3(aa, n_a))
                 lin = n_s if mixed else n_a
                 rows_a.append([*c, -lin[0], -lin[1], -lin[2]])
-            n_b = mtv3(rb, n_s)
+            n_b = mtv3(rab, n)
             rows_b.append([*cross3(ab, n_b), *(n_s if mixed else n_b)])
             n_dot = mv3(ra, cross3(wa, n))
             n_dd = mv3(ra, cross3(wa, cross3(wa, n)))
@@ -588,12 +593,10 @@ def joint_rows(joint: Joint, poses, velocities, model: MbsModel):
     The Jacobians are exact differentials of joint_geometry, the biases the
     exact second-derivative remainders, both valid off the manifold.
     """
-    velocities = np.asarray(velocities, dtype=float).reshape(-1, 6)
+    frames = _frames(poses, velocities)
     ia, ib = joint.body_a, joint.body_b
-    frame_a = _GROUND if ia is None else _frames([poses[ia]], velocities[ia])[0]
-    frame_b = _frames([poses[ib]], velocities[ib])[0]
-    rows_a, rows_b, eta = _joint_rows(joint, frame_a, frame_b,
-                                      model.representation == MIXED)
+    rows_a, rows_b, eta = _joint_rows(joint, _GROUND if ia is None else frames[ia],
+                                      frames[ib], model.representation == MIXED)
     blocks = {ib: np.array(rows_b)}
     if ia is not None:
         blocks[ia] = np.array(rows_a)
@@ -624,9 +627,7 @@ def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
     if model._mixed:
         for i, r0 in enumerate(model._offsets):
             if r0 is not None:
-                coup = _mixed_coupling(model._masses[i], r0, frames[i][0])
-                kkt[6 * i + 3:6 * i + 6, 6 * i:6 * i + 3] = coup
-                kkt[6 * i:6 * i + 3, 6 * i + 3:6 * i + 6] = coup.T
+                _put_mixed_coupling(kkt, 6 * i, model._masses[i], r0, frames[i][0])
     rhs = _body_rhs(model, frames)
     values = []
     for joint in model.joints:

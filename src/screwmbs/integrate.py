@@ -28,7 +28,7 @@ from .dualquat import (
     reconstruct_rates,
 )
 from .dynamics import MbsModel, MbsState, accelerations
-from .liealg import CSpaceGroup, Pose
+from .liealg import CSpaceGroup, Pose, add3
 
 
 class IntegrationError(RuntimeError):
@@ -70,6 +70,7 @@ class ButcherTableau:
                             for j in range(s)])
         object.__setattr__(self, "_weights",
                            [(j, float(w)) for j, w in enumerate(b) if w != 0.0])
+        object.__setattr__(self, "_nodes", c.tolist())
 
     @property
     def stages(self) -> int:
@@ -97,38 +98,6 @@ def tableau_explicit_trapezoidal() -> ButcherTableau:
 TABLEAUS = {"rk4": tableau_rk4, "explicit-trapezoidal": tableau_explicit_trapezoidal}
 
 
-def _stage_poses(group: CSpaceGroup, poses, psi) -> list[Pose]:
-    if psi is None:
-        return poses
-    return [group.compose(g, group.exp(p)) for g, p in zip(poses, psi)]
-
-
-def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
-            tableau: ButcherTableau) -> list[Pose]:
-    """One Munthe-Kaas step of gdot = g Vhat for a prescribed velocity field.
-
-    ``v_field(t, poses)`` returns the (n, 6) stacked velocities in the
-    group's algebra coordinates.
-    """
-    n = len(poses)
-    ks = []
-    for j in range(tableau.stages):
-        deps = tableau._deps[j]
-        if deps:
-            psi = dt * sum(w * ks[l] for l, w in deps)
-            stage = _stage_poses(group, poses, psi)
-            v = np.atleast_2d(np.asarray(v_field(t + tableau.c[j] * dt, stage), dtype=float))
-            k = np.empty((n, 6))
-            for i in range(n):
-                k[i] = group.dexpinv_apply(-psi[i], v[i])
-        else:
-            # Psi_1 = 0: the first stage needs no dexpinv evaluation
-            k = np.atleast_2d(np.asarray(v_field(t, poses), dtype=float)).copy()
-        ks.append(k)
-    phi = dt * sum(w * k for w, k in zip(tableau.b, ks) if w != 0.0)
-    return [group.compose(g, group.exp(p)) for g, p in zip(poses, phi)]
-
-
 def _combine(dt: float, terms, rows, base) -> list[float]:
     """base + dt * sum(w * rows[l] for l, w in terms), elementwise on floats."""
     out = base
@@ -138,42 +107,75 @@ def _combine(dt: float, terms, rows, base) -> list[float]:
     return out
 
 
-def _coupled_increments(model: MbsModel, group: CSpaceGroup, poses0, v0,
-                        t: float, dt: float, tableau: ButcherTableau):
-    """Shared-stage chart increment Phi and velocity update of one step.
-
-    Velocities, slopes and both increments are flat lists of 6n floats.
-    """
-    zeros = [0.0] * len(v0)
-    ks = []       # chart slopes dexpinv(-Psi_j) V_j
-    fs = []       # accelerations F(g_j, V_j)
-    for j in range(tableau.stages):
-        deps = tableau._deps[j]
-        if deps:
-            psi = _combine(dt, deps, ks, zeros)
-            vj = _combine(dt, deps, fs, v0)
-            stage, k = [], []
-            for i, g in enumerate(poses0):
-                p = psi[6 * i:6 * i + 6]
-                stage.append(group.compose(g, group.exp(p)))
-                k.extend(group.dexpinv_apply([-x for x in p], vj[6 * i:6 * i + 6]))
-        else:
-            stage, vj, k = poses0, v0, v0
-        fs.append(accelerations(model, stage, vj, t + float(tableau.c[j]) * dt)
-                  .reshape(-1).tolist())
+def _stage_slopes(group: CSpaceGroup, frames, t: float, dt: float,
+                  tableau: ButcherTableau, velocity) -> list[list[float]]:
+    """Chart slopes k_j = dexpinv(-Psi_j) V_j of one shared-stage step from
+    the (R rows, r) float poses ``frames``; ``velocity(j, t_j, stage poses)``
+    gives V_j.  Slopes and velocities are flat lists of 6n floats."""
+    zeros = [0.0] * (6 * len(frames))
+    ks = []
+    for j, deps in enumerate(tableau._deps):
+        tj = t + tableau._nodes[j] * dt
+        if not deps:
+            # Psi_j = 0: the stage sits at g and needs no dexpinv evaluation
+            ks.append(velocity(j, tj, frames))
+            continue
+        psi = _combine(dt, deps, ks, zeros)
+        stage = []
+        for i, (rot, r) in enumerate(frames):
+            rot_j, delta = group.advance_parts(rot, psi[6 * i:6 * i + 6])
+            stage.append((rot_j, add3(r, delta)))
+        vj = velocity(j, tj, stage)
+        k = []
+        for i in range(len(frames)):
+            k.extend(group.dexpinv_apply([-x for x in psi[6 * i:6 * i + 6]],
+                                         vj[6 * i:6 * i + 6]))
         ks.append(k)
+    return ks
+
+
+def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
+            tableau: ButcherTableau) -> list[Pose]:
+    """One Munthe-Kaas step of gdot = g Vhat for a prescribed velocity field.
+
+    ``v_field(t, poses)`` returns the (n, 6) stacked velocities in the
+    group's algebra coordinates.
+    """
+    def velocity(j, tj, stage):
+        poses_j = (poses if stage is frames
+                   else [Pose(np.array(rot), np.array(r)) for rot, r in stage])
+        return np.asarray(v_field(tj, poses_j), dtype=float).reshape(-1).tolist()
+
+    frames = [(p.R.tolist(), p.r.tolist()) for p in poses]
+    ks = _stage_slopes(group, frames, t, dt, tableau, velocity)
+    # the step's end stays on arrays, phi = dt sum(b_j k_j) then compose(g,
+    # exp(phi)): the decoupling test reproduces this arithmetic bit for bit
+    phi = dt * sum(w * np.reshape(k, (-1, 6)) for w, k in zip(tableau.b, ks) if w != 0.0)
+    return [group.compose(g, group.exp(p)) for g, p in zip(poses, phi)]
+
+
+def _coupled_increments(model: MbsModel, group: CSpaceGroup, frames, v0,
+                        t: float, dt: float, tableau: ButcherTableau):
+    """Shared-stage chart increment Phi and velocity update of one step, as
+    flat float lists, from (R rows, r) float poses."""
+    fs = []       # accelerations F(g_j, V_j)
+
+    def velocity(j, tj, stage):
+        deps = tableau._deps[j]
+        vj = _combine(dt, deps, fs, v0) if deps else v0
+        fs.append(accelerations(model, stage, vj, tj).reshape(-1).tolist())
+        return vj
+
+    ks = _stage_slopes(group, frames, t, dt, tableau, velocity)
+    zeros = [0.0] * len(v0)
     return (_combine(dt, tableau._weights, ks, zeros),
             _combine(dt, tableau._weights, fs, zeros))
 
 
 def coupled_step(model: MbsModel, group: CSpaceGroup, state: MbsState,
                  dt: float, tableau: ButcherTableau) -> MbsState:
-    """Advance poses and velocities with shared stages of one tableau."""
-    v0 = state.velocities.reshape(-1).tolist()
-    phi, dv = _coupled_increments(model, group, state.poses, v0, state.t, dt, tableau)
-    poses_new = [group.compose(g, group.exp(phi[6 * i:6 * i + 6]))
-                 for i, g in enumerate(state.poses)]
-    return MbsState(poses_new, np.add(v0, dv).reshape(-1, 6), state.t + dt)
+    """Advance poses and velocities by one step of ``integrate``."""
+    return integrate(model, group, state, dt, state.t + dt, tableau).state_at(-1)
 
 
 @dataclass
@@ -249,17 +251,16 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     n = model.n_bodies
     n_steps, sample_idx, rec = _sampling(group, n, state0.t, dt, t_final, stride)
 
-    def record(slot, t, poses, v):
+    def record(slot, t, frames, v):
         rec.times[slot] = t
-        for i, p in enumerate(poses):
-            rec.rotations[slot, i] = p.R
-            rec.positions[slot, i] = p.r
+        rec.rotations[slot] = [rot for rot, _ in frames]
+        rec.positions[slot] = [r for _, r in frames]
         rec.velocities[slot] = np.reshape(v, (n, 6))
 
     t0 = state0.t
-    poses = list(state0.poses)
+    frames = [(p.R.tolist(), p.r.tolist()) for p in state0.poses]
     v = state0.velocities.reshape(-1).tolist()
-    record(0, t0, poses, v)
+    record(0, t0, frames, v)
     slot = 1
     # positions and velocities accumulate compensated (Kahan) so the
     # roundoff of 1e5-step runs stays far below the drift scales measured
@@ -268,17 +269,17 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     t = t0
     for step in range(1, n_steps + 1):
         try:
-            phi, dv = _coupled_increments(model, group, poses, v, t, dt, tableau)
+            phi, dv = _coupled_increments(model, group, frames, v, t, dt, tableau)
         except Exception as exc:
             raise IntegrationError(str(exc), step, t) from exc
         v, comp_v = _kahan_add(v, dv, comp_v)
-        for i, g in enumerate(poses):
-            r_new, delta = group.advance_parts(g, phi[6 * i:6 * i + 6])
-            r, comp_r[i] = _kahan_add(g.r.tolist(), delta.tolist(), comp_r[i])
-            poses[i] = Pose(r_new, np.array(r))
+        for i, (rot, r) in enumerate(frames):
+            rot, delta = group.advance_parts(rot, phi[6 * i:6 * i + 6])
+            r, comp_r[i] = _kahan_add(r, delta, comp_r[i])
+            frames[i] = (rot, r)
         t = t0 + step * dt
         if slot < len(sample_idx) and step == sample_idx[slot]:
-            record(slot, t, poses, v)
+            record(slot, t, frames, v)
             slot += 1
     return rec
 

@@ -13,8 +13,8 @@ Conventions used throughout the package:
   ``exp(X(t))`` is ``V = dexp(-X) @ Xdot``, so velocity reconstruction
   always evaluates the maps at the negated argument.
 
-Everything operates on plain float ndarrays and is allocation-light; these
-functions sit in the integrator's inner loop.
+The public kernels take and return float ndarrays; the integrator's inner
+loop holds poses as ``(R rows, r)`` float tuples, moved by ``advance_parts``.
 """
 
 from __future__ import annotations
@@ -177,6 +177,11 @@ def mtv3(m, x) -> tuple:
             r0[2] * x0 + r1[2] * x1 + r2[2] * x2)
 
 
+def mm3(a, b) -> tuple:
+    """Rows of a @ b for 3x3 matrices given as row sequences: a[i] @ b."""
+    return tuple(mtv3(b, row) for row in a)
+
+
 def vee3(m) -> np.ndarray:
     """Inverse of hat3 for a skew-symmetric 3x3 matrix."""
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
@@ -306,19 +311,24 @@ def se3_inverse(c: Pose) -> Pose:
     return Pose(c.R.T, -(c.R.T @ c.r))
 
 
-def se3_exp(x) -> Pose:
-    """Finite screw motion exp(X) = (exp(xi), dexp_xi @ eta)."""
-    x0, x1, x2, e0, e1, e2 = _floats(x)
+def _se3_exp_parts(x) -> tuple:
+    """se3_exp on floats: (rows of exp(xi), dexp_xi @ eta)."""
+    x0, x1, x2, e0, e1, e2 = x
     xi = (x0, x1, x2)
     xn = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     # dexp_xi @ eta = eta + cos1 xi x eta + xs3 xi x (xi x eta)
     c = cross3(xi, (e0, e1, e2))
     cc = cross3(xi, c)
     b, d = _cos1(xn), _xs3(xn)
-    return Pose(np.array(_so3_exp_rows(x0, x1, x2)),
-                np.array((e0 + b * c[0] + d * cc[0],
-                          e1 + b * c[1] + d * cc[1],
-                          e2 + b * c[2] + d * cc[2])))
+    return (_so3_exp_rows(x0, x1, x2),
+            (e0 + b * c[0] + d * cc[0],
+             e1 + b * c[1] + d * cc[1],
+             e2 + b * c[2] + d * cc[2]))
+
+
+def se3_exp(x) -> Pose:
+    """Finite screw motion exp(X) = (exp(xi), dexp_xi @ eta)."""
+    return Pose(*map(np.array, _se3_exp_parts(_floats(x))))
 
 
 def se3_log(c: Pose) -> np.ndarray:
@@ -624,11 +634,11 @@ class SE3Group(CSpaceGroup):
     ad = staticmethod(se3_ad)
 
     @staticmethod
-    def advance_parts(pose: Pose, phi) -> tuple[np.ndarray, np.ndarray]:
-        """compose(pose, exp(phi)) split as (new rotation, translation
-        increment), so long runs can accumulate positions compensated."""
-        e = se3_exp(phi)
-        return pose.R @ e.R, pose.R @ e.r
+    def advance_parts(rot, phi) -> tuple[tuple, tuple]:
+        """compose((R, r), exp(phi)) on floats as (rows of the new rotation,
+        translation increment), so long runs can add the increment compensated."""
+        rows, t = _se3_exp_parts(phi)
+        return mm3(rot, rows), mv3(rot, t)
 
 
 class DirectProductGroup(CSpaceGroup):
@@ -645,9 +655,8 @@ class DirectProductGroup(CSpaceGroup):
     ad = staticmethod(dp_ad)
 
     @staticmethod
-    def advance_parts(pose: Pose, phi) -> tuple[np.ndarray, np.ndarray]:
-        e = dp_exp(phi)
-        return pose.R @ e.R, e.r
+    def advance_parts(rot, phi) -> tuple[tuple, tuple]:
+        return mm3(rot, _so3_exp_rows(*phi[:3])), tuple(phi[3:])
 
 
 SE3 = SE3Group()

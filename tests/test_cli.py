@@ -116,6 +116,23 @@ class TestSimulateCsv:
         assert (tmp_path / "ht-se3-dt0.01.csv").exists()
         assert (tmp_path / "ht-se3-dt0.005.csv").exists()
 
+    def test_successive_calls_share_no_parser_state(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # main reuses one parser per process; a repeatable --dt must start
+        # empty on every call, so the second run sees only its own values
+        base = ["simulate", "--model", "heavy-top", "--tf", "0.02"]
+        assert run_cli(base + ["--dt", "1e-2", "--dt", "5e-3", "--out", "a.csv"],
+                       tmp_path, monkeypatch) == 0
+        assert run_cli(base + ["--dt", "4e-3", "--out", "b.csv"],
+                       tmp_path, monkeypatch) == 0
+        assert run_cli(base + ["--out", "c.csv"], tmp_path, monkeypatch) == 0
+        written = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        # without --dt the model's own step sizes apply
+        defaults = [f"c-se3-dt{dt:g}.csv" for dt in bench.build("heavy-top", "se3").dts]
+        assert written == ["a-se3-dt0.01.csv", "a-se3-dt0.005.csv", "b.csv", *defaults]
+        with open(tmp_path / "b.csv") as fh:
+            assert len(fh.read().splitlines()) == 1 + 6   # t = 0, 4e-3, ..., 0.02
+
 
 class TestRunMetrics:
     """The one-pass CSV columns equal the tested bench.metric_* series."""

@@ -23,6 +23,7 @@ from screwmbs.dynamics import (
     joint_acc_rhs,
     joint_geometry,
     joint_jacobian,
+    joint_rows,
     kinetic_energy,
     newton_euler_body,
     newton_euler_mixed,
@@ -34,7 +35,7 @@ from screwmbs.dynamics import (
     velocity_residual,
 )
 from screwmbs.liealg import Pose, hat3, mixed_twist_matrix, se3_dexp, se3_exp
-from oracles import central_diff
+from oracles import central_diff, random_rotation, world_frame_joint_rows
 
 RNG = np.random.default_rng(512)
 
@@ -213,6 +214,32 @@ class TestJointDerivativeConsistency:
         eta = joint_acc_rhs(joint, poses(t0), velocities(t0), model)
         # d/dt (J V) = J Vdot - eta
         assert np.abs(central_diff(jv, t0) - (j_vdot - eta)).max() < 1e-5
+
+
+@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("joint", JOINTS, ids=lambda j: f"{j.kind}-{'g' if j.body_a is None else 'bb'}")
+def test_relative_frame_rows_match_world_frame_oracle(joint, representation):
+    """joint_rows builds its axis-dot rows from Ra^T Rb; on random states off
+    the constraint manifold every row equals the world-frame formulation."""
+    n = joint.body_b + 1
+    model = _dummy_model(representation, n, joint)
+    rng = np.random.default_rng(41)
+    ground = (np.eye(3).tolist(), [0.0] * 3, [0.0] * 3, [0.0] * 3)
+    for _ in range(50):
+        poses = [Pose(random_rotation(rng), rng.uniform(-2, 2, 3)) for _ in range(n)]
+        v = rng.uniform(-3, 3, (n, 6))
+        frames = [(p.R.tolist(), p.r.tolist(), v[i, :3].tolist(), v[i, 3:].tolist())
+                  for i, p in enumerate(poses)]
+        ref_a, ref_b, ref_eta = world_frame_joint_rows(
+            joint, ground if joint.body_a is None else frames[joint.body_a],
+            frames[joint.body_b], representation == MIXED)
+        blocks, eta = joint_rows(joint, poses, v, model)
+        pairs = [(blocks[joint.body_b], ref_b), (eta, ref_eta)]
+        if joint.body_a is not None:
+            pairs.append((blocks[joint.body_a], ref_a))
+        for got, ref in pairs:
+            ref = np.asarray(ref)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
