@@ -24,8 +24,6 @@ import numpy as np
 
 from .liealg import Pose, _floats, hat3
 
-_UNIT_TOL = 1e-8
-
 
 def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
@@ -39,11 +37,6 @@ def quat_mul(q, p) -> np.ndarray:
         [q[0] * p[0] - qv @ pv],
         q[0] * pv + p[0] * qv + np.cross(qv, pv),
     ])
-
-
-def quat_conj(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def hamilton_plus(q) -> np.ndarray:
@@ -84,15 +77,6 @@ def emat(q) -> np.ndarray:
     m[:, 0] = -q[1:]
     m[:, 1:] = q[0] * np.eye(3) - hat3(q[1:])
     return m
-
-
-def rotation_from_quat(q) -> np.ndarray:
-    """R = D(Q) E(Q)^T for unit Q; raises if the norm is off by > 1e-8."""
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"quaternion norm {n:.12g} violates the unit invariant")
-    return dmat(q) @ emat(q).T
 
 
 def quat_from_rotation(r) -> np.ndarray:
@@ -146,13 +130,6 @@ class DualQuaternion:
         return DualQuaternion(-self.q, -self.qe)
 
 
-def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
-    return DualQuaternion(
-        quat_mul(a.q, b.q),
-        quat_mul(a.q, b.qe) + quat_mul(a.qe, b.q),
-    )
-
-
 def dq_from_pose(c: Pose) -> DualQuaternion:
     q = quat_from_rotation(c.R)
     t = np.concatenate([[0.0], c.r])
@@ -185,11 +162,6 @@ def pose_from_dq(a: DualQuaternion) -> Pose:
                   2.0 * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
                   2.0 * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1)))
     return Pose(np.array(quat_rotation_rows(q0, q1, q2, q3)), r)
-
-
-def dq_align(a: DualQuaternion, ref: DualQuaternion) -> DualQuaternion:
-    """Pick the sign of the double cover closest to a reference."""
-    return a.negated() if float(a.q @ ref.q) < 0.0 else a
 
 
 # ---------------------------------------------------------------------------

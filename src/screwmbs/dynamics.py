@@ -24,11 +24,13 @@ acceleration right-hand side is ``eta = -Jdot @ V``.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import Pose, add3, cross3, dot3, hat3, mm3, mtv3, mv3, sub3
+from .liealg import Pose, add3, cross3, dot3, hat3, mtv3, mv3, sub3
 
 BODY_FIXED = "body"
 MIXED = "mixed"
@@ -256,6 +258,7 @@ class MbsModel:
             k += joint.dim
         self._kkt0 = kkt
         self._jac_at = np.array(at + at_t, dtype=np.intp)
+        self._row_kernels = [_bind_rows(j, self._mixed) for j in self.joints]
 
     @property
     def n_bodies(self) -> int:
@@ -311,13 +314,6 @@ def spatial_inertia(body: RigidBody) -> np.ndarray:
     return m
 
 
-def newton_euler_body(body: RigidBody, v, wrench) -> tuple[np.ndarray, np.ndarray]:
-    """Mass matrix and right-hand side of J V' - ad_V^T J V = W."""
-    m = spatial_inertia(body)
-    gyro = _gyroscopic_body(m.tolist(), np.asarray(v, dtype=float).tolist())
-    return m, np.asarray(wrench, dtype=float) + np.array(gyro)
-
-
 def _gyroscopic_body(inertia_rows, v) -> tuple:
     # ad_V^T (J V) written out: (h_ang x omega + h_lin x v, h_lin x omega)
     v0, v1, v2, v3, v4, v5 = v
@@ -346,18 +342,6 @@ def _put_mixed_coupling(m, at: int, mass: float, r0, rot) -> None:
     coup = np.array([[-mass * c for c in cross3(row, r0)] for row in rot])
     m[at + 3:at + 6, at:at + 3] = coup
     m[at:at + 3, at + 3:at + 6] = coup.T
-
-
-def newton_euler_mixed(body: RigidBody, rotation, v, wrench) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed-representation Newton-Euler about the reference frame at P."""
-    rot = np.asarray(rotation, dtype=float).tolist()
-    v = np.asarray(v, dtype=float).tolist()
-    r0 = _float_tuple(body.com_offset) if body.com_offset.any() else None
-    m = spatial_inertia(body)
-    if r0 is not None:
-        _put_mixed_coupling(m, 0, body.mass, r0, rot)
-    bias = _mixed_bias(body.inertia_ref.tolist(), body.mass, r0, rot, v[:3])
-    return m, np.asarray(wrench, dtype=float) - np.array(bias)
 
 
 def _wrenches(model: MbsModel, rots, origins) -> list[list[float]]:
@@ -457,18 +441,6 @@ def total_energy(model: MbsModel, state: MbsState) -> float:
 
 _I3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _Z3 = (0.0, 0.0, 0.0)
-_GROUND = (_I3, _Z3, _Z3, _Z3)
-_MINUS_I3 = ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
-
-
-def _anchor_motion(mixed, rot, omega, vel, anchor):
-    """Velocity of p = r + R a and its acceleration with V' = 0, in the
-    given representation."""
-    c = cross3(omega, anchor)
-    if mixed:
-        return add3(vel, mv3(rot, c)), mv3(rot, cross3(omega, c))
-    s = add3(vel, c)
-    return mv3(rot, s), mv3(rot, cross3(omega, s))
 
 
 def _pose_floats(poses, index):
@@ -497,123 +469,201 @@ def joint_geometry(joint: Joint, poses, model: MbsModel | None = None) -> np.nda
     return np.array(out)
 
 
-def _joint_rows(joint: Joint, frame_a, frame_b, mixed: bool):
-    """Float kernel of joint_rows on (R rows, r, omega, v) frames: per-row
-    6-lists for body_a (None at ground) and body_b, and the eta list.
+class _Emitter:
+    """Straight-line float code from vector-level formulas.  A vector is a
+    3-tuple of expressions (local names or literals); each op writes one
+    ``name = expr`` line per component in the operation order of the liealg
+    kernel of the same name (``cross`` is ``cross3``, ``mv`` is ``mv3``, ...).
+    A repeated op reuses its name; nothing is folded or reordered."""
 
-    Axis-dot rows are built in body a's frame from Rab = Ra^T Rb.  Every row
-    is the exact derivative of joint_geometry for any Ra, Rb with
-    Rdot = R hat(omega): the integrated R leave SO(3) by roundoff, and rows
-    that assume R^T R = I turn that defect into constraint drift.
-    """
-    ra, pa, wa, va = frame_a
-    rb, pb, wb, vb = frame_b
-    aa, ab = joint._anchors
-    grounded = joint.body_a is None
+    def __init__(self):
+        self.lines, self._names = [], {}
+
+    def scalar(self, expr: str) -> str:
+        if expr not in self._names:
+            self._names[expr] = f"t{len(self._names)}"
+            self.lines.append(f"{self._names[expr]} = {expr}")
+        return self._names[expr]
+
+    def cross(self, a, b):
+        (a0, a1, a2), (b0, b1, b2) = a, b
+        return tuple(map(self.scalar, (f"{a1} * {b2} - {a2} * {b1}",
+                                       f"{a2} * {b0} - {a0} * {b2}",
+                                       f"{a0} * {b1} - {a1} * {b0}")))
+
+    def dot(self, a, b):
+        return self.scalar(" + ".join(f"{x} * {y}" for x, y in zip(a, b)))
+
+    def mv(self, m, x):
+        return tuple(self.dot(row, x) for row in m)
+
+    def mtv(self, m, x):
+        return self.mv(tuple(zip(*m)), x)
+
+    def add(self, a, b):
+        return tuple(self.scalar(f"{x} + {y}") for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(self.scalar(f"{x} - {y}") for x, y in zip(a, b))
+
+    def twice(self, a):
+        return tuple(self.scalar(f"2.0 * {x}") for x in a)
+
+    def live(self, outputs) -> list[str]:
+        """The lines the outputs depend on, in order; dead ones are dropped."""
+        used, live = set(re.findall(r"\bt\d+", " ".join(outputs))), []
+        for line in reversed(self.lines):
+            if line.split(" = ")[0] in used:
+                used.update(re.findall(r"\bt\d+", line))
+                live.append(line)
+        return live[::-1]
+
+
+def _names(s: str) -> tuple:
+    return (f"{s}0", f"{s}1", f"{s}2")
+
+
+def _frame(s: str) -> tuple:
+    """(R rows, r, omega, v) of body ``s`` as the kernel's local names."""
+    return (tuple(_names(f"r{s}{i}") for i in range(3)), *(_names(q + s) for q in "pwv"))
+
+
+_neg = "-{}".format
+_ZERO = ("0.0",) * 3
+_GROUND = (tuple(tuple(map(repr, row)) for row in _I3), _ZERO, _ZERO, _ZERO)
+_MINUS_I3 = (("-1.0", "0.0", "0.0"), ("0.0", "-1.0", "0.0"), ("0.0", "0.0", "-1.0"))
+
+
+def _anchor_motion(e: _Emitter, mixed, rot, omega, vel, anchor):
+    """Velocity of p = r + R a and its acceleration with V' = 0."""
+    c = e.cross(omega, anchor)
+    if mixed:
+        return e.add(vel, e.mv(rot, c)), e.mv(rot, e.cross(omega, c))
+    s = e.add(vel, c)
+    return e.mv(rot, s), e.mv(rot, e.cross(omega, s))
+
+
+def _emit_rows(e: _Emitter, rows, grounded: bool, mixed: bool):
+    """One joint's J entries in KKT scatter order (per row body a's six,
+    then body b's six) and eta entries, from row descriptors with direction
+    names.  Every row is the exact derivative of joint_geometry for any Ra,
+    Rb with Rdot = R hat(omega): the integrated R leave SO(3) by roundoff,
+    and rows that assume R^T R = I turn that defect into constraint drift."""
+    ra, pa, wa, va = _GROUND if grounded else _frame("a")
+    rb, pb, wb, vb = _frame("b")
+    aa, ab = _names("aa"), _names("ab")
     if grounded:
-        rab = rb
-        pa, pa_dot, pa_dd = aa, _Z3, _Z3
+        rab, pa, pa_dot, pa_dd = rb, aa, _ZERO, _ZERO
     else:
-        if joint.kind != "spherical" or not mixed:
-            rab = mm3(zip(*ra), rb)
-        pa = add3(pa, mv3(ra, aa))
-        pa_dot, pa_dd = _anchor_motion(mixed, ra, wa, va, aa)
-    pb = add3(pb, mv3(rb, ab))
-    pb_dot, pb_dd = _anchor_motion(mixed, rb, wb, vb, ab)
+        rab = tuple(e.mtv(rb, col) for col in zip(*ra))
+        pa = e.add(pa, e.mv(ra, aa))
+        pa_dot, pa_dd = _anchor_motion(e, mixed, ra, wa, va, aa)
+    pb = e.add(pb, e.mv(rb, ab))
+    pb_dot, pb_dd = _anchor_motion(e, mixed, rb, wb, vb, ab)
 
-    rows_a = None if grounded else []
-    rows_b = []
-    eta = []
-    beta_prev = None
-    for row in joint._rows:
+    jac, eta = [], []
+    for row in rows:
         if row[0] == "anchor":
             if mixed:
                 # h = pa - pb, spatial
-                if not grounded:
-                    for i in range(3):
-                        c = cross3(ra[i], aa)
-                        rows_a.append([-c[0], -c[1], -c[2], *_I3[i]])
                 for i in range(3):
-                    rows_b.append([*cross3(rb[i], ab), *_MINUS_I3[i]])
-                eta.extend(sub3(pb_dd, pa_dd))
+                    if not grounded:
+                        jac += [*map(_neg, e.cross(ra[i], aa)), *_GROUND[0][i]]
+                    jac += [*e.cross(rb[i], ab), *_MINUS_I3[i]]
+                eta += e.sub(pb_dd, pa_dd)
             else:
-                # h = Rb^T (pa - pb), child frame
-                u = mtv3(rb, sub3(pa, pb))
-                if not grounded:
-                    for col in zip(*rab):      # rows of Rb^T Ra
-                        c = cross3(col, aa)
-                        rows_a.append([-c[0], -c[1], -c[2], *col])
-                # hat(u) + hat(anchor_b)
-                s0, s1, s2 = add3(u, ab)
-                rows_b.extend(([0.0, -s2, s1, -1.0, 0.0, 0.0],
-                               [s2, 0.0, -s0, 0.0, -1.0, 0.0],
-                               [-s1, s0, 0.0, 0.0, 0.0, -1.0]))
-                t1 = cross3(wb, cross3(wb, u))
-                t2 = cross3(wb, mtv3(rb, sub3(pa_dot, pb_dot)))
-                t3 = mtv3(rb, sub3(pa_dd, pb_dd))
-                eta.extend([-(t1[i] - 2.0 * t2[i] + t3[i]) for i in range(3)])
+                # h = Rb^T (pa - pb), child frame; body b's rows are
+                # (hat(u) + hat(anchor_b), -I)
+                u = e.mtv(rb, e.sub(pa, pb))
+                s0, s1, s2 = e.add(u, ab)
+                rows_b = (("0.0", _neg(s2), s1, *_MINUS_I3[0]),
+                          (s2, "0.0", _neg(s0), *_MINUS_I3[1]),
+                          (_neg(s1), s0, "0.0", *_MINUS_I3[2]))
+                for col, row_b in zip(zip(*rab), rows_b):   # rows of Rb^T Ra
+                    if not grounded:
+                        jac += [*map(_neg, e.cross(col, aa)), *col]
+                    jac += row_b
+                t1 = e.cross(wb, e.cross(wb, u))
+                t2 = e.cross(wb, e.mtv(rb, e.sub(pa_dot, pb_dot)))
+                t3 = e.mtv(rb, e.sub(pa_dd, pb_dd))
+                eta += map(_neg, e.add(e.sub(t1, e.twice(t2)), t3))
         elif row[0] == "axisdot":
-            # h = alpha . b', b' = Rab beta
+            # h = alpha . b', b' = Rab beta, with the second rate
+            # Rab'' = wa^2 Rab - 2 wa Rab wb + Rab wb^2 (hats)
             alpha, beta = row[1], row[2]
-            if beta is not beta_prev:
-                # b' and its second rate, shared by consecutive rows on one
-                # beta: Rab'' = wa^2 Rab - 2 wa Rab wb + Rab wb^2 (hats)
-                beta_prev = beta
-                b_a = mv3(rab, beta)
-                wb_beta = cross3(wb, beta)
-                c = mv3(rab, wb_beta)
-                t = cross3(wa, b_a)
-                t = cross3(wa, (t[0] - 2.0 * c[0], t[1] - 2.0 * c[1], t[2] - 2.0 * c[2]))
-                b_dd = add3(t, mv3(rab, cross3(wb, wb_beta)))
+            b_a = e.mv(rab, beta)
+            wb_beta = e.cross(wb, beta)
+            t = e.cross(wa, e.sub(e.cross(wa, b_a), e.twice(e.mv(rab, wb_beta))))
+            b_dd = e.add(t, e.mv(rab, e.cross(wb, wb_beta)))
             if not grounded:
-                rows_a.append([*cross3(alpha, b_a), 0.0, 0.0, 0.0])
-            rows_b.append([*cross3(beta, mtv3(rab, alpha)), 0.0, 0.0, 0.0])
-            eta.append(-dot3(alpha, b_dd))
+                jac += [*e.cross(alpha, b_a), *_ZERO]
+            jac += [*e.cross(beta, e.mtv(rab, alpha)), *_ZERO]
+            eta.append(_neg(e.dot(alpha, b_dd)))
         else:  # offsetdot: h = (Ra n) . (pb - pa)
             n = row[1]
-            n_s = mv3(ra, n)
-            d = sub3(pb, pa)
+            n_s = e.mv(ra, n)
+            d = e.sub(pb, pa)
             if not grounded:
-                n_a = mtv3(ra, n_s)
-                c = sub3(cross3(n, mtv3(ra, d)), cross3(aa, n_a))
-                lin = n_s if mixed else n_a
-                rows_a.append([*c, -lin[0], -lin[1], -lin[2]])
-            n_b = mtv3(rab, n)
-            rows_b.append([*cross3(ab, n_b), *(n_s if mixed else n_b)])
-            n_dot = mv3(ra, cross3(wa, n))
-            n_dd = mv3(ra, cross3(wa, cross3(wa, n)))
-            eta.append(-(dot3(n_dd, d) + 2.0 * dot3(n_dot, sub3(pb_dot, pa_dot))
-                         + dot3(n_s, sub3(pb_dd, pa_dd))))
-    return rows_a, rows_b, eta
+                n_a = e.mtv(ra, n_s)
+                c = e.sub(e.cross(n, e.mtv(ra, d)), e.cross(aa, n_a))
+                jac += [*c, *map(_neg, n_s if mixed else n_a)]
+            n_b = e.mtv(rab, n)
+            jac += [*e.cross(ab, n_b), *(n_s if mixed else n_b)]
+            n_dot = e.mv(ra, e.cross(wa, n))
+            n_dd = e.mv(ra, e.cross(wa, e.cross(wa, n)))
+            x, y = e.dot(n_dd, d), e.dot(n_dot, e.sub(pb_dot, pa_dot))
+            eta.append(_neg(e.scalar(f"{x} + 2.0 * {y} + {e.dot(n_s, e.sub(pb_dd, pa_dd))}")))
+    return jac, eta
+
+
+@functools.cache
+def _row_template(shape, grounded: bool, mixed: bool):
+    """The kernel factory of one row structure (rows with indices into the
+    joint's directions), compiled once per process.  It binds a joint's body
+    indices, anchors and directions as closure values and returns
+    ``kernel(frames, values, eta)``, which appends J and eta entries."""
+    e = _Emitter()
+    jac, eta = _emit_rows(e, [(row[0], *(_names(f"k{i}_") for i in row[1:]))
+                              for row in shape], grounded, mixed)
+    consts = ["aa", "ab", *(f"k{i}_" for i in sorted({i for r in shape for i in r[1:]}))]
+    src = [f"def factory(ia, ib, {', '.join(consts)}):",
+           *(f"    {_names(c)} = {c}" for c in consts),
+           "    def kernel(frames, values, eta):",
+           *(f"        {_frame(s)} = frames[i{s}]" for s in "ab"[grounded:]),
+           *(f"        {line}" for line in e.live(jac + eta)),
+           f"        values.extend(({', '.join(jac)},))",
+           f"        eta.extend(({', '.join(eta)},))",
+           "    return kernel"]
+    namespace = {}  # str() of a name tuple, unquoted, is an unpacking target
+    exec(compile("\n".join(src).replace("'", ""), f"<rows {shape}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _bind_rows(joint: Joint, mixed: bool):
+    """The compiled row kernel of one joint in one representation; rows
+    share a direction by identity, as the joint's descriptors do."""
+    dirs = list({id(v): v for row in joint._rows for v in row[1:]}.values())
+    index = {id(v): k for k, v in enumerate(dirs)}
+    shape = tuple((row[0], *(index[id(v)] for v in row[1:])) for row in joint._rows)
+    return _row_template(shape, joint.body_a is None, mixed)(
+        joint.body_a, joint.body_b, *joint._anchors, *dirs)
 
 
 def joint_rows(joint: Joint, poses, velocities, model: MbsModel):
-    """Jacobian blocks per body and eta = -Jdot @ V in one pass.
-
-    The Jacobians are exact differentials of joint_geometry, the biases the
-    exact second-derivative remainders, both valid off the manifold.
-    """
-    frames = _frames(poses, velocities)
-    ia, ib = joint.body_a, joint.body_b
-    rows_a, rows_b, eta = _joint_rows(joint, _GROUND if ia is None else frames[ia],
-                                      frames[ib], model.representation == MIXED)
-    blocks = {ib: np.array(rows_b)}
-    if ia is not None:
-        blocks[ia] = np.array(rows_a)
-    return blocks, np.array(eta)
+    """Jacobian blocks per body and eta = -Jdot @ V in one pass: the exact
+    differentials of joint_geometry and second-derivative remainders, valid
+    off the manifold."""
+    values, eta = [], []
+    _bind_rows(joint, model._mixed)(_frames(poses, velocities), values, eta)
+    rows = np.array(values).reshape(joint.dim, -1)
+    if joint.body_a is None:
+        return {joint.body_b: rows}, np.array(eta)
+    return {joint.body_b: rows[:, 6:], joint.body_a: rows[:, :6]}, np.array(eta)
 
 
 def joint_jacobian(joint: Joint, poses, model: MbsModel) -> dict[int, np.ndarray]:
     """Exact Jacobian blocks per body index: d/dt h == sum J_i @ V_i."""
-    zeros = np.zeros((len(poses), 6))
-    blocks, _ = joint_rows(joint, poses, zeros, model)
-    return blocks
-
-
-def joint_acc_rhs(joint: Joint, poses, velocities, model: MbsModel) -> np.ndarray:
-    """eta = -Jdot @ V, the acceleration-constraint right-hand side."""
-    _, eta = joint_rows(joint, poses, velocities, model)
-    return eta
+    return joint_rows(joint, poses, np.zeros((len(poses), 6)), model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +680,8 @@ def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
                 _put_mixed_coupling(kkt, 6 * i, model._masses[i], r0, frames[i][0])
     rhs = _body_rhs(model, frames)
     values = []
-    for joint in model.joints:
-        frame_a = _GROUND if joint.body_a is None else frames[joint.body_a]
-        rows_a, rows_b, eta = _joint_rows(joint, frame_a, frames[joint.body_b],
-                                          model._mixed)
-        for k in range(joint.dim):
-            if rows_a is not None:
-                values.extend(rows_a[k])
-            values.extend(rows_b[k])
-        rhs.extend(eta)
+    for kernel in model._row_kernels:
+        kernel(frames, values, rhs)
     # J and J^T in one scatter
     kkt.put(model._jac_at, values + values)
     return kkt, np.array(rhs)

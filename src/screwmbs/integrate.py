@@ -172,12 +172,6 @@ def _coupled_increments(model: MbsModel, group: CSpaceGroup, frames, v0,
             _combine(dt, tableau._weights, fs, zeros))
 
 
-def coupled_step(model: MbsModel, group: CSpaceGroup, state: MbsState,
-                 dt: float, tableau: ButcherTableau) -> MbsState:
-    """Advance poses and velocities by one step of ``integrate``."""
-    return integrate(model, group, state, dt, state.t + dt, tableau).state_at(-1)
-
-
 @dataclass
 class TrajectoryRecord:
     """Sampled time series of an integration run."""
@@ -272,6 +266,8 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
             phi, dv = _coupled_increments(model, group, frames, v, t, dt, tableau)
         except Exception as exc:
             raise IntegrationError(str(exc), step, t) from exc
+        if not math.isfinite(sum(dv, sum(phi))):
+            raise IntegrationError("non-finite velocity or chart increment", step, t)
         v, comp_v = _kahan_add(v, dv, comp_v)
         for i, (rot, r) in enumerate(frames):
             rot, delta = group.advance_parts(rot, phi[6 * i:6 * i + 6])
@@ -376,6 +372,8 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
             y = _combine(dt, tableau._weights, ks, y)
         except Exception as exc:
             raise IntegrationError(str(exc), step, t) from exc
+        if not math.isfinite(sum(y)):
+            raise IntegrationError("non-finite velocity or chart increment", step, t)
         if slot < len(sample_idx) and step == sample_idx[slot]:
             record(slot, t0 + step * dt, y)
             slot += 1

@@ -182,11 +182,6 @@ def mm3(a, b) -> tuple:
     return tuple(mtv3(b, row) for row in a)
 
 
-def vee3(m) -> np.ndarray:
-    """Inverse of hat3 for a skew-symmetric 3x3 matrix."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def _so3_exp_rows(x0: float, x1: float, x2: float) -> tuple:
     """Rows of I + sinc*hat(xi) + cos1*hat(xi)^2 (Euler-Rodrigues), with
     hat(xi)^2 = xi xi^T - |xi|^2 I written out entrywise."""
@@ -511,14 +506,6 @@ def dp_exp(x) -> Pose:
 
 def dp_log(c: Pose) -> np.ndarray:
     return np.concatenate([so3_log(c.R), c.r])
-
-
-def dp_matrix(c: Pose) -> np.ndarray:
-    """7x7 matrix representative of the direct product group."""
-    m = np.eye(7)
-    m[:3, :3] = c.R
-    m[3:6, 6] = c.r
-    return m
 
 
 def dp_ad(x) -> np.ndarray:

@@ -9,12 +9,25 @@ operator series, derivatives through central finite differences.
 import numpy as np
 from scipy.linalg import expm
 
+from screwmbs.dynamics import (
+    _body_rhs,
+    _float_tuple,
+    _frames,
+    _gyroscopic_body,
+    _mixed_bias,
+    _put_mixed_coupling,
+    joint_rows,
+    spatial_inertia,
+)
+from screwmbs.dualquat import DualQuaternion, dmat, emat, quat_mul
+from screwmbs.integrate import integrate
 from screwmbs.liealg import (
     Pose,
     add3,
     cross3,
     dot3,
     hat3,
+    mm3,
     mtv3,
     mv3,
     se3_ad,
@@ -81,6 +94,19 @@ def random_screw(rng, angle_lo=0.1, angle_hi=3.0, eta_scale=2.0):
     return np.concatenate([xi, eta])
 
 
+def vee3(m) -> np.ndarray:
+    """Inverse of hat3 for a skew-symmetric 3x3 matrix."""
+    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
+def dp_matrix(c: Pose) -> np.ndarray:
+    """7x7 matrix representative of the direct product group."""
+    m = np.eye(7)
+    m[:3, :3] = c.R
+    m[3:6, 6] = c.r
+    return m
+
+
 def random_rotation(rng, angle_hi=3.0):
     xi = rng.normal(size=3)
     xi *= rng.uniform(0.05, angle_hi) / np.linalg.norm(xi)
@@ -94,7 +120,7 @@ def random_pose(rng, angle_hi=3.0, r_scale=2.0) -> Pose:
 # ---------------------------------------------------------------------------
 # joint constraint rows in world-frame form: every row is built from the
 # spatial directions Ra alpha, Rb beta and the spatial anchor motion, the
-# formulation the relative-frame kernel dynamics._joint_rows replaced
+# formulation the relative-frame kernel reference_joint_rows replaced
 # ---------------------------------------------------------------------------
 
 _I3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -113,7 +139,7 @@ def _anchor_motion(mixed, rot, omega, vel, anchor):
 
 def world_frame_joint_rows(joint, frame_a, frame_b, mixed: bool):
     """(rows_a, rows_b, eta) of one joint on (R rows, r, omega, v) frames,
-    with the signature and output layout of dynamics._joint_rows."""
+    with the signature and output layout of reference_joint_rows."""
     ra, pa, wa, va = frame_a
     rb, pb, wb, vb = frame_b
     aa, ab = joint._anchors
@@ -187,3 +213,192 @@ def world_frame_joint_rows(joint, frame_a, frame_b, mixed: bool):
             eta.append(-(dot3(n_dd, d) + 2.0 * dot3(n_dot, sub3(pb_dot, pa_dot))
                          + dot3(n_s, sub3(pb_dd, pa_dd))))
     return rows_a, rows_b, eta
+
+
+# ---------------------------------------------------------------------------
+# Newton-Euler equations of one body, for checks against the stacked
+# right-hand side the step loop assembles
+# ---------------------------------------------------------------------------
+
+def newton_euler_body(body, v, wrench) -> tuple[np.ndarray, np.ndarray]:
+    """Mass matrix and right-hand side of J V' - ad_V^T J V = W."""
+    m = spatial_inertia(body)
+    gyro = _gyroscopic_body(m.tolist(), np.asarray(v, dtype=float).tolist())
+    return m, np.asarray(wrench, dtype=float) + np.array(gyro)
+
+
+def newton_euler_mixed(body, rotation, v, wrench) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-representation Newton-Euler about the reference frame at P."""
+    rot = np.asarray(rotation, dtype=float).tolist()
+    v = np.asarray(v, dtype=float).tolist()
+    r0 = _float_tuple(body.com_offset) if body.com_offset.any() else None
+    m = spatial_inertia(body)
+    if r0 is not None:
+        _put_mixed_coupling(m, 0, body.mass, r0, rot)
+    bias = _mixed_bias(body.inertia_ref.tolist(), body.mass, r0, rot, v[:3])
+    return m, np.asarray(wrench, dtype=float) - np.array(bias)
+
+
+# ---------------------------------------------------------------------------
+# the interpreted relative-frame joint kernel: dynamics compiles the same
+# formulas into straight-line code, which must reproduce these rows bit for
+# bit
+# ---------------------------------------------------------------------------
+
+_GROUND = (_I3, _Z3, _Z3, _Z3)
+
+
+def reference_joint_rows(joint, frame_a, frame_b, mixed: bool):
+    """The interpreted kernel the compiled rows replaced, kept as their
+    bitwise reference: joint_rows on (R rows, r, omega, v) frames: per-row
+    6-lists for body_a (None at ground) and body_b, and the eta list.
+
+    Axis-dot rows are built in body a's frame from Rab = Ra^T Rb.  Every row
+    is the exact derivative of joint_geometry for any Ra, Rb with
+    Rdot = R hat(omega): the integrated R leave SO(3) by roundoff, and rows
+    that assume R^T R = I turn that defect into constraint drift.
+    """
+    ra, pa, wa, va = frame_a
+    rb, pb, wb, vb = frame_b
+    aa, ab = joint._anchors
+    grounded = joint.body_a is None
+    if grounded:
+        rab = rb
+        pa, pa_dot, pa_dd = aa, _Z3, _Z3
+    else:
+        if joint.kind != "spherical" or not mixed:
+            rab = mm3(zip(*ra), rb)
+        pa = add3(pa, mv3(ra, aa))
+        pa_dot, pa_dd = _anchor_motion(mixed, ra, wa, va, aa)
+    pb = add3(pb, mv3(rb, ab))
+    pb_dot, pb_dd = _anchor_motion(mixed, rb, wb, vb, ab)
+
+    rows_a = None if grounded else []
+    rows_b = []
+    eta = []
+    beta_prev = None
+    for row in joint._rows:
+        if row[0] == "anchor":
+            if mixed:
+                # h = pa - pb, spatial
+                if not grounded:
+                    for i in range(3):
+                        c = cross3(ra[i], aa)
+                        rows_a.append([-c[0], -c[1], -c[2], *_I3[i]])
+                for i in range(3):
+                    rows_b.append([*cross3(rb[i], ab), *_MINUS_I3[i]])
+                eta.extend(sub3(pb_dd, pa_dd))
+            else:
+                # h = Rb^T (pa - pb), child frame
+                u = mtv3(rb, sub3(pa, pb))
+                if not grounded:
+                    for col in zip(*rab):      # rows of Rb^T Ra
+                        c = cross3(col, aa)
+                        rows_a.append([-c[0], -c[1], -c[2], *col])
+                # hat(u) + hat(anchor_b)
+                s0, s1, s2 = add3(u, ab)
+                rows_b.extend(([0.0, -s2, s1, -1.0, 0.0, 0.0],
+                               [s2, 0.0, -s0, 0.0, -1.0, 0.0],
+                               [-s1, s0, 0.0, 0.0, 0.0, -1.0]))
+                t1 = cross3(wb, cross3(wb, u))
+                t2 = cross3(wb, mtv3(rb, sub3(pa_dot, pb_dot)))
+                t3 = mtv3(rb, sub3(pa_dd, pb_dd))
+                eta.extend([-(t1[i] - 2.0 * t2[i] + t3[i]) for i in range(3)])
+        elif row[0] == "axisdot":
+            # h = alpha . b', b' = Rab beta
+            alpha, beta = row[1], row[2]
+            if beta is not beta_prev:
+                # b' and its second rate, shared by consecutive rows on one
+                # beta: Rab'' = wa^2 Rab - 2 wa Rab wb + Rab wb^2 (hats)
+                beta_prev = beta
+                b_a = mv3(rab, beta)
+                wb_beta = cross3(wb, beta)
+                c = mv3(rab, wb_beta)
+                t = cross3(wa, b_a)
+                t = cross3(wa, (t[0] - 2.0 * c[0], t[1] - 2.0 * c[1], t[2] - 2.0 * c[2]))
+                b_dd = add3(t, mv3(rab, cross3(wb, wb_beta)))
+            if not grounded:
+                rows_a.append([*cross3(alpha, b_a), 0.0, 0.0, 0.0])
+            rows_b.append([*cross3(beta, mtv3(rab, alpha)), 0.0, 0.0, 0.0])
+            eta.append(-dot3(alpha, b_dd))
+        else:  # offsetdot: h = (Ra n) . (pb - pa)
+            n = row[1]
+            n_s = mv3(ra, n)
+            d = sub3(pb, pa)
+            if not grounded:
+                n_a = mtv3(ra, n_s)
+                c = sub3(cross3(n, mtv3(ra, d)), cross3(aa, n_a))
+                lin = n_s if mixed else n_a
+                rows_a.append([*c, -lin[0], -lin[1], -lin[2]])
+            n_b = mtv3(rab, n)
+            rows_b.append([*cross3(ab, n_b), *(n_s if mixed else n_b)])
+            n_dot = mv3(ra, cross3(wa, n))
+            n_dd = mv3(ra, cross3(wa, cross3(wa, n)))
+            eta.append(-(dot3(n_dd, d) + 2.0 * dot3(n_dot, sub3(pb_dot, pa_dot))
+                         + dot3(n_s, sub3(pb_dd, pa_dd))))
+    return rows_a, rows_b, eta
+
+
+def reference_assemble_index1(model, poses, velocities):
+    """dynamics.assemble_index1 with every joint's rows from
+    reference_joint_rows."""
+    frames = _frames(poses, velocities)
+    kkt = model._kkt0.copy()
+    if model._mixed:
+        for i, r0 in enumerate(model._offsets):
+            if r0 is not None:
+                _put_mixed_coupling(kkt, 6 * i, model._masses[i], r0, frames[i][0])
+    rhs = _body_rhs(model, frames)
+    values = []
+    for joint in model.joints:
+        frame_a = _GROUND if joint.body_a is None else frames[joint.body_a]
+        rows_a, rows_b, eta = reference_joint_rows(joint, frame_a, frames[joint.body_b],
+                                                   model._mixed)
+        for k in range(joint.dim):
+            if rows_a is not None:
+                values.extend(rows_a[k])
+            values.extend(rows_b[k])
+        rhs.extend(eta)
+    kkt.put(model._jac_at, values + values)
+    return kkt, np.array(rhs)
+
+
+def joint_acc_rhs(joint, poses, velocities, model) -> np.ndarray:
+    """eta = -Jdot @ V, the acceleration-constraint right-hand side."""
+    _, eta = joint_rows(joint, poses, velocities, model)
+    return eta
+
+
+# ---------------------------------------------------------------------------
+# quaternion and dual-quaternion algebra the closed-form chart does without
+# ---------------------------------------------------------------------------
+
+def quat_conj(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def rotation_from_quat(q) -> np.ndarray:
+    """R = D(Q) E(Q)^T for unit Q; raises if the norm is off by > 1e-8."""
+    q = np.asarray(q, dtype=float)
+    n = np.linalg.norm(q)
+    if abs(n - 1.0) > 1e-8:
+        raise ValueError(f"quaternion norm {n:.12g} violates the unit invariant")
+    return dmat(q) @ emat(q).T
+
+
+def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
+    return DualQuaternion(
+        quat_mul(a.q, b.q),
+        quat_mul(a.q, b.qe) + quat_mul(a.qe, b.q),
+    )
+
+
+def dq_align(a: DualQuaternion, ref: DualQuaternion) -> DualQuaternion:
+    """Pick the sign of the double cover closest to a reference."""
+    return a.negated() if float(a.q @ ref.q) < 0.0 else a
+
+
+def coupled_step(model, group, state, dt: float, tableau):
+    """Advance poses and velocities by one step of ``integrate``."""
+    return integrate(model, group, state, dt, state.t + dt, tableau).state_at(-1)

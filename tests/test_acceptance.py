@@ -86,7 +86,7 @@ class TestDexpinvMutation:
         # the stage loops must read the patched attribute, else the two
         # survival checks below would pass vacuously
         from screwmbs.dynamics import MbsModel, MbsState, RigidBody
-        from screwmbs.integrate import coupled_step
+        from oracles import coupled_step
 
         model = MbsModel([RigidBody("box", 86.4, np.diag([1.224, 4.68, 5.76]))],
                          [], [], representation="body")
@@ -111,7 +111,7 @@ class TestDexpinvMutation:
         # an order-2 truncation of dexpinv retains RK4 order (the classical
         # requirement is order >= p - 2)
         from screwmbs.dynamics import MbsModel, MbsState, RigidBody
-        from screwmbs.integrate import coupled_step
+        from oracles import coupled_step
 
         monkeypatch.setattr(liealg.SE3Group, "dexpinv_apply",
                             staticmethod(_dexpinv_apply_second_order))

@@ -47,6 +47,25 @@ class TestExitCodes:
         assert code == 2
         assert "step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["matrix", "quaternion"])
+    def test_non_finite_run_exits_2(self, tmp_path, monkeypatch, capsys, param):
+        # a NaN in the gravity vector: the run stops at step 1 with a named
+        # error instead of writing NaN rows
+        doc = {
+            "name": "nan-gravity",
+            "bodies": [{"name": "b", "mass_kg": 1.0,
+                        "inertia_kgm2": [1.0, 1.0, 1.0]}],
+            "forces": [{"kind": "gravity", "g_mps2": [float("nan"), 0.0, -9.81]}],
+        }
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code = run_cli(["simulate", "--model-file", str(path), "--param", param,
+                        "--dt", "1e-3", "--tf", "0.01", "--out", "nan.csv"],
+                       tmp_path, monkeypatch)
+        assert code == 2
+        assert "step 1 " in capsys.readouterr().err
+        assert not (tmp_path / "nan.csv").exists()
+
     def test_infeasible_file_exits_1(self, tmp_path, monkeypatch, capsys):
         doc = {
             "name": "bad",

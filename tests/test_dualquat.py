@@ -5,9 +5,7 @@ from numpy.testing import assert_allclose
 from screwmbs.dualquat import (
     DualQuaternion,
     dmat,
-    dq_align,
     dq_from_pose,
-    dq_mul,
     emat,
     euler_reconstruct_rates,
     h_body,
@@ -16,15 +14,20 @@ from screwmbs.dualquat import (
     hamilton_minus,
     hamilton_plus,
     pose_from_dq,
-    quat_conj,
     quat_from_rotation,
     quat_identity,
     quat_mul,
     reconstruct_rates,
-    rotation_from_quat,
 )
 from screwmbs.liealg import Pose, se3_compose, se3_exp, so3_exp
-from oracles import random_pose, random_screw
+from oracles import (
+    dq_align,
+    dq_mul,
+    quat_conj,
+    random_pose,
+    random_screw,
+    rotation_from_quat,
+)
 
 RNG = np.random.default_rng(99)
 

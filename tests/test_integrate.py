@@ -16,7 +16,6 @@ from screwmbs.dynamics import (
 from screwmbs.integrate import (
     ButcherTableau,
     IntegrationError,
-    coupled_step,
     integrate,
     integrate_quaternion,
     mk_step,
@@ -32,7 +31,7 @@ from screwmbs.liealg import (
     so3_dexpinv,
     so3_exp,
 )
-from oracles import random_screw
+from oracles import coupled_step, random_screw
 
 RNG = np.random.default_rng(31337)
 
@@ -245,6 +244,21 @@ class TestIntegrate:
         state = MbsState([Pose.identity()], np.array([[50.0, 0, 0, 0, 0, 0]]))
         with pytest.raises(IntegrationError, match="step"):
             integrate(model, SE3, state, 0.5, 5.0, tableau_rk4())
+
+    @pytest.mark.parametrize("integrator", [integrate, integrate_quaternion])
+    @pytest.mark.parametrize("name", ["free-body-offset", "heavy-top"])
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_non_finite_step_is_a_named_error(self, integrator, name, group):
+        # a NaN in the gravity vector turns the first velocity update
+        # non-finite; the run stops there instead of recording NaN rows
+        spec = bench.build(name, group)
+        forces = [Gravity([math.nan, 0.0, -9.81]),
+                  *(f for f in spec.model.forces if not isinstance(f, Gravity))]
+        model = MbsModel(spec.model.bodies, spec.model.joints, forces,
+                         representation=spec.model.representation)
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
+            integrator(model, spec.group, spec.state0, 1e-3, 0.01, tableau_rk4())
+        assert (exc.value.step, exc.value.t) == (1, 0.0)
 
     def test_orthonormality_after_many_steps(self):
         # 1e5 kinematic MK steps: exp returns rotations exact to roundoff
