@@ -2,8 +2,8 @@
 
 Each check returns a CheckResult with the measured numbers in its details
 string; ``run_all`` executes the full list in order and is what both the
-``verify`` CLI command and the acceptance test module drive.  Trajectories
-are cached per (model, group, dt) so overlapping criteria reuse runs.
+``verify`` CLI command and the acceptance test module drive.  Runs and their
+CSV columns are cached per (model, group, dt) so overlapping criteria reuse them.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from scipy.linalg import expm
 
 from . import bench, liealg
 from .bench import build, estimate_convergence_order
+from .cli import run_metrics
 from .dynamics import total_energy
 from .integrate import (
     integrate,
@@ -40,11 +41,12 @@ class CheckResult:
 
 
 class RunCache:
-    """Memoized integration runs keyed by (model, group, dt, t_final)."""
+    """Memoized runs and their CSV columns, keyed by (model, group, dt, t_final)."""
 
     def __init__(self):
         self._specs = {}
         self._runs = {}
+        self._columns = {}
 
     def spec(self, model: str, group: str) -> bench.ExperimentSpec:
         key = (model, group)
@@ -61,16 +63,31 @@ class RunCache:
                                         dt, tf, spec.tableau)
         return self._runs[key]
 
+    def columns(self, model: str, group: str, dt: float,
+                t_final: float | None = None) -> dict[str, list[float]]:
+        """The run's CSV columns (``cli.run_metrics``) as arrays, a quarter of the
+        memory of float lists; apart from ``run``, which criterion 6 times."""
+        spec = self.spec(model, group)
+        key = (model, group, dt, spec.t_final if t_final is None else t_final)
+        if key not in self._columns:
+            cols = run_metrics(spec, self.run(model, group, dt, t_final))
+            self._columns[key] = {name: np.array(vals) for name, vals in cols.items()}
+        return self._columns[key]
+
     def max_joint_residual(self, model: str, group: str, dt: float,
                            joint_index: int, t_final: float | None = None,
                            part: str = "all") -> float:
-        """Max over the run of |h| (or its position/orientation part)."""
-        mbs = self.spec(model, group).model
-        rec = self.run(model, group, dt, t_final)
-        if part == "all":
-            return bench.metric_constraint_violation(rec, mbs, joint_index).max
-        pos, ori = bench.metric_joint_residuals(rec, mbs, joint_index)
-        return (pos if part == "pos" else ori).max
+        """Max over the run of |h| (or its position/orientation part), read
+        from the joint's residual columns; |h| is the hypot of the two."""
+        label = self.spec(model, group).model.joints[joint_index].label
+        cols = self.columns(model, group, dt, t_final)
+        pos = cols[f"{label}_pos_residual_m"]
+        ori = cols.get(f"{label}_ori_residual", np.zeros_like(pos))
+        if part == "pos":
+            return float(pos.max())
+        if part == "ori":
+            return float(ori.max())
+        return max(map(math.hypot, pos, ori))
 
 
 def _timed(fn):
@@ -184,10 +201,9 @@ def check_free_body_com_translation(cache: RunCache) -> CheckResult:
     rot_worst = 0.0
     for group in ("se3", "so3xr3"):
         for dt in dts:
-            rec = cache.run("free-body-com-trans", group, dt)
-            errs[group].append(bench.metric_position_error(rec, spec.reference).max)
-            rot_worst = max(rot_worst,
-                            bench.metric_rotation_error(rec, spec.reference).max)
+            cols = cache.columns("free-body-com-trans", group, dt)
+            errs[group].append(float(cols["body0_pos_err_m"].max()))
+            rot_worst = max(rot_worst, float(cols["body0_rot_err_rad"].max()))
     dp_ok = max(errs["so3xr3"]) <= 1e-10
     # the error decreases at the scheme's order until the numerical floor:
     # over 1e5 steps the accumulated-roundoff floor sits near 2e-10 (the
@@ -214,10 +230,9 @@ def check_free_body_offset_spin(cache: RunCache) -> CheckResult:
     drift = {}
     for group in ("se3", "so3xr3"):
         for dt in spec.dts:
-            rec = cache.run("free-body-offset", group, dt)
             # the reference COM stays at r0, where it starts
-            drift[group, dt] = bench.metric_com_drift(rec, spec.model,
-                                                      spec.com_reference).max
+            drift[group, dt] = float(cache.columns("free-body-offset", group,
+                                                   dt)["com_drift_m"].max())
     se3_ok = all(drift["se3", dt] <= 1e-10 for dt in spec.dts)
     ratio = drift["so3xr3", 1e-2] / max(drift["se3", 1e-2], 1e-300)
     ok = se3_ok and ratio >= 1e3
@@ -247,9 +262,7 @@ def check_heavy_top(cache: RunCache) -> CheckResult:
 
     drift = {}
     for group in ("se3", "so3xr3"):
-        s = cache.spec("heavy-top", group)
-        rec = cache.run("heavy-top", group, 1e-2)
-        vals = bench.metric_energy(rec, s.model)[1].values
+        vals = cache.columns("heavy-top", group, 1e-2)["total_energy_j"]
         drift[group] = float(np.abs(vals - vals[0]).max())
 
     ok = (energy_ok and runtime < 60.0

@@ -1,4 +1,5 @@
-"""Benchmark experiments: published parameters, documented fill-ins, metrics.
+"""Benchmark experiments: published parameters, documented fill-ins, and the
+convergence-order fit.
 
 Every builder assembles the model for one configuration-space group (body
 twists on SE(3), mixed velocities on SO(3)xR3), fills in any geometry the
@@ -8,6 +9,10 @@ the initial state on |h| < 1e-12 and |J V| < 1e-9 before returning it.
 Where the published data only pins the angular rates, the linear
 velocities are recovered from the velocity constraints by a least-squares
 solve, so the assembled state is feasible by construction.
+
+The per-sample metric series of a run are its CSV columns, computed by
+``cli.run_metrics``; the CSV writer and the acceptance checklist both read
+them from there.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    BODY_FIXED,
-    MIXED,
+    REPRESENTATION,
     Gravity,
     Joint,
     LinearSpring,
@@ -28,13 +32,10 @@ from .dynamics import (
     RigidBody,
     check_initial_state,
     constraint_jacobian,
-    joint_geometry,
-    kinetic_energy,
     parallel_axis,
-    total_energy,
 )
-from .integrate import ButcherTableau, TrajectoryRecord, tableau_rk4
-from .liealg import GROUPS, CSpaceGroup, Pose, rotation_error, so3_exp
+from .integrate import ButcherTableau, tableau_rk4
+from .liealg import GROUPS, CSpaceGroup, Pose, so3_exp
 
 GRAVITY = 9.81
 ALUMINIUM_DENSITY = 2700.0  # kg/m^3; reproduces every published mass exactly
@@ -86,10 +87,6 @@ def _group(group) -> CSpaceGroup:
     return group
 
 
-def _representation(group: CSpaceGroup) -> str:
-    return BODY_FIXED if group.name == "se3" else MIXED
-
-
 def consistent_linear_velocities(model: MbsModel, poses, omegas) -> np.ndarray:
     """Solve the velocity constraints for the linear parts given the angular
     rates; raises if the published rates admit no consistent solution."""
@@ -121,7 +118,7 @@ _TRANS_V = np.array([10.0, 0.0, 0.0])
 def _free_spec(group, name, body, v0_body, com_ref, reference=None,
                t_final=10.0) -> ExperimentSpec:
     group = _group(group)
-    model = MbsModel([body], [], [], representation=_representation(group))
+    model = MbsModel([body], [], [], representation=REPRESENTATION[group.name])
     state = MbsState([Pose.identity()], np.asarray(v0_body, dtype=float)[None, :])
     return ExperimentSpec(name, group, model, state, t_final,
                           com_reference=com_ref, reference=reference).validate()
@@ -181,7 +178,7 @@ def model_heavy_top(group) -> ExperimentSpec:
                name="pivot")],
         [Gravity([0.0, 0.0, -GRAVITY]),
          LinearSpring(0, np.zeros(3), _TOP_P0, _TOP_STIFFNESS)],
-        representation=_representation(group),
+        representation=REPRESENTATION[group.name],
     )
     omega0 = np.array([0.0, 0.0, 0.5])
     v0 = np.cross(_TOP_R0, omega0)        # R = I: body and mixed agree
@@ -214,7 +211,7 @@ def model_double_pendulum(group) -> ExperimentSpec:
               name="joint2"),
     ]
     model = MbsModel(links, joints, [Gravity([0.0, 0.0, -GRAVITY])],
-                     representation=_representation(group))
+                     representation=REPRESENTATION[group.name])
     poses = [Pose(np.eye(3), np.array([half, 0.0, 0.0])),
              Pose(np.eye(3), np.array([_LINK_A + half, 0.0, 0.0]))]
     omegas = np.array([[10.0, 0.0, 0.0],
@@ -266,7 +263,7 @@ def model_four_bar(group) -> ExperimentSpec:
               name="rocker-ground"),
     ]
     model = MbsModel([crank, coupler, rocker], joints, [],
-                     representation=_representation(group))
+                     representation=REPRESENTATION[group.name])
     poses = [Pose(np.eye(3), com1), Pose(np.eye(3), com2), Pose(np.eye(3), com3)]
     omegas = np.array([[0.0, 0.0, _FOURBAR_OMEGA0],
                        [0.0, 0.0, -_FOURBAR_OMEGA0 / 2],
@@ -309,7 +306,7 @@ def model_rp_chain(group) -> ExperimentSpec:
               LinearSpring(1, axis_pt1, np.array([0.0, 0.0, -_ROD_DROP]),
                            _RP_STIFFNESS)]
     model = MbsModel([ring, rod], joints, forces,
-                     representation=_representation(group))
+                     representation=REPRESENTATION[group.name])
     poses = [Pose(np.eye(3), np.array([_RING_OFFSET, 0.0, 0.0])),
              Pose(np.eye(3), np.array([_RING_OFFSET, 0.0, -_ROD_DROP]))]
     omega = np.array([0.0, 0.0, 20 * math.pi])
@@ -348,7 +345,7 @@ def model_cardan(group) -> ExperimentSpec:
               axis_a=[1.0, 0.0, 0.0], axis_b=[0.0, 0.0, 1.0], name="hook2"),
     ]
     model = MbsModel([shaft1, shaft2], joints, [],
-                     representation=_representation(group))
+                     representation=REPRESENTATION[group.name])
     poses = [Pose.identity(), Pose(np.eye(3), com2)]
     omegas = np.array([[0.0, math.pi, 0.0], [math.pi, math.pi, 0.0]])
     vel = consistent_linear_velocities(model, poses, omegas)
@@ -377,101 +374,6 @@ def build(name: str, group) -> ExperimentSpec:
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {sorted(BUILDERS)}")
     return builder(group)
-
-
-# ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MetricSeries:
-    name: str
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) < 0):
-            raise ValueError("metric sample times must be monotone")
-
-    @property
-    def max(self) -> float:
-        return float(np.max(self.values))
-
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
-
-
-def metric_constraint_violation(record: TrajectoryRecord, model: MbsModel,
-                                joint_index: int) -> MetricSeries:
-    """eps(C) = |h(C)| of one joint along the trajectory."""
-    joint = model.joints[joint_index]
-    vals = np.empty(record.n_samples)
-    for k in range(record.n_samples):
-        vals[k] = np.linalg.norm(joint_geometry(joint, record.poses_at(k), model))
-    return MetricSeries(f"{joint.name or joint.kind}:|h|", record.times, vals)
-
-
-def metric_joint_residuals(record: TrajectoryRecord, model: MbsModel,
-                           joint_index: int) -> tuple[MetricSeries, MetricSeries]:
-    """Position and orientation residual norms of one joint."""
-    joint = model.joints[joint_index]
-    pos = np.empty(record.n_samples)
-    ori = np.empty(record.n_samples)
-    for k in range(record.n_samples):
-        p, o = joint.split_residual(joint_geometry(joint, record.poses_at(k), model))
-        pos[k] = np.linalg.norm(p)
-        ori[k] = np.linalg.norm(o)
-    label = joint.name or joint.kind
-    return (MetricSeries(f"{label}:pos", record.times, pos),
-            MetricSeries(f"{label}:ori", record.times, ori))
-
-
-def metric_rotation_error(record: TrajectoryRecord, reference,
-                          body: int = 0) -> MetricSeries:
-    """eps_r = |log(R_ref^T R_num)| against an analytic reference."""
-    vals = np.empty(record.n_samples)
-    for k in range(record.n_samples):
-        ref = reference(float(record.times[k]))[body]
-        vals[k] = rotation_error(ref.R, record.rotations[k, body])
-    return MetricSeries(f"body{body}:eps_r", record.times, vals)
-
-
-def metric_position_error(record: TrajectoryRecord, reference,
-                          body: int = 0) -> MetricSeries:
-    vals = np.empty(record.n_samples)
-    for k in range(record.n_samples):
-        ref = reference(float(record.times[k]))[body]
-        vals[k] = np.linalg.norm(record.positions[k, body] - ref.r)
-    return MetricSeries(f"body{body}:pos_err", record.times, vals)
-
-
-def metric_com_drift(record: TrajectoryRecord, model: MbsModel,
-                     com_reference) -> MetricSeries:
-    """eps = |com(t) - com_ref(t)|, maximum over the bodies."""
-    offsets = [b.com_offset for b in model.bodies]
-    vals = np.empty(record.n_samples)
-    for k in range(record.n_samples):
-        ref = np.atleast_2d(com_reference(float(record.times[k])))
-        worst = 0.0
-        for i, r0 in enumerate(offsets):
-            com = record.positions[k, i] + record.rotations[k, i] @ r0
-            worst = max(worst, float(np.linalg.norm(com - ref[i])))
-        vals[k] = worst
-    return MetricSeries("com_drift", record.times, vals)
-
-
-def metric_energy(record: TrajectoryRecord, model: MbsModel,
-                  datum: float = 0.0) -> tuple[MetricSeries, MetricSeries]:
-    """Kinetic and (datum-shifted) total energy along the trajectory."""
-    kin = np.empty(record.n_samples)
-    tot = np.empty(record.n_samples)
-    for k in range(record.n_samples):
-        state = record.state_at(k)
-        kin[k] = kinetic_energy(model, state)
-        tot[k] = total_energy(model, state) + datum
-    return (MetricSeries("kinetic", record.times, kin),
-            MetricSeries("total", record.times, tot))
 
 
 def estimate_convergence_order(dts, errors, floor: float = 1e-13):

@@ -51,13 +51,17 @@ def _fmt(x: float) -> str:
 
 
 def csv_columns(spec: ExperimentSpec) -> list[str]:
-    """Column set: a pure function of the model and available references."""
+    """Column set: a pure function of the model and available references;
+    ValueError when two joints share a label, as their columns would merge."""
     cols = ["t_s"]
     for joint in spec.model.joints:
-        label = joint.name or joint.kind
-        cols.append(f"{label}_pos_residual_m")
-        if joint.dim > 3 or joint.kind == "prismatic":
-            cols.append(f"{label}_ori_residual")
+        pos = f"{joint.label}_pos_residual_m"
+        if pos in cols:
+            raise ValueError(f"duplicate joint label {joint.label!r}: the CSV "
+                             "columns of the two joints would collide")
+        cols.append(pos)
+        if joint.dim > 3:
+            cols.append(f"{joint.label}_ori_residual")
     if spec.reference is not None:
         for i in range(spec.model.n_bodies):
             cols.append(f"body{i}_rot_err_rad")

@@ -34,6 +34,8 @@ from .liealg import Pose, add3, cross3, dot3, hat3, mtv3, mv3, sub3
 
 BODY_FIXED = "body"
 MIXED = "mixed"
+# the velocity representation each configuration-space group integrates
+REPRESENTATION = {"se3": BODY_FIXED, "so3xr3": MIXED}
 
 _JOINT_DIMS = {"spherical": 3, "revolute": 5, "prismatic": 5, "universal": 4}
 
@@ -99,7 +101,7 @@ class RigidBody:
             raise ValueError(f"body {self.name!r}: inertia must be symmetric")
         if np.linalg.eigvalsh(theta).min() <= 0:
             raise ValueError(f"body {self.name!r}: inertia must be positive definite")
-        if self.cspace not in (None, "se3", "so3xr3"):
+        if self.cspace not in (None, *REPRESENTATION):
             raise ValueError(f"body {self.name!r}: unknown c-space tag {self.cspace!r}")
 
 
@@ -134,6 +136,11 @@ class Joint:
     @property
     def dim(self) -> int:
         return _JOINT_DIMS[self.kind]
+
+    @property
+    def label(self) -> str:
+        """The joint's name in reports and CSV columns; its kind when unnamed."""
+        return self.name or self.kind
 
     def split_residual(self, h):
         """(position, orientation) parts of a residual ``joint_geometry``
@@ -205,9 +212,8 @@ class MbsModel:
             for idx in (j.body_a, j.body_b):
                 if idx is not None and not 0 <= idx < len(self.bodies):
                     raise ValueError(f"joint {j.name!r}: body index {idx} out of range")
-        wanted = "se3" if self.representation == BODY_FIXED else "so3xr3"
         for b in self.bodies:
-            if b.cspace is not None and b.cspace != wanted:
+            if b.cspace is not None and REPRESENTATION[b.cspace] != self.representation:
                 raise ValueError(
                     f"body {b.name!r} is tagged for c-space {b.cspace!r} but the "
                     f"model uses the {self.representation!r} representation")
@@ -785,7 +791,7 @@ def check_initial_state(model: MbsModel, state: MbsState,
         h = joint_geometry(joint, state.poses, model)
         if np.abs(h).max() > tol_pos:
             raise InfeasibleStateError(
-                f"joint {joint.name or joint.kind!r}: |h| = {np.abs(h).max():.3e} "
+                f"joint {joint.label!r}: |h| = {np.abs(h).max():.3e} "
                 f"exceeds {tol_pos:.1e} in the initial configuration")
     res = velocity_residual(model, state)
     if res > tol_vel:

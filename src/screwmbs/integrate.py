@@ -95,9 +95,6 @@ def tableau_explicit_trapezoidal() -> ButcherTableau:
                           name="explicit-trapezoidal")
 
 
-TABLEAUS = {"rk4": tableau_rk4, "explicit-trapezoidal": tableau_explicit_trapezoidal}
-
-
 def _combine(dt: float, terms, rows, base) -> list[float]:
     """base + dt * sum(w * rows[l] for l, w in terms), elementwise on floats."""
     out = base
@@ -189,17 +186,9 @@ class TrajectoryRecord:
     def n_samples(self) -> int:
         return len(self.times)
 
-    @property
-    def n_bodies(self) -> int:
-        return self.rotations.shape[1]
-
-    def poses_at(self, k: int) -> list[Pose]:
-        return [Pose(self.rotations[k, i], self.positions[k, i])
-                for i in range(self.n_bodies)]
-
     def state_at(self, k: int) -> MbsState:
-        return MbsState(self.poses_at(k), self.velocities[k].copy(),
-                        float(self.times[k]))
+        poses = [Pose(rot, pos) for rot, pos in zip(self.rotations[k], self.positions[k])]
+        return MbsState(poses, self.velocities[k].copy(), float(self.times[k]))
 
 
 def _kahan_add(x, dx, comp):

@@ -14,6 +14,7 @@ import yaml
 
 from .dynamics import (
     BODY_FIXED,
+    REPRESENTATION,
     Gravity,
     Joint,
     LinearSpring,
@@ -123,7 +124,7 @@ def load_model_file(path, group="se3", project: bool = False):
         where = f"joints[{i}]"
         kind = section.get("kind")
         try:
-            joints.append(Joint(
+            joint = Joint(
                 kind,
                 body_ref(section, "body_a", where, allow_ground=True),
                 body_ref(section, "body_b", where, allow_ground=False),
@@ -132,9 +133,13 @@ def load_model_file(path, group="se3", project: bool = False):
                 axis_a=section.get("axis_a"),
                 axis_b=section.get("axis_b"),
                 name=section.get("name", f"{kind}{i}"),
-            ))
+            )
         except (TypeError, ValueError) as exc:
             raise ModelFileError(f"{where}: {exc}") from exc
+        # an unnamed joint goes by its kind in reports and CSV columns
+        if any(j.label == joint.label for j in joints):
+            raise ModelFileError(f"{where}: duplicate joint name {joint.label!r}")
+        joints.append(joint)
 
     forces = []
     for i, section in enumerate(doc.get("forces", [])):
@@ -154,7 +159,7 @@ def load_model_file(path, group="se3", project: bool = False):
         else:
             raise ModelFileError(f"{where}: unknown force kind {kind!r}")
 
-    representation = BODY_FIXED if group.name == "se3" else "mixed"
+    representation = REPRESENTATION[group.name]
     model = MbsModel(bodies, joints, forces, representation=representation)
 
     poses = [Pose.identity() for _ in bodies]

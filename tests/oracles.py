@@ -16,8 +16,11 @@ from screwmbs.dynamics import (
     _gyroscopic_body,
     _mixed_bias,
     _put_mixed_coupling,
+    joint_geometry,
     joint_rows,
+    kinetic_energy,
     spatial_inertia,
+    total_energy,
 )
 from screwmbs.dualquat import DualQuaternion, dmat, emat, quat_mul
 from screwmbs.integrate import integrate
@@ -30,6 +33,7 @@ from screwmbs.liealg import (
     mm3,
     mtv3,
     mv3,
+    rotation_error,
     se3_ad,
     se3_hat,
     sub3,
@@ -402,3 +406,72 @@ def dq_align(a: DualQuaternion, ref: DualQuaternion) -> DualQuaternion:
 def coupled_step(model, group, state, dt: float, tableau):
     """Advance poses and velocities by one step of ``integrate``."""
     return integrate(model, group, state, dt, state.t + dt, tableau).state_at(-1)
+
+
+# ---------------------------------------------------------------------------
+# per-series metric loops, one quantity per pass over a TrajectoryRecord:
+# the reference for the one-pass ``cli.run_metrics`` columns
+# ---------------------------------------------------------------------------
+
+def reference_constraint_violation(record, model, joint_index: int) -> np.ndarray:
+    """eps(C) = |h(C)| of one joint along the trajectory."""
+    joint = model.joints[joint_index]
+    vals = np.empty(record.n_samples)
+    for k in range(record.n_samples):
+        vals[k] = np.linalg.norm(joint_geometry(joint, record.state_at(k).poses, model))
+    return vals
+
+
+def reference_joint_residuals(record, model, joint_index: int):
+    """Position and orientation residual norms of one joint."""
+    joint = model.joints[joint_index]
+    pos = np.empty(record.n_samples)
+    ori = np.empty(record.n_samples)
+    for k in range(record.n_samples):
+        p, o = joint.split_residual(
+            joint_geometry(joint, record.state_at(k).poses, model))
+        pos[k] = np.linalg.norm(p)
+        ori[k] = np.linalg.norm(o)
+    return pos, ori
+
+
+def reference_rotation_error(record, reference, body: int = 0) -> np.ndarray:
+    """eps_r = |log(R_ref^T R_num)| against an analytic reference."""
+    vals = np.empty(record.n_samples)
+    for k in range(record.n_samples):
+        ref = reference(float(record.times[k]))[body]
+        vals[k] = rotation_error(ref.R, record.rotations[k, body])
+    return vals
+
+
+def reference_position_error(record, reference, body: int = 0) -> np.ndarray:
+    vals = np.empty(record.n_samples)
+    for k in range(record.n_samples):
+        ref = reference(float(record.times[k]))[body]
+        vals[k] = np.linalg.norm(record.positions[k, body] - ref.r)
+    return vals
+
+
+def reference_com_drift(record, model, com_reference) -> np.ndarray:
+    """eps = |com(t) - com_ref(t)|, maximum over the bodies."""
+    offsets = [b.com_offset for b in model.bodies]
+    vals = np.empty(record.n_samples)
+    for k in range(record.n_samples):
+        ref = np.atleast_2d(com_reference(float(record.times[k])))
+        worst = 0.0
+        for i, r0 in enumerate(offsets):
+            com = record.positions[k, i] + record.rotations[k, i] @ r0
+            worst = max(worst, float(np.linalg.norm(com - ref[i])))
+        vals[k] = worst
+    return vals
+
+
+def reference_energy(record, model, datum: float = 0.0):
+    """Kinetic and (datum-shifted) total energy along the trajectory."""
+    kin = np.empty(record.n_samples)
+    tot = np.empty(record.n_samples)
+    for k in range(record.n_samples):
+        state = record.state_at(k)
+        kin[k] = kinetic_energy(model, state)
+        tot[k] = total_energy(model, state) + datum
+    return kin, tot

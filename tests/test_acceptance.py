@@ -12,11 +12,13 @@ perturbations by ~1e2 over the horizon.  Criterion 12 inherits that
 failure through the verify exit code.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 
+from oracles import reference_constraint_violation, reference_joint_residuals
 from screwmbs import acceptance, liealg
 from screwmbs.integrate import mk_step, tableau_rk4
 from screwmbs.liealg import SE3, Pose, se3_ad
@@ -58,6 +60,50 @@ def test_criterion_12_end_to_end(checklist):
     assert elapsed < 600.0, f"checklist took {elapsed:.0f} s (>= 10 min)"
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"verify exits nonzero; failing criteria: {failed}"
+
+
+class TestRunCacheColumns:
+    """Criteria 4-10 read their series through ``RunCache.columns``: short
+    runs of the closed chains check that path without the full checklist."""
+
+    TF = 0.02
+
+    @pytest.mark.parametrize("name", ["rp-chain", "cardan", "four-bar"])
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_max_joint_residual_matches_reference(self, name, group):
+        cache = acceptance.RunCache()
+        spec = cache.spec(name, group)
+        record = cache.run(name, group, 1e-3, self.TF)
+        for j in range(len(spec.model.joints)):
+            pos, ori = reference_joint_residuals(record, spec.model, j)
+            got = {part: cache.max_joint_residual(name, group, 1e-3, j, self.TF, part)
+                   for part in ("pos", "ori", "all")}
+            assert got["pos"] == pos.max()
+            assert got["ori"] == ori.max()
+            assert got["all"] == max(map(math.hypot, pos, ori))
+            # hypot of the two parts is |h| up to rounding
+            norm_h = reference_constraint_violation(record, spec.model, j).max()
+            assert got["all"] == pytest.approx(norm_h, rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("name", ["rp-chain", "cardan", "four-bar"])
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_run_metrics_once_per_run(self, monkeypatch, name, group):
+        calls = []
+        real = acceptance.run_metrics
+
+        def counting(spec, record):
+            calls.append(record.dt)
+            return real(spec, record)
+
+        monkeypatch.setattr(acceptance, "run_metrics", counting)
+        cache = acceptance.RunCache()
+        n_joints = len(cache.spec(name, group).model.joints)
+        for dt in (2e-3, 1e-3):
+            for j in range(n_joints):
+                for part in ("pos", "ori", "all"):
+                    cache.max_joint_residual(name, group, dt, j, self.TF, part)
+            cache.columns(name, group, dt, self.TF)
+        assert calls == [2e-3, 1e-3]
 
 
 def _dexpinv_second_order(x):

@@ -5,17 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from screwmbs import bench
-from screwmbs.bench import (
-    MetricSeries,
-    build,
-    estimate_convergence_order,
-    metric_com_drift,
-    metric_constraint_violation,
-    metric_energy,
-    metric_joint_residuals,
-    metric_position_error,
-    metric_rotation_error,
-)
+from screwmbs.bench import build, estimate_convergence_order
+from screwmbs.cli import run_metrics
 from screwmbs.dynamics import (
     joint_geometry,
     kinetic_energy,
@@ -163,40 +154,37 @@ def _exact_record(spec, reference, n=11):
 
 
 class TestMetrics:
+    """The metric series of a run are its CSV columns (``cli.run_metrics``)."""
+
     def test_exact_trajectory_has_zero_errors(self):
         spec = build("free-body-com-trans", "se3")
-        rec = _exact_record(spec, spec.reference)
-        assert metric_rotation_error(rec, spec.reference).max < 1e-13
-        assert metric_position_error(rec, spec.reference).max < 1e-13
-        assert metric_com_drift(rec, spec.model, spec.com_reference).max < 1e-13
+        cols = run_metrics(spec, _exact_record(spec, spec.reference))
+        assert max(cols["body0_rot_err_rad"]) < 1e-13
+        assert max(cols["body0_pos_err_m"]) < 1e-13
+        assert max(cols["com_drift_m"]) < 1e-13
 
     def test_rotation_error_of_self_is_zero(self):
         spec = build("free-body-com-trans", "se3")
         rec = _exact_record(spec, spec.reference)
-        series = metric_rotation_error(rec, spec.reference)
-        assert_allclose(series.values, np.zeros(rec.n_samples), atol=1e-13)
+        cols = run_metrics(spec, rec)
+        assert_allclose(cols["body0_rot_err_rad"], np.zeros(rec.n_samples), atol=1e-13)
 
     def test_constraint_violation_on_assembled_state(self):
         spec = build("heavy-top", "se3")
         rec = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.05,
                         tableau_rk4())
-        series = metric_constraint_violation(rec, spec.model, 0)
-        assert series.max < 1e-11
-        pos, ori = metric_joint_residuals(rec, spec.model, 0)
-        assert pos.max < 1e-11
-        assert ori.max == 0.0  # spherical joints have no orientation rows
+        cols = run_metrics(spec, rec)
+        assert max(cols["pivot_pos_residual_m"]) < 1e-11
+        # spherical joints have no orientation rows, hence no column
+        assert "pivot_ori_residual" not in cols
 
     def test_energy_series_with_datum(self):
         spec = build("heavy-top", "se3")
         rec = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.05,
                         tableau_rk4())
-        kin, tot = metric_energy(rec, spec.model, spec.energy_datum)
-        assert abs(tot.values[0] - 5000.68625) < 1e-6
-        assert np.abs(tot.values - tot.values[0]).max() < 1e-3
-
-    def test_metric_series_requires_monotone_times(self):
-        with pytest.raises(ValueError):
-            MetricSeries("x", np.array([0.0, 1.0, 0.5]), np.zeros(3))
+        tot = np.asarray(run_metrics(spec, rec)["total_energy_j"])
+        assert abs(tot[0] - 5000.68625) < 1e-6
+        assert np.abs(tot - tot[0]).max() < 1e-3
 
 
 class TestConservation:

@@ -3,14 +3,21 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
+from oracles import (
+    reference_com_drift,
+    reference_energy,
+    reference_joint_residuals,
+    reference_position_error,
+    reference_rotation_error,
+)
 from screwmbs import acceptance, bench, cli
 from screwmbs.acceptance import CheckResult
-from screwmbs.dynamics import kinetic_energy, total_energy
 from screwmbs.integrate import integrate
 
 
@@ -154,7 +161,7 @@ class TestSimulateCsv:
 
 
 class TestRunMetrics:
-    """The one-pass CSV columns equal the tested bench.metric_* series."""
+    """The one-pass CSV columns equal the per-series reference loops."""
 
     @pytest.mark.parametrize("name", sorted(bench.BUILDERS))
     @pytest.mark.parametrize("group", ["se3", "so3xr3"])
@@ -166,24 +173,64 @@ class TestRunMetrics:
         assert list(cols) == cli.csv_columns(spec)
         assert cols["t_s"] == record.times.tolist()
         for j, joint in enumerate(model.joints):
-            label = joint.name or joint.kind
-            pos, ori = bench.metric_joint_residuals(record, model, j)
-            assert cols[f"{label}_pos_residual_m"] == pos.values.tolist()
-            assert cols.get(f"{label}_ori_residual", [0.0] * len(ori.values)) \
-                == ori.values.tolist()
+            pos, ori = reference_joint_residuals(record, model, j)
+            assert cols[f"{joint.label}_pos_residual_m"] == pos.tolist()
+            assert cols.get(f"{joint.label}_ori_residual", [0.0] * len(ori)) \
+                == ori.tolist()
         if spec.reference is not None:
             for i in range(model.n_bodies):
-                assert cols[f"body{i}_rot_err_rad"] == bench.metric_rotation_error(
-                    record, spec.reference, i).values.tolist()
-                assert cols[f"body{i}_pos_err_m"] == bench.metric_position_error(
-                    record, spec.reference, i).values.tolist()
+                assert cols[f"body{i}_rot_err_rad"] == reference_rotation_error(
+                    record, spec.reference, i).tolist()
+                assert cols[f"body{i}_pos_err_m"] == reference_position_error(
+                    record, spec.reference, i).tolist()
         if spec.com_reference is not None:
-            assert cols["com_drift_m"] == bench.metric_com_drift(
-                record, model, spec.com_reference).values.tolist()
-        states = [record.state_at(k) for k in range(record.n_samples)]
-        assert cols["kinetic_energy_j"] == [kinetic_energy(model, s) for s in states]
-        assert cols["total_energy_j"] == [total_energy(model, s) + spec.energy_datum
-                                          for s in states]
+            assert cols["com_drift_m"] == reference_com_drift(
+                record, model, spec.com_reference).tolist()
+        kin, tot = reference_energy(record, model, spec.energy_datum)
+        assert cols["kinetic_energy_j"] == kin.tolist()
+        assert cols["total_energy_j"] == tot.tolist()
+
+
+class TestDuplicateJointLabels:
+    """Two joints with one label would share CSV columns: the second
+    joint's series would silently replace the first's."""
+
+    DOC = {
+        "name": "twin-balls",
+        "bodies": [{"name": "link1", "mass_kg": 2.7, "inertia_kgm2": [1.0, 1.0, 1.0]},
+                   {"name": "link2", "mass_kg": 2.7, "inertia_kgm2": [1.0, 1.0, 1.0]}],
+        "joints": [{"kind": "spherical", "name": "ball", "body_a": "ground",
+                    "body_b": "link1", "anchor_b_m": [-0.1, 0, 0]},
+                   {"kind": "spherical", "name": "ball", "body_a": "link1",
+                    "body_b": "link2", "anchor_a_m": [0.1, 0, 0],
+                    "anchor_b_m": [-0.1, 0, 0]}],
+        "initial_state": [{"body": "link1", "position_m": [0.1, 0, 0]},
+                          {"body": "link2", "position_m": [0.3, 0, 0]}],
+    }
+
+    def test_simulate_exits_1_without_csv(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "twins.yaml"
+        path.write_text(yaml.safe_dump(self.DOC))
+        code = run_cli(["simulate", "--model-file", str(path), "--dt", "1e-3",
+                        "--tf", "0.01", "--out", "twins.csv"], tmp_path, monkeypatch)
+        assert code == 1
+        assert "duplicate joint name 'ball'" in capsys.readouterr().err
+        assert not (tmp_path / "twins.csv").exists()
+
+    @pytest.mark.parametrize("names, label", [(("joint1", "joint1"), "joint1"),
+                                              (("", ""), "spherical")])
+    def test_csv_columns_names_the_label(self, tmp_path, names, label):
+        # an unnamed joint is labelled by its kind
+        spec = bench.build("double-pendulum", "se3")
+        spec.model.joints[:] = [replace(j, name=n)
+                                for j, n in zip(spec.model.joints, names)]
+        with pytest.raises(ValueError, match=f"duplicate joint label '{label}'"):
+            cli.csv_columns(spec)
+        record = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.002,
+                           spec.tableau)
+        with pytest.raises(ValueError, match=f"'{label}'"):
+            cli.write_run_csv(tmp_path / "dp.csv", spec, record)
+        assert not (tmp_path / "dp.csv").exists()
 
 
 def test_jointless_simulate_never_imports_scipy_linalg(tmp_path):

@@ -164,6 +164,25 @@ class TestErrors:
         with pytest.raises(ModelFileError, match="nope"):
             load_model_file(str(path), "se3")
 
+    @pytest.mark.parametrize("first, second", [
+        ("joint1", "joint1"),
+        (None, "spherical0"),      # defaulted to kind + index
+        ("", "spherical"),         # unnamed: the kind is the label
+    ])
+    def test_duplicate_joint_name(self, tmp_path, first, second):
+        spec = bench.build("double-pendulum", "se3")
+        doc = yaml.safe_load(dump_model(spec.model, spec.state0))
+        if first is None:
+            del doc["joints"][0]["name"]
+        else:
+            doc["joints"][0]["name"] = first
+        doc["joints"][1]["name"] = second
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError,
+                           match=rf"joints\[1\]: duplicate joint name '{second}'"):
+            load_model_file(str(path), "se3")
+
     def test_infeasible_velocities_cite_residual(self, tmp_path, top_file):
         doc = yaml.safe_load(HEAVY_TOP_YAML)
         doc["initial_state"][0]["linear_velocity_mps"] = [1.0, 0.0, 0.0]
