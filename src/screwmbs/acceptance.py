@@ -8,6 +8,7 @@ CSV columns are cached per (model, group, dt) so overlapping criteria reuse them
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -413,19 +414,11 @@ def run_all(report=None) -> list[CheckResult]:
     with every check passing (the ``verify`` command's exit code).
     """
     cache = RunCache()
-    runners = [
-        lambda: check_kernel_identities(),
-        lambda: check_rotating_frame(),
-        lambda: check_free_body_com_spin(cache),
-        lambda: check_free_body_com_translation(cache),
-        lambda: check_free_body_offset_spin(cache),
-        lambda: check_heavy_top(cache),
-        lambda: check_double_pendulum(cache),
-        lambda: check_rp_chain(cache),
-        lambda: check_four_bar(cache),
-        lambda: check_cardan(cache),
-        lambda: check_quaternion_path(cache),
-    ]
+    runners = [check_kernel_identities, check_rotating_frame] + [
+        functools.partial(check, cache) for check in (
+            check_free_body_com_spin, check_free_body_com_translation,
+            check_free_body_offset_spin, check_heavy_top, check_double_pendulum,
+            check_rp_chain, check_four_bar, check_cardan, check_quaternion_path)]
     results = []
     for runner in runners:
         result = runner()

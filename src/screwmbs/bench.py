@@ -2,9 +2,9 @@
 convergence-order fit.
 
 Every builder assembles the model for one configuration-space group (body
-twists on SE(3), mixed velocities on SO(3)xR3), fills in any geometry the
-source text leaves open with the documented constants below, and hard-gates
-the initial state on |h| < 1e-12 and |J V| < 1e-9 before returning it.
+twists on SE(3), mixed velocities on SO(3)xR3) and fills in any geometry
+the source text leaves open with the documented constants below; ``build``
+hard-gates the initial state on |h| < 1e-12 and |J V| < 1e-9.
 
 Where the published data only pins the angular rates, the linear
 velocities are recovered from the velocity constraints by a least-squares
@@ -76,16 +76,6 @@ class ExperimentSpec:
     energy_datum: float = 0.0         # additive constant on the reported total
     tableau: ButcherTableau = field(default_factory=tableau_rk4)
 
-    def validate(self) -> "ExperimentSpec":
-        check_initial_state(self.model, self.state0)
-        return self
-
-
-def _group(group) -> CSpaceGroup:
-    if isinstance(group, str):
-        return GROUPS[group]
-    return group
-
 
 def consistent_linear_velocities(model: MbsModel, poses, omegas) -> np.ndarray:
     """Solve the velocity constraints for the linear parts given the angular
@@ -117,11 +107,10 @@ _TRANS_V = np.array([10.0, 0.0, 0.0])
 
 def _free_spec(group, name, body, v0_body, com_ref, reference=None,
                t_final=10.0) -> ExperimentSpec:
-    group = _group(group)
     model = MbsModel([body], [], [], representation=REPRESENTATION[group.name])
     state = MbsState([Pose.identity()], np.asarray(v0_body, dtype=float)[None, :])
     return ExperimentSpec(name, group, model, state, t_final,
-                          com_reference=com_ref, reference=reference).validate()
+                          com_reference=com_ref, reference=reference)
 
 
 def model_free_body_com(group) -> tuple[ExperimentSpec, ExperimentSpec]:
@@ -170,7 +159,6 @@ _TOP_STIFFNESS = 1.0e4                     # 10 N/mm
 
 
 def model_heavy_top(group) -> ExperimentSpec:
-    group = _group(group)
     body = aluminium_box("top", 0.1, 0.2, 0.4)   # 21.6 kg, diag(0.36, 0.306, 0.09)
     model = MbsModel(
         [body],
@@ -189,7 +177,7 @@ def model_heavy_top(group) -> ExperimentSpec:
     d0 = _TOP_P0 - (-_TOP_R0)
     datum = 0.5 * _TOP_STIFFNESS * float(d0 @ d0)
     return ExperimentSpec("heavy-top", group, model, state, 8.0,
-                          energy_datum=datum).validate()
+                          energy_datum=datum)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +188,6 @@ _LINK_A = 0.2
 
 
 def model_double_pendulum(group) -> ExperimentSpec:
-    group = _group(group)
     # two 2.7 kg links, named apart: model files refer to bodies by name
     links = [aluminium_box(f"link{i}", _LINK_A, 0.1, 0.05) for i in range(2)]
     half = _LINK_A / 2
@@ -218,7 +205,7 @@ def model_double_pendulum(group) -> ExperimentSpec:
                        [10 * math.pi, 10 * math.pi, 20 * math.pi]])
     vel = consistent_linear_velocities(model, poses, omegas)
     state = MbsState(poses, vel)
-    return ExperimentSpec("double-pendulum", group, model, state, 1.0).validate()
+    return ExperimentSpec("double-pendulum", group, model, state, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +218,6 @@ _FOURBAR_OMEGA0 = 10 * math.pi
 
 
 def model_four_bar(group) -> ExperimentSpec:
-    group = _group(group)
     k = _FOURBAR_L0 / (3 * math.sqrt(3.0))
     g1 = np.zeros(3)
     g4 = np.array([2 * _FOURBAR_L0, 0.0, 0.0])
@@ -270,7 +256,7 @@ def model_four_bar(group) -> ExperimentSpec:
                        [0.0, 0.0, 0.0]])
     vel = consistent_linear_velocities(model, poses, omegas)
     state = MbsState(poses, vel)
-    return ExperimentSpec("four-bar", group, model, state, 1.0).validate()
+    return ExperimentSpec("four-bar", group, model, state, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +271,6 @@ _RP_STIFFNESS = 1.0e4
 
 
 def model_rp_chain(group) -> ExperimentSpec:
-    group = _group(group)
     # ring 0.15/0.08 x 0.05 m: m = 6.82825 kg, diag(0.0507567, ..., 0.0986682)
     ro, ri, h = 0.15, 0.08, 0.05
     m1 = ALUMINIUM_DENSITY * math.pi * (ro * ro - ri * ri) * h
@@ -314,7 +299,7 @@ def model_rp_chain(group) -> ExperimentSpec:
     v2 = np.cross(axis_pt1, omega) + np.array([0.0, 0.0, 1.0])  # 1 m/s slide
     state = MbsState(poses, np.vstack([np.concatenate([omega, v1]),
                                        np.concatenate([omega, v2])]))
-    return ExperimentSpec("rp-chain", group, model, state, 2.0).validate()
+    return ExperimentSpec("rp-chain", group, model, state, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +313,6 @@ _HOOK_DIST = 0.2
 
 
 def model_cardan(group) -> ExperimentSpec:
-    group = _group(group)
     mass = ALUMINIUM_DENSITY * math.pi * _SHAFT_RADIUS ** 2 * _SHAFT_LENGTH
     shaft1 = RigidBody("input-shaft", mass,
                        cylinder_inertia(mass, _SHAFT_RADIUS, _SHAFT_LENGTH, axis=1))
@@ -352,7 +336,7 @@ def model_cardan(group) -> ExperimentSpec:
     state = MbsState(poses, vel)
     # the drive shaft reaches the hook's transmission singularity (locked
     # cross) near t = 1.45 s with these rates; stop safely before it
-    return ExperimentSpec("cardan", group, model, state, 1.2).validate()
+    return ExperimentSpec("cardan", group, model, state, 1.2)
 
 
 BUILDERS = {
@@ -368,12 +352,14 @@ BUILDERS = {
 }
 
 
-def build(name: str, group) -> ExperimentSpec:
+def build(name: str, group: str) -> ExperimentSpec:
     try:
         builder = BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {sorted(BUILDERS)}")
-    return builder(group)
+    spec = builder(GROUPS[group])
+    check_initial_state(spec.model, spec.state0)
+    return spec
 
 
 def estimate_convergence_order(dts, errors, floor: float = 1e-13):

@@ -16,12 +16,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import yaml
 
 from .bench import BUILDERS, ExperimentSpec, build, estimate_convergence_order
 # total_energy is bound here though run_metrics forms the sum itself:
 # simbench/tracing.py wraps it under this name
 from .dynamics import (  # noqa: F401
-    InfeasibleStateError,
     joint_geometry,
     kinetic_energy,
     potential_energy,
@@ -33,10 +33,9 @@ from .integrate import (
     TrajectoryRecord,
     integrate,
     integrate_quaternion,
-    tableau_rk4,
 )
 from .liealg import GROUPS, rotation_error
-from .modelfile import ModelFileError, load_model_file
+from .modelfile import load_model_file
 
 WORKERS_ENV = "SCREWMBS_WORKERS"
 
@@ -123,15 +122,15 @@ def _load_spec(args) -> ExperimentSpec:
     if args.model_file:
         model, state, meta = load_model_file(args.model_file, args.group,
                                              project=args.project_velocities)
-        return ExperimentSpec(meta["name"], GROUPS[args.group], model, state,
-                              t_final=args.tf or 1.0,
-                              dts=tuple(args.dt) if args.dt else (1e-3,))
-    if not args.model:
+        spec = ExperimentSpec(meta["name"], GROUPS[args.group], model, state,
+                              t_final=1.0, dts=(1e-3,))
+    elif args.model:
+        spec = build(args.model, args.group)
+        if args.project_velocities:
+            spec.state0 = project_velocities(spec.model, spec.state0)
+    else:
         raise ValueError("either --model or --model-file is required")
-    spec = build(args.model, args.group)
-    if args.project_velocities:
-        spec.state0 = project_velocities(spec.model, spec.state0)
-    if args.tf:
+    if args.tf is not None:
         spec.t_final = args.tf
     if args.dt:
         spec.dts = tuple(args.dt)
@@ -145,12 +144,18 @@ def _out_path(args, spec: ExperimentSpec, dt: float, single: bool) -> str:
     return f"{stem}-{spec.group.name}-dt{dt:g}.csv"
 
 
+def _check_steps(args) -> None:
+    """Reject a bad --dt, --tf or --stride before any run writes a CSV."""
+    steps = [*(args.dt or ()), 1.0 if args.tf is None else args.tf]
+    if not all(x > 0 for x in steps) or args.stride < 1:
+        raise ValueError("dt and tf must be positive and stride >= 1")
+
+
 def cmd_simulate(args) -> int:
+    _check_steps(args)
     spec = _load_spec(args)
     single = len(spec.dts) == 1
     for dt in spec.dts:
-        if dt <= 0 or spec.t_final <= 0 or args.stride < 1:
-            raise ValueError("dt and tf must be positive and stride >= 1")
         if args.param == "quaternion":
             record = integrate_quaternion(spec.model, spec.group, spec.state0,
                                           dt, spec.t_final, spec.tableau,
@@ -187,6 +192,7 @@ def _sweep_one(task):
 def cmd_sweep(args) -> int:
     models = args.model or sorted(BUILDERS)
     groups = args.group or ["se3", "so3xr3"]
+    _check_steps(args)
     os.makedirs(args.out_dir, exist_ok=True)
     tasks = []
     for name in models:
@@ -289,8 +295,8 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, ModelFileError,
-            InfeasibleStateError) as exc:
+    # ModelFileError and InfeasibleStateError are ValueErrors
+    except (ValueError, KeyError, OSError, yaml.YAMLError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
 

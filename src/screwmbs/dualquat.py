@@ -212,20 +212,19 @@ def _omega_rates(q0, q1, q2, q3, w0, w1, w2) -> tuple:
             h * (q0 * w2 + q1 * w1 - q2 * w0))
 
 
-def reconstruct_rates(a: DualQuaternion, v, mixed: bool = False) -> tuple:
-    """Rates dA/dt with H @ rates = V, tangent to both invariants.
+def reconstruct_rates(a: DualQuaternion, v) -> tuple:
+    """Rates dA/dt with H @ rates = V (a body twist), tangent to both invariants.
 
     H is augmented with the normalization and Pluecker gradient rows (zero
     right-hand sides).  The augmented matrix is block lower triangular with
-    both diagonal blocks [2 X(Q); Q^T], X = E on the body rows and D on the
-    mixed ones, whose inverse is [X^T / (2|Q|^2), Q / |Q|^2] for any nonzero
-    Q, on or off the unit sphere.  Back substitution gives
+    both diagonal blocks [2 E(Q); Q^T], whose inverse is
+    [E^T / (2|Q|^2), Q / |Q|^2] for any nonzero Q, on or off the unit
+    sphere.  Back substitution gives
 
         Qdot  = E^T omega / (2|Q|^2)
-        Qedot = E^T v / (2|Q|^2) + D^T D(Qe) Qdot - Q (Qe . Qdot) / |Q|^2   body
-        Qedot = D^T (v / 2 + D(Qe) Qdot) / |Q|^2 - Q (Qe . Qdot) / |Q|^2   mixed
+        Qedot = E^T v / (2|Q|^2) + D^T D(Qe) Qdot - Q (Qe . Qdot) / |Q|^2
 
-    with D = D(Q), E = E(Q) (the body form uses E^T E D^T = |Q|^2 D^T).
+    with D = D(Q), E = E(Q) (using E^T E D^T = |Q|^2 D^T).
     Returns the 8 rates as a float tuple; ``a.q`` and ``a.qe`` may be any
     length-4 float sequences.  Raises ValueError for Q = 0.
     """
@@ -237,15 +236,9 @@ def reconstruct_rates(a: DualQuaternion, v, mixed: bool = False) -> tuple:
     u0 = e0 * d1 - e1 * d0 + e2 * d3 - e3 * d2
     u1 = e0 * d2 - e2 * d0 + e3 * d1 - e1 * d3
     u2 = e0 * d3 - e3 * d0 + e1 * d2 - e2 * d1
-    if mixed:
-        # D^T p = (-q . p, q0 p - q x p)
-        c = 2.0 * h
-        p0, p1, p2 = h * v0 + c * u0, h * v1 + c * u1, h * v2 + c * u2
-        m0, m1, m2 = -p0, -p1, -p2
-    else:
-        # E^T (h v) + D^T u = (-q . p, q0 p + q x m), p = h v + u, m = h v - u
-        p0, p1, p2 = h * v0 + u0, h * v1 + u1, h * v2 + u2
-        m0, m1, m2 = h * v0 - u0, h * v1 - u1, h * v2 - u2
+    # E^T (h v) + D^T u = (-q . p, q0 p + q x m), p = h v + u, m = h v - u
+    p0, p1, p2 = h * v0 + u0, h * v1 + u1, h * v2 + u2
+    m0, m1, m2 = h * v0 - u0, h * v1 - u1, h * v2 - u2
     s = 2.0 * h * (e0 * d0 + e1 * d1 + e2 * d2 + e3 * d3)
     return (d0, d1, d2, d3,
             -(q1 * p0 + q2 * p1 + q3 * p2) - q0 * s,

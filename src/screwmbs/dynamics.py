@@ -38,6 +38,7 @@ MIXED = "mixed"
 REPRESENTATION = {"se3": BODY_FIXED, "so3xr3": MIXED}
 
 _JOINT_DIMS = {"spherical": 3, "revolute": 5, "prismatic": 5, "universal": 4}
+TOL_POS, TOL_VEL = 1e-12, 1e-9  # initial-state bounds on |h| per joint and |J V|
 
 
 class RedundantConstraintError(RuntimeError):
@@ -248,8 +249,7 @@ class MbsModel:
         size = nv + self.n_constraints
         kkt = np.zeros((size, size))
         for i, m in enumerate(self._spatial_inertias):
-            # in the mixed representation assemble_index1 overwrites the
-            # off-COM coupling blocks per stage
+            # _kkt writes the mixed off-COM coupling blocks per call
             kkt[6 * i:6 * i + 6, 6 * i:6 * i + 6] = m
         at, at_t = [], []
         k = nv
@@ -667,18 +667,13 @@ def joint_rows(joint: Joint, poses, velocities, model: MbsModel):
     return {joint.body_b: rows[:, 6:], joint.body_a: rows[:, :6]}, np.array(eta)
 
 
-def joint_jacobian(joint: Joint, poses, model: MbsModel) -> dict[int, np.ndarray]:
-    """Exact Jacobian blocks per body index: d/dt h == sum J_i @ V_i."""
-    return joint_rows(joint, poses, np.zeros((len(poses), 6)), model)[0]
-
-
 # ---------------------------------------------------------------------------
 # index-1 DAE assembly and solution
 # ---------------------------------------------------------------------------
 
-def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
-    """KKT system [[M, J^T], [J, 0]] (Vdot, lambda) = (Q, eta)."""
-    frames = _frames(poses, velocities)
+def _kkt(model: MbsModel, frames):
+    """KKT system [[M, J^T], [J, 0]] (Vdot, lambda) = (Q, eta) on the layout
+    ``MbsModel._compile`` fixed; J does not depend on the velocities."""
     kkt = model._kkt0.copy()
     if model._mixed:
         for i, r0 in enumerate(model._offsets):
@@ -691,6 +686,11 @@ def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
     # J and J^T in one scatter
     kkt.put(model._jac_at, values + values)
     return kkt, np.array(rhs)
+
+
+def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
+    """KKT system [[M, J^T], [J, 0]] (Vdot, lambda) = (Q, eta)."""
+    return _kkt(model, _frames(poses, velocities))
 
 
 # LAPACK gesv, imported at the first solve: a model without joints never
@@ -706,7 +706,7 @@ def solve_index1(model: MbsModel, kkt, rhs):
         from scipy.linalg.lapack import dgesv as _dgesv
     _, _, sol, info = _dgesv(kkt, rhs)
     if info != 0:
-        names = ", ".join(j.name or j.kind for j in model.joints)
+        names = ", ".join(j.label for j in model.joints)
         raise RedundantConstraintError(
             f"singular KKT matrix; check joints [{names}] for redundancy")
     nv = 6 * model.n_bodies
@@ -744,15 +744,11 @@ def accelerations(model: MbsModel, poses, velocities, t: float = 0.0) -> np.ndar
 
 
 def constraint_jacobian(model: MbsModel, poses) -> np.ndarray:
-    """Stacked m x 6n velocity-constraint Jacobian."""
-    m = model.n_constraints
-    jac = np.zeros((m, 6 * model.n_bodies))
-    k = 0
-    for joint in model.joints:
-        for idx, blk in joint_jacobian(joint, poses, model).items():
-            jac[k:k + joint.dim, 6 * idx:6 * idx + 6] = blk
-        k += joint.dim
-    return jac
+    """Stacked m x 6n velocity-constraint Jacobian: the J block of the KKT
+    matrix (at zero velocity; J does not depend on it)."""
+    nv = 6 * model.n_bodies
+    kkt, _ = _kkt(model, _frames(poses, np.zeros((len(poses), 6))))
+    return kkt[nv:, :nv].copy()
 
 
 def velocity_residual(model: MbsModel, state: MbsState) -> float:
@@ -764,36 +760,30 @@ def velocity_residual(model: MbsModel, state: MbsState) -> float:
 
 
 def project_velocities(model: MbsModel, state: MbsState) -> MbsState:
-    """Minimum-norm (spatial-inertia metric) correction onto J V = 0."""
+    """Minimum-norm (spatial-inertia metric) correction onto J V = 0: the
+    KKT matrix solved for the right-hand side (0, -J V)."""
     if not model.joints:
         return state.copy()
-    n = model.n_bodies
-    nv = 6 * n
-    m = model.n_constraints
-    jac = constraint_jacobian(model, state.poses)
-    kkt = np.zeros((nv + m, nv + m))
-    for i, blk in enumerate(model.spatial_inertia_blocks([p.R for p in state.poses])):
-        kkt[6 * i:6 * i + 6, 6 * i:6 * i + 6] = blk
-    kkt[nv:, :nv] = jac
-    kkt[:nv, nv:] = jac.T
-    rhs = np.zeros(nv + m)
-    rhs[nv:] = -jac @ state.velocities.reshape(-1)
+    nv = 6 * model.n_bodies
+    kkt, _ = _kkt(model, _frames(state.poses, np.zeros_like(state.velocities)))
+    rhs = np.zeros(len(kkt))
+    rhs[nv:] = -kkt[nv:, :nv] @ state.velocities.reshape(-1)
     sol = np.linalg.solve(kkt, rhs)
     out = state.copy()
     out.velocities = state.velocities + sol[:nv].reshape(-1, 6)
     return out
 
 
-def check_initial_state(model: MbsModel, state: MbsState,
-                        tol_pos: float = 1e-12, tol_vel: float = 1e-9) -> None:
-    """Hard feasibility gate used by model builders and the loader."""
+def check_initial_state(model: MbsModel, state: MbsState) -> None:
+    """Hard feasibility gate used by model builders and the loader: |h| of
+    every joint within TOL_POS and |J V| within TOL_VEL."""
     for joint in model.joints:
         h = joint_geometry(joint, state.poses, model)
-        if np.abs(h).max() > tol_pos:
+        if np.abs(h).max() > TOL_POS:
             raise InfeasibleStateError(
                 f"joint {joint.label!r}: |h| = {np.abs(h).max():.3e} "
-                f"exceeds {tol_pos:.1e} in the initial configuration")
+                f"exceeds {TOL_POS:.1e} in the initial configuration")
     res = velocity_residual(model, state)
-    if res > tol_vel:
+    if res > TOL_VEL:
         raise InfeasibleStateError(
-            f"initial velocity constraint residual {res:.3e} exceeds {tol_vel:.1e}")
+            f"initial velocity constraint residual {res:.3e} exceeds {TOL_VEL:.1e}")

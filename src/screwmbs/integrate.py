@@ -45,7 +45,6 @@ class ButcherTableau:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -84,15 +83,14 @@ def tableau_rk4() -> ButcherTableau:
     a[2, 1] = 0.5
     a[3, 2] = 1.0
     return ButcherTableau(a, np.array([1, 2, 2, 1]) / 6.0,
-                          np.array([0.0, 0.5, 0.5, 1.0]), name="rk4")
+                          np.array([0.0, 0.5, 0.5, 1.0]))
 
 
 def tableau_explicit_trapezoidal() -> ButcherTableau:
     """2-stage scheme with k2 evaluated at the half step, x += dt k2."""
     a = np.zeros((2, 2))
     a[1, 0] = 0.5
-    return ButcherTableau(a, np.array([0.0, 1.0]), np.array([0.0, 0.5]),
-                          name="explicit-trapezoidal")
+    return ButcherTableau(a, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
 
 
 def _combine(dt: float, terms, rows, base) -> list[float]:
@@ -177,7 +175,6 @@ class TrajectoryRecord:
     rotations: np.ndarray      # (N, n, 3, 3)
     positions: np.ndarray      # (N, n, 3)
     velocities: np.ndarray     # (N, n, 6)
-    group_name: str = ""
     dt: float = 0.0
     # worst per-sample (norm, Pluecker) invariant defects, quaternion path only
     quat_defects: np.ndarray | None = None
@@ -199,8 +196,7 @@ def _kahan_add(x, dx, comp):
     return s, [(b - a) - y for a, b, y in zip(x, s, ys)]
 
 
-def _sampling(group: CSpaceGroup, n_bodies: int, t0: float, dt: float,
-              t_final: float, stride: int):
+def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
     """Step count, sampled step indices and the empty record of a run.
 
     Every ``stride``-th step is sampled; the initial and final states
@@ -220,7 +216,6 @@ def _sampling(group: CSpaceGroup, n_bodies: int, t0: float, dt: float,
         rotations=np.empty((n_samples, n_bodies, 3, 3)),
         positions=np.empty((n_samples, n_bodies, 3)),
         velocities=np.empty((n_samples, n_bodies, 6)),
-        group_name=group.name,
         dt=dt,
     )
     return n_steps, sample_idx, rec
@@ -232,7 +227,7 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     """Fixed-step loop from state0.t to t_final, sampling every ``stride``
     steps (the initial and final states are always recorded)."""
     n = model.n_bodies
-    n_steps, sample_idx, rec = _sampling(group, n, state0.t, dt, t_final, stride)
+    n_steps, sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
 
     def record(slot, t, frames, v):
         rec.times[slot] = t
@@ -315,7 +310,7 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     width, pack, unpack, chart_rates = _quat_chart(group.name)
     n = model.n_bodies
     nq = width * n
-    n_steps, sample_idx, rec = _sampling(group, n, state0.t, dt, t_final, stride)
+    n_steps, sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
     rec.quat_defects = np.zeros((rec.n_samples, 2))
 
     def f(t, y):

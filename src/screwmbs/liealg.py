@@ -515,14 +515,6 @@ def dp_ad(x) -> np.ndarray:
     return m
 
 
-def dp_dexp(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    m = np.zeros((6, 6))
-    m[:3, :3] = so3_dexp(x[:3])
-    m[3:, 3:] = _EYE3
-    return m
-
-
 def dp_dexpinv(x) -> np.ndarray:
     """Block-diagonal (so3_dexpinv, I): rotation and translation decouple."""
     x = np.asarray(x, dtype=float)
@@ -575,34 +567,6 @@ class CSpaceGroup:
 
     name: str
 
-    def compose(self, c1: Pose, c2: Pose) -> Pose:
-        raise NotImplementedError
-
-    def inverse(self, c: Pose) -> Pose:
-        raise NotImplementedError
-
-    def exp(self, x) -> Pose:
-        raise NotImplementedError
-
-    def log(self, c: Pose) -> np.ndarray:
-        raise NotImplementedError
-
-    def dexp(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def dexpinv(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def dexpinv_apply(self, x, v) -> tuple:
-        """dexpinv(x) @ v as a float tuple, the product the stage loops need."""
-        raise NotImplementedError
-
-    def ad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def identity(self) -> Pose:
-        return Pose.identity()
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
@@ -615,10 +579,8 @@ class SE3Group(CSpaceGroup):
     inverse = staticmethod(se3_inverse)
     exp = staticmethod(se3_exp)
     log = staticmethod(se3_log)
-    dexp = staticmethod(se3_dexp)
     dexpinv = staticmethod(se3_dexpinv)
     dexpinv_apply = staticmethod(se3_dexpinv_apply)
-    ad = staticmethod(se3_ad)
 
     @staticmethod
     def advance_parts(rot, phi) -> tuple[tuple, tuple]:
@@ -636,10 +598,8 @@ class DirectProductGroup(CSpaceGroup):
     inverse = staticmethod(dp_inverse)
     exp = staticmethod(dp_exp)
     log = staticmethod(dp_log)
-    dexp = staticmethod(dp_dexp)
     dexpinv = staticmethod(dp_dexpinv)
     dexpinv_apply = staticmethod(dp_dexpinv_apply)
-    ad = staticmethod(dp_ad)
 
     @staticmethod
     def advance_parts(rot, phi) -> tuple[tuple, tuple]:

@@ -24,7 +24,7 @@ from .dynamics import (
     check_initial_state,
     project_velocities,
 )
-from .liealg import GROUPS, Pose, is_rotation, so3_exp
+from .liealg import Pose, is_rotation, so3_exp
 
 
 # libyaml's C parser where this PyYAML build has it: the same constructor
@@ -74,15 +74,22 @@ def _rotation(section, where):
     return arr
 
 
-def load_model_file(path, group="se3", project: bool = False):
+def _sections(doc, key) -> list:
+    """The top-level list ``key``; every entry must be a mapping."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ModelFileError(f"{key!r} must be a list of mappings")
+    return entries
+
+
+def load_model_file(path, group: str = "se3", project: bool = False):
     """Parse and validate a model file.
 
-    Returns ``(model, state, meta)`` with the model built for the requested
+    Returns ``(model, state, meta)`` with the model built for the named
     configuration-space group.  Raises yaml.YAMLError on malformed text,
     ModelFileError on schema violations, InfeasibleStateError when the
     initial state is inconsistent and ``project`` is off.
     """
-    group = GROUPS[group] if isinstance(group, str) else group
     with open(path) as fh:
         doc = yaml.load(fh, Loader=_LOADER)
     if not isinstance(doc, dict):
@@ -90,7 +97,7 @@ def load_model_file(path, group="se3", project: bool = False):
 
     bodies = []
     names = {}
-    for i, section in enumerate(doc.get("bodies", [])):
+    for i, section in enumerate(_sections(doc, "bodies")):
         where = f"bodies[{i}]"
         name = section.get("name", f"body{i}")
         if name in names:
@@ -120,7 +127,7 @@ def load_model_file(path, group="se3", project: bool = False):
         return names[ref]
 
     joints = []
-    for i, section in enumerate(doc.get("joints", [])):
+    for i, section in enumerate(_sections(doc, "joints")):
         where = f"joints[{i}]"
         kind = section.get("kind")
         try:
@@ -142,7 +149,7 @@ def load_model_file(path, group="se3", project: bool = False):
         joints.append(joint)
 
     forces = []
-    for i, section in enumerate(doc.get("forces", [])):
+    for i, section in enumerate(_sections(doc, "forces")):
         where = f"forces[{i}]"
         kind = section.get("kind")
         if kind == "gravity":
@@ -159,12 +166,12 @@ def load_model_file(path, group="se3", project: bool = False):
         else:
             raise ModelFileError(f"{where}: unknown force kind {kind!r}")
 
-    representation = REPRESENTATION[group.name]
+    representation = REPRESENTATION[group]
     model = MbsModel(bodies, joints, forces, representation=representation)
 
     poses = [Pose.identity() for _ in bodies]
     velocities = np.zeros((len(bodies), 6))
-    for i, section in enumerate(doc.get("initial_state", [])):
+    for i, section in enumerate(_sections(doc, "initial_state")):
         where = f"initial_state[{i}]"
         idx = body_ref(section, "body", where, allow_ground=False)
         rot = _rotation(section, where)

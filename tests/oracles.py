@@ -367,6 +367,43 @@ def reference_assemble_index1(model, poses, velocities):
     return kkt, np.array(rhs)
 
 
+def reference_constraint_jacobian(model, poses) -> np.ndarray:
+    """dynamics.constraint_jacobian before it read the J block of the KKT
+    assembly: per-joint blocks placed at offsets computed here."""
+    m = model.n_constraints
+    jac = np.zeros((m, 6 * model.n_bodies))
+    k = 0
+    for joint in model.joints:
+        blocks = joint_rows(joint, poses, np.zeros((len(poses), 6)), model)[0]
+        for idx, blk in blocks.items():
+            jac[k:k + joint.dim, 6 * idx:6 * idx + 6] = blk
+        k += joint.dim
+    return jac
+
+
+def reference_project_velocities(model, state):
+    """dynamics.project_velocities before it solved on the KKT assembly: a
+    second dense KKT from spatial_inertia_blocks and
+    reference_constraint_jacobian."""
+    if not model.joints:
+        return state.copy()
+    n = model.n_bodies
+    nv = 6 * n
+    m = model.n_constraints
+    jac = reference_constraint_jacobian(model, state.poses)
+    kkt = np.zeros((nv + m, nv + m))
+    for i, blk in enumerate(model.spatial_inertia_blocks([p.R for p in state.poses])):
+        kkt[6 * i:6 * i + 6, 6 * i:6 * i + 6] = blk
+    kkt[nv:, :nv] = jac
+    kkt[:nv, nv:] = jac.T
+    rhs = np.zeros(nv + m)
+    rhs[nv:] = -jac @ state.velocities.reshape(-1)
+    sol = np.linalg.solve(kkt, rhs)
+    out = state.copy()
+    out.velocities = state.velocities + sol[:nv].reshape(-1, 6)
+    return out
+
+
 def joint_acc_rhs(joint, poses, velocities, model) -> np.ndarray:
     """eta = -Jdot @ V, the acceleration-constraint right-hand side."""
     _, eta = joint_rows(joint, poses, velocities, model)

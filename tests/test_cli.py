@@ -91,6 +91,45 @@ class TestExitCodes:
         assert run_cli(args + ["--out", "ok.csv"], tmp_path, monkeypatch) == 0
 
 
+class TestBadInput:
+    """Malformed files and non-positive times exit 1 with "invalid
+    configuration" and write no CSV."""
+
+    @pytest.mark.parametrize("text, names", [
+        ("bodies: [\n", "bad.yaml"),               # malformed YAML, cited by file
+        ("bodies: [1, 2]\n", "'bodies'"),          # entries are not mappings
+        ("bodies:\n", "'bodies'"),                 # empty section
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
+         "initial_state: [b]\n", "'initial_state'"),
+    ], ids=["malformed", "non-mapping", "empty", "non-mapping-state"])
+    def test_model_file(self, tmp_path, monkeypatch, capsys, text, names):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        code = run_cli(["simulate", "--model-file", str(path), "--tf", "0.01",
+                        "--out", "bad.csv"], tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "invalid configuration" in err and names in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("tf", ["0", "-1"])
+    def test_simulate_non_positive_tf(self, tmp_path, monkeypatch, capsys, tf):
+        code = run_cli(["simulate", "--model", "heavy-top", "--tf", tf,
+                        "--out", "ht.csv"], tmp_path, monkeypatch)
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("tf", ["0", "-1"])
+    def test_sweep_non_positive_tf(self, tmp_path, monkeypatch, capsys, tf):
+        code = run_cli(["sweep", "--model", "heavy-top", "--group", "se3",
+                        "--dt", "1e-2", "--tf", tf, "--out-dir", "out"],
+                       tmp_path, monkeypatch)
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+
 class TestSimulateCsv:
     def test_heavy_top_row_count(self, tmp_path, monkeypatch):
         code = run_cli(["simulate", "--model", "heavy-top", "--group", "se3",

@@ -194,14 +194,12 @@ class TestReconstructRates:
         assert_allclose(rates[:4], np.concatenate([[0.0], v[:3] / 2]), atol=1e-14)
         assert_allclose(h_body(DualQuaternion.identity()) @ rates, v, atol=1e-14)
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_residual_and_tangency(self, mixed):
+    def test_residual_and_tangency(self):
         for _ in range(10):
             a = random_dq(RNG)
             v = RNG.uniform(-2, 2, 6)
-            rates = reconstruct_rates(a, v, mixed=mixed)
-            h = h_mixed(a) if mixed else h_body(a)
-            assert np.abs(h @ rates - v).max() < 1e-12
+            rates = reconstruct_rates(a, v)
+            assert np.abs(h_body(a) @ rates - v).max() < 1e-12
             assert abs(a.q @ rates[:4]) < 1e-12
             assert abs(rates[:4] @ a.qe + a.q @ rates[4:]) < 1e-12
 
@@ -215,11 +213,11 @@ class TestReconstructRates:
         assert_allclose(rates[4:], v[3:], atol=0)
 
 
-def solve_rates(a: DualQuaternion, v, mixed: bool = False) -> np.ndarray:
-    """Reference: the 6x8 map augmented with the normalization and Pluecker
-    gradient rows, solved as a dense square system."""
+def solve_rates(a: DualQuaternion, v) -> np.ndarray:
+    """Reference: the 6x8 body map augmented with the normalization and
+    Pluecker gradient rows, solved as a dense square system."""
     m = np.zeros((8, 8))
-    m[:6] = h_mixed(a) if mixed else h_body(a)
+    m[:6] = h_body(a)
     m[6, :4] = a.q
     m[7, :4] = a.qe
     m[7, 4:] = a.q
@@ -254,14 +252,12 @@ class TestClosedFormAgainstSolve:
         out = np.asarray(out)
         assert np.abs(out - ref).max() <= self.RTOL * np.abs(ref).max()
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_dual_quaternion_rates(self, mixed):
+    def test_dual_quaternion_rates(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             a = off_unit_dq(rng)
             v = rng.uniform(-2, 2, 6)
-            self.assert_close(reconstruct_rates(a, v, mixed=mixed),
-                              solve_rates(a, v, mixed=mixed))
+            self.assert_close(reconstruct_rates(a, v), solve_rates(a, v))
 
     def test_euler_rates(self):
         rng = np.random.default_rng(18)
@@ -278,11 +274,10 @@ class TestClosedFormAgainstSolve:
         assert rates == reconstruct_rates(a, v)
         assert all(type(x) is float for x in rates)
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_zero_rotation_quaternion_raises(self, mixed):
+    def test_zero_rotation_quaternion_raises(self):
         a = DualQuaternion(np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4]))
         with pytest.raises(ValueError) as info:
-            reconstruct_rates(a, np.ones(6), mixed=mixed)
+            reconstruct_rates(a, np.ones(6))
         assert not isinstance(info.value, ZeroDivisionError)
 
     def test_zero_euler_quaternion_raises(self):

@@ -24,7 +24,6 @@ from screwmbs.dynamics import (
     constraint_jacobian,
     force_assembly,
     joint_geometry,
-    joint_jacobian,
     joint_rows,
     kinetic_energy,
     parallel_axis,
@@ -42,7 +41,9 @@ from oracles import (
     newton_euler_mixed,
     random_rotation,
     reference_assemble_index1,
+    reference_constraint_jacobian,
     reference_joint_rows,
+    reference_project_velocities,
     world_frame_joint_rows,
 )
 
@@ -200,7 +201,7 @@ class TestJointDerivativeConsistency:
         poses, velocities = _synthetic_trajectory(joint, n, representation, rng)
         for t0 in (0.0, 0.31):
             hdot = central_diff(lambda t: joint_geometry(joint, poses(t), model), t0)
-            blocks = joint_jacobian(joint, poses(t0), model)
+            blocks = joint_rows(joint, poses(t0), np.zeros((n, 6)), model)[0]
             v = velocities(t0)
             jv = sum(blk @ v[i] for i, blk in blocks.items())
             assert np.abs(jv - hdot).max() < 1e-6
@@ -213,12 +214,12 @@ class TestJointDerivativeConsistency:
         t0 = 0.17
 
         def jv(t):
-            blocks = joint_jacobian(joint, poses(t), model)
+            blocks = joint_rows(joint, poses(t), np.zeros((n, 6)), model)[0]
             v = velocities(t)
             return sum(blk @ v[i] for i, blk in blocks.items())
 
         vdot = central_diff(velocities, t0)
-        blocks = joint_jacobian(joint, poses(t0), model)
+        blocks = joint_rows(joint, poses(t0), np.zeros((n, 6)), model)[0]
         j_vdot = sum(blk @ vdot[i] for i, blk in blocks.items())
         eta = joint_acc_rhs(joint, poses(t0), velocities(t0), model)
         # d/dt (J V) = J Vdot - eta
@@ -303,6 +304,55 @@ def test_assembly_matches_reference_kernel_bitwise(name, group):
         assert _bits(rhs) == _bits(ref_rhs)
 
 
+def _off_com_chain(representation) -> MbsModel:
+    """Two off-COM bodies on a grounded spherical and a revolute joint: in
+    the mixed representation both mass blocks carry the R-dependent
+    coupling."""
+    bodies = [RigidBody(f"link{i}", 2.0 + i, np.diag([0.1, 0.2, 0.25]) + 0.01 * i,
+                        com_offset=[0.3, -0.1 * i, 0.05]) for i in range(2)]
+    joints = [Joint("spherical", None, 0, anchor_b=[-0.2, 0.0, 0.1]),
+              Joint("revolute", 0, 1, anchor_a=[0.2, 0.0, 0.0], anchor_b=[-0.2, 0.1, 0.0],
+                    axis_a=[0.0, 0.0, 1.0], axis_b=[0.0, 0.0, 1.0])]
+    return MbsModel(bodies, joints, [Gravity([0, 0, -GRAV])],
+                    representation=representation)
+
+
+def _kkt_consumer_cases():
+    for name in sorted(BUILDERS):
+        for group in ("se3", "so3xr3"):
+            spec = build(name, group)
+            yield pytest.param(spec.model, spec.state0, id=f"{name}-{group}")
+    for representation in (BODY_FIXED, MIXED):
+        model = _off_com_chain(representation)
+        poses = [Pose(np.eye(3), np.array([0.2, 0.0, -0.1])),
+                 Pose(np.eye(3), np.array([0.6, -0.1, -0.1]))]
+        yield pytest.param(model, MbsState(poses, np.zeros((2, 6))),
+                           id=f"off-com-chain-{representation}")
+
+
+@pytest.mark.parametrize("model, state0", _kkt_consumer_cases())
+def test_kkt_consumers_match_reference_bitwise(model, state0):
+    """constraint_jacobian, velocity_residual and project_velocities read the
+    step loop's KKT assembly; their bytes equal the former per-joint
+    Jacobian and separately assembled projection on random off-manifold
+    states."""
+    rng = np.random.default_rng(2718)
+    n = model.n_bodies
+    for _ in range(10):
+        poses = [Pose(p.R @ random_rotation(rng, 0.2), p.r + rng.uniform(-0.05, 0.05, 3))
+                 for p in state0.poses]
+        state = MbsState(poses, state0.velocities + rng.uniform(-2, 2, (n, 6)))
+        jac = constraint_jacobian(model, poses)
+        ref_jac = reference_constraint_jacobian(model, poses)
+        assert _bits(jac) == _bits(ref_jac) and jac.shape == ref_jac.shape
+        v = state.velocities.reshape(-1)
+        assert _bits([velocity_residual(model, state)]) == \
+            _bits([np.linalg.norm(ref_jac @ v)] if model.joints else [0.0])
+        out = project_velocities(model, state)
+        assert _bits(out.velocities) == \
+            _bits(reference_project_velocities(model, state).velocities)
+
+
 def test_row_templates_compile_once_per_structure():
     """Models share compiled row templates: 50 builds of one model compile
     each of its (row structure, grounded, representation) templates once."""
@@ -345,7 +395,7 @@ class TestPaperJacobianForms:
         # on-manifold at a generic orientation the textbook (r0^, -I) form holds
         r = se3_exp(np.array([0.4, -0.8, 0.3, 0, 0, 0])).R
         poses = [Pose(r, -(r @ TOP_R0))]
-        blk = joint_jacobian(model.joints[0], poses, model)[0]
+        blk = joint_rows(model.joints[0], poses, np.zeros((1, 6)), model)[0][0]
         assert_allclose(blk[:, :3], hat3(TOP_R0), atol=1e-13)
         assert_allclose(blk[:, 3:], -np.eye(3), atol=0)
 
@@ -353,7 +403,7 @@ class TestPaperJacobianForms:
         model = heavy_top_model(MIXED)
         r = se3_exp(np.array([-0.2, 0.5, 0.9, 0, 0, 0])).R
         poses = [Pose(r, -(r @ TOP_R0))]
-        blk = joint_jacobian(model.joints[0], poses, model)[0]
+        blk = joint_rows(model.joints[0], poses, np.zeros((1, 6)), model)[0][0]
         assert_allclose(blk[:, :3], r @ hat3(TOP_R0), atol=1e-13)
         assert_allclose(blk[:, 3:], -np.eye(3), atol=0)
         # acceleration right-hand side R w^ w^ r0 as printed

@@ -54,7 +54,7 @@ class TestTableaus:
         assert_allclose(t.c, [0.0, 0.5])
 
     @pytest.mark.parametrize("t", [tableau_rk4(), tableau_explicit_trapezoidal()],
-                             ids=lambda t: t.name)
+                             ids=["rk4", "explicit-trapezoidal"])
     def test_consistency(self, t):
         assert abs(t.b.sum() - 1.0) < 1e-15
         assert_allclose(t.a.sum(axis=1), t.c, atol=1e-15)
@@ -75,7 +75,7 @@ class TestMkStep:
 
     @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
     @pytest.mark.parametrize("tableau", [tableau_rk4(), tableau_explicit_trapezoidal()],
-                             ids=lambda t: t.name)
+                             ids=["rk4", "explicit-trapezoidal"])
     @pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0])
     def test_constant_twist_exactness(self, group, tableau, dt):
         v = random_screw(RNG, angle_lo=0.2, angle_hi=1.0)
