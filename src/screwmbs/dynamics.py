@@ -234,9 +234,7 @@ class MbsModel:
                          for b in self.bodies]
         self._inertia_rows = [b.inertia_ref.tolist() for b in self.bodies]
         self._mass_rows = [m.tolist() for m in self._spatial_inertias]
-        # without joints Vdot = M^-1 Q per body; in the mixed representation
-        # an off-COM block is M(R) = T M_body T^T with T = blockdiag(I, R),
-        # so the body-fixed inverse serves both
+        # without joints Vdot = M^-1 Q per body
         self._mass_inv_rows = [np.linalg.inv(m).tolist() for m in self._spatial_inertias]
         g_total = sum((f.g for f in self.forces if isinstance(f, Gravity)),
                       start=np.zeros(3))
@@ -265,6 +263,9 @@ class MbsModel:
         self._kkt0 = kkt
         self._jac_at = np.array(at + at_t, dtype=np.intp)
         self._row_kernels = [_bind_rows(j, self._mixed) for j in self.joints]
+        bodies = range(self.n_bodies)
+        self._rhs_kernels = [_bind_body(self, i, "rhs") for i in bodies]
+        self._acc_kernels = [] if self.joints else [_bind_body(self, i, "acc") for i in bodies]
 
     @property
     def n_bodies(self) -> int:
@@ -320,27 +321,6 @@ def spatial_inertia(body: RigidBody) -> np.ndarray:
     return m
 
 
-def _gyroscopic_body(inertia_rows, v) -> tuple:
-    # ad_V^T (J V) written out: (h_ang x omega + h_lin x v, h_lin x omega)
-    v0, v1, v2, v3, v4, v5 = v
-    h = [r[0] * v0 + r[1] * v1 + r[2] * v2 + r[3] * v3 + r[4] * v4 + r[5] * v5
-         for r in inertia_rows]
-    omega, vel = v[:3], v[3:]
-    a = cross3(h[:3], omega)
-    b = cross3(h[3:], vel)
-    c = cross3(h[3:], omega)
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], c[0], c[1], c[2])
-
-
-def _mixed_bias(inertia_rows, mass: float, r0, rot, omega) -> tuple:
-    # (omega x Theta omega, m R (omega x (omega x r0))); no linear part at the COM
-    a = cross3(omega, mv3(inertia_rows, omega))
-    if r0 is None:
-        return (a[0], a[1], a[2], 0.0, 0.0, 0.0)
-    b = mv3(rot, cross3(omega, cross3(omega, r0)))
-    return (a[0], a[1], a[2], mass * b[0], mass * b[1], mass * b[2])
-
-
 def _put_mixed_coupling(m, at: int, mass: float, r0, rot) -> None:
     """Write the mixed-representation coupling of an off-COM body, -m R hat(r0)
     and its transpose, into the 6x6 block of m that starts at (at, at)."""
@@ -348,40 +328,6 @@ def _put_mixed_coupling(m, at: int, mass: float, r0, rot) -> None:
     coup = np.array([[-mass * c for c in cross3(row, r0)] for row in rot])
     m[at + 3:at + 6, at:at + 3] = coup
     m[at:at + 3, at + 3:at + 6] = coup.T
-
-
-def _wrenches(model: MbsModel, rots, origins) -> list[list[float]]:
-    """Applied wrenches per body as 6-lists (force_assembly's kernel)."""
-    mixed = model._mixed
-    out = []
-    for rot, fs, r0 in zip(rots, model._gravity_f, model._offsets):
-        fb = mtv3(rot, fs)
-        tau = cross3(r0, fb) if r0 is not None else (0.0, 0.0, 0.0)
-        f = fs if mixed else fb
-        out.append([tau[0], tau[1], tau[2], f[0], f[1], f[2]])
-    for body, attach, ground, k, has_attach in model._springs_f:
-        rot = rots[body]
-        att = add3(origins[body], mv3(rot, attach))
-        fs = (k * (ground[0] - att[0]), k * (ground[1] - att[1]),
-              k * (ground[2] - att[2]))
-        fb = mtv3(rot, fs)
-        w = out[body]
-        if has_attach:
-            tau = cross3(attach, fb)
-            w[0] += tau[0]
-            w[1] += tau[1]
-            w[2] += tau[2]
-        f = fs if mixed else fb
-        w[3] += f[0]
-        w[4] += f[1]
-        w[5] += f[2]
-    return out
-
-
-def force_assembly(model: MbsModel, poses, t: float = 0.0) -> np.ndarray:
-    """Applied wrenches per body in the model's velocity representation."""
-    return np.array(_wrenches(model, [p.R.tolist() for p in poses],
-                              [p.r.tolist() for p in poses])).reshape(-1, 6)
 
 
 def _frames(poses, velocities) -> list[tuple]:
@@ -399,22 +345,20 @@ def _frames(poses, velocities) -> list[tuple]:
             for i, (rot, r) in enumerate(poses)]
 
 
-def _body_rhs(model: MbsModel, frames) -> list[float]:
-    """Stacked Newton-Euler right-hand sides Q (applied wrench plus the
-    velocity-dependent terms) of all bodies, flat."""
-    wrenches = _wrenches(model, [f[0] for f in frames], [f[1] for f in frames])
-    q = []
-    for i, ((rot, _, omega, vel), w) in enumerate(zip(frames, wrenches)):
-        if model._mixed:
-            b = _mixed_bias(model._inertia_rows[i], model._masses[i],
-                            model._offsets[i], rot, omega)
-            q += [w[0] - b[0], w[1] - b[1], w[2] - b[2],
-                  w[3] - b[3], w[4] - b[4], w[5] - b[5]]
-        else:
-            g = _gyroscopic_body(model._mass_rows[i], omega + vel)
-            q += [w[0] + g[0], w[1] + g[1], w[2] + g[2],
-                  w[3] + g[3], w[4] + g[4], w[5] + g[5]]
-    return q
+def _body_terms(kernels, frames) -> list[float]:
+    """The six entries per body of compiled body kernels (``_emit_body``),
+    stacked flat: Q from ``MbsModel._rhs_kernels`` (applied wrench plus the
+    velocity-dependent terms), Vdot = M^-1 Q from ``_acc_kernels``."""
+    out = []
+    for kernel in kernels:
+        kernel(frames, out)
+    return out
+
+
+def force_assembly(model: MbsModel, poses, t: float = 0.0) -> np.ndarray:
+    """Applied wrenches per body in the model's velocity representation."""
+    kernels = [_bind_body(model, i, "wrench") for i in range(model.n_bodies)]
+    return np.array(_body_terms(kernels, _frames(poses, np.zeros((len(poses), 6))))).reshape(-1, 6)
 
 
 def kinetic_energy(model: MbsModel, state: MbsState) -> float:
@@ -668,18 +612,100 @@ def joint_rows(joint: Joint, poses, velocities, model: MbsModel):
 
 
 # ---------------------------------------------------------------------------
+# body terms: applied wrenches and Newton-Euler right-hand sides
+# ---------------------------------------------------------------------------
+
+def _matrix(s: str, n: int) -> tuple:
+    return tuple(tuple(f"{s}{i}_{j}" for j in range(n)) for i in range(n))
+
+
+def _emit_body(e: _Emitter, mixed: bool, offset: bool, attach: tuple, output: str):
+    """One body's six entries: its applied wrench (``"wrench"``), Newton-Euler
+    right-hand side Q (``"rhs"``) or, without joints, Vdot = M^-1 Q (``"acc"``).
+    Gravity acts at the COM (offset ``c``), each spring at its attachment
+    point, in force-list order; ``attach`` flags points off the frame origin."""
+    rot, p, omega, vel = _frame("")
+    g = _names("g")
+    fb = e.mtv(rot, g)
+    w = [*(e.cross(_names("c"), fb) if offset else _ZERO), *(g if mixed else fb)]
+    for k, has_attach in enumerate(attach):
+        a, ground = _names(f"sa{k}_"), _names(f"sg{k}_")
+        fs = tuple(e.scalar(f"sk{k} * {d}") for d in e.sub(ground, e.add(p, e.mv(rot, a))))
+        fb = e.mtv(rot, fs)
+        if has_attach:
+            w[:3] = e.add(w[:3], e.cross(a, fb))
+        w[3:] = e.add(w[3:], fs if mixed else fb)
+    if output == "wrench":
+        return w
+    if mixed:
+        # (omega x Theta omega, m R (omega x (omega x r0))); no linear part at the COM
+        lin = (tuple(e.scalar(f"m * {x}") for x in
+                     e.mv(rot, e.cross(omega, e.cross(omega, _names("c"))))) if offset else _ZERO)
+        q = e.sub(w, (*e.cross(omega, e.mv(_matrix("th", 3), omega)), *lin))
+    else:
+        # ad_V^T (M V) written out: (h_ang x omega + h_lin x v, h_lin x omega)
+        h = e.mv(_matrix("M", 6), (*omega, *vel))
+        gyro = (*e.add(e.cross(h[:3], omega), e.cross(h[3:], vel)), *e.cross(h[3:], omega))
+        q = e.add(w, gyro)
+    if output == "rhs":
+        return q
+    # in the mixed representation an off-COM block is M(R) = T M_body T^T
+    # with T = blockdiag(I, R), so the body-fixed inverse serves both
+    rotate = mixed and offset
+    if rotate:
+        q = (*q[:3], *e.mtv(rot, q[3:]))
+    a = e.mv(_matrix("Mi", 6), q)
+    return (*a[:3], *e.mv(rot, a[3:])) if rotate else a
+
+
+@functools.cache
+def _body_template(mixed: bool, offset: bool, attach: tuple, output: str):
+    """The kernel factory of one body structure, compiled once per process.
+    It binds a body's index and constants as closure values and returns
+    ``kernel(frames, out)``, which appends the body's six entries."""
+    e = _Emitter()
+    out = _emit_body(e, mixed, offset, attach, output)
+    consts = {"g": _names("g"), "c": _names("c"), "theta": _matrix("th", 3),
+              "mass6": _matrix("M", 6), "minv": _matrix("Mi", 6),
+              "springs": tuple((_names(f"sa{k}_"), _names(f"sg{k}_"), f"sk{k}")
+                               for k in range(len(attach)))}
+    src = [f"def factory(i, m, {', '.join(consts)}):",
+           *(f"    {names} = {arg}" for arg, names in consts.items()),
+           "    def kernel(frames, out):",
+           f"        {_frame('')} = frames[i]",
+           *(f"        {line}" for line in e.live(out)),
+           f"        out.extend(({', '.join(out)},))",
+           "    return kernel"]
+    namespace = {}
+    exec(compile("\n".join(src).replace("'", ""),
+                 f"<body {mixed, offset, attach, output}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _bind_body(model: MbsModel, i: int, output: str):
+    """The compiled kernel of body i's entries (``_emit_body``)."""
+    springs = [s for s in model._springs_f if s[0] == i]
+    return _body_template(model._mixed, model._offsets[i] is not None,
+                          tuple(s[4] for s in springs), output)(
+        i, model._masses[i], model._gravity_f[i], model._offsets[i] or _Z3,
+        model._inertia_rows[i], model._mass_rows[i], model._mass_inv_rows[i],
+        [s[1:4] for s in springs])
+
+
+# ---------------------------------------------------------------------------
 # index-1 DAE assembly and solution
 # ---------------------------------------------------------------------------
 
-def _kkt(model: MbsModel, frames):
+def _kkt(model: MbsModel, frames, rhs: list):
     """KKT system [[M, J^T], [J, 0]] (Vdot, lambda) = (Q, eta) on the layout
-    ``MbsModel._compile`` fixed; J does not depend on the velocities."""
+    ``MbsModel._compile`` fixed; J does not depend on the velocities.  The
+    row kernels append eta to ``rhs``, which holds Q or, for a consumer of
+    J alone, nothing."""
     kkt = model._kkt0.copy()
     if model._mixed:
         for i, r0 in enumerate(model._offsets):
             if r0 is not None:
                 _put_mixed_coupling(kkt, 6 * i, model._masses[i], r0, frames[i][0])
-    rhs = _body_rhs(model, frames)
     values = []
     for kernel in model._row_kernels:
         kernel(frames, values, rhs)
@@ -690,7 +716,8 @@ def _kkt(model: MbsModel, frames):
 
 def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
     """KKT system [[M, J^T], [J, 0]] (Vdot, lambda) = (Q, eta)."""
-    return _kkt(model, _frames(poses, velocities))
+    frames = _frames(poses, velocities)
+    return _kkt(model, frames, _body_terms(model._rhs_kernels, frames))
 
 
 # LAPACK gesv, imported at the first solve: a model without joints never
@@ -713,23 +740,6 @@ def solve_index1(model: MbsModel, kkt, rhs):
     return sol[:nv].reshape(-1, 6), sol[nv:]
 
 
-def _free_accelerations(model: MbsModel, frames) -> np.ndarray:
-    """Vdot = M^-1 Q body by body, for a model without joints."""
-    q = _body_rhs(model, frames)
-    out = []
-    for i, rot in enumerate(f[0] for f in frames):
-        qi = q[6 * i:6 * i + 6]
-        minv = model._mass_inv_rows[i]
-        rotate = model._mixed and model._offsets[i] is not None
-        if rotate:
-            qi = qi[:3] + list(mtv3(rot, qi[3:]))
-        q0, q1, q2, q3, q4, q5 = qi
-        a = [r[0] * q0 + r[1] * q1 + r[2] * q2 + r[3] * q3 + r[4] * q4 + r[5] * q5
-             for r in minv]
-        out.append(a[:3] + list(mv3(rot, a[3:])) if rotate else a)
-    return np.array(out)
-
-
 def accelerations(model: MbsModel, poses, velocities, t: float = 0.0) -> np.ndarray:
     """Explicit ODE right-hand side Vdot = F(g, V) from the index-1 system.
 
@@ -737,7 +747,7 @@ def accelerations(model: MbsModel, poses, velocities, t: float = 0.0) -> np.ndar
     assembly and solve.
     """
     if not model.joints:
-        return _free_accelerations(model, _frames(poses, velocities))
+        return np.array(_body_terms(model._acc_kernels, _frames(poses, velocities))).reshape(-1, 6)
     kkt, rhs = assemble_index1(model, poses, velocities, t)
     vdot, _ = solve_index1(model, kkt, rhs)
     return vdot
@@ -747,7 +757,7 @@ def constraint_jacobian(model: MbsModel, poses) -> np.ndarray:
     """Stacked m x 6n velocity-constraint Jacobian: the J block of the KKT
     matrix (at zero velocity; J does not depend on it)."""
     nv = 6 * model.n_bodies
-    kkt, _ = _kkt(model, _frames(poses, np.zeros((len(poses), 6))))
+    kkt, _ = _kkt(model, _frames(poses, np.zeros((len(poses), 6))), [])
     return kkt[nv:, :nv].copy()
 
 
@@ -765,7 +775,7 @@ def project_velocities(model: MbsModel, state: MbsState) -> MbsState:
     if not model.joints:
         return state.copy()
     nv = 6 * model.n_bodies
-    kkt, _ = _kkt(model, _frames(state.poses, np.zeros_like(state.velocities)))
+    kkt, _ = _kkt(model, _frames(state.poses, np.zeros_like(state.velocities)), [])
     rhs = np.zeros(len(kkt))
     rhs[nv:] = -kkt[nv:, :nv] @ state.velocities.reshape(-1)
     sol = np.linalg.solve(kkt, rhs)

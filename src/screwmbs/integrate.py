@@ -271,13 +271,15 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
 
 def _quat_chart(group_name: str):
     """Width and per-body (pack, unpack, rates) functions of the quaternion
-    chart; chart coordinates and rates are flat float sequences."""
+    chart; chart coordinates and rates are flat float sequences, and
+    ``unpack`` gives the body's (R rows, r) float pair on either group."""
     if group_name == "se3":
         def pack(pose):
             return dq_from_pose(pose).as_vector().tolist()
 
         def unpack(y):
-            return pose_from_dq(DualQuaternion(y[:4], y[4:]))
+            pose = pose_from_dq(DualQuaternion(y[:4], y[4:]))
+            return pose.R.tolist(), pose.r.tolist()
 
         def rates(y, v):
             return reconstruct_rates(DualQuaternion(y[:4], y[4:]), v)
@@ -288,7 +290,7 @@ def _quat_chart(group_name: str):
         return quat_from_rotation(pose.R).tolist() + pose.r.tolist()
 
     def unpack(y):
-        return Pose(np.array(quat_rotation_rows(*y[:4])), np.array(y[4:]))
+        return quat_rotation_rows(*y[:4]), y[4:]
 
     def rates(y, v):
         return euler_reconstruct_rates(y[:4], y[4:], v)
@@ -332,9 +334,7 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
         rec.times[slot] = t
         for i in range(n):
             q = y[width * i:width * (i + 1)]
-            pose = unpack(q)
-            rec.rotations[slot, i] = pose.R
-            rec.positions[slot, i] = pose.r
+            rec.rotations[slot, i], rec.positions[slot, i] = unpack(q)
             norm_defect = abs(math.sqrt(sum(x * x for x in q[:4])) - 1.0)
             plucker = (abs(sum(a * b for a, b in zip(q[:4], q[4:])))
                        if width == 8 else 0.0)
@@ -352,7 +352,7 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
             for j in range(tableau.stages):
                 deps = tableau._deps[j]
                 yj = _combine(dt, deps, ks, y) if deps else y
-                ks.append(f(t + float(tableau.c[j]) * dt, yj))
+                ks.append(f(t + tableau._nodes[j] * dt, yj))
             y = _combine(dt, tableau._weights, ks, y)
         except Exception as exc:
             raise IntegrationError(str(exc), step, t) from exc

@@ -10,11 +10,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from screwmbs.dynamics import (
-    _body_rhs,
     _float_tuple,
     _frames,
-    _gyroscopic_body,
-    _mixed_bias,
     _put_mixed_coupling,
     joint_geometry,
     joint_rows,
@@ -220,6 +217,96 @@ def world_frame_joint_rows(joint, frame_a, frame_b, mixed: bool):
 
 
 # ---------------------------------------------------------------------------
+# the interpreted body terms: dynamics compiles the same formulas into
+# straight-line code (dynamics._emit_body), which must reproduce these
+# entries bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_gyroscopic_body(inertia_rows, v) -> tuple:
+    # ad_V^T (J V) written out: (h_ang x omega + h_lin x v, h_lin x omega)
+    v0, v1, v2, v3, v4, v5 = v
+    h = [r[0] * v0 + r[1] * v1 + r[2] * v2 + r[3] * v3 + r[4] * v4 + r[5] * v5
+         for r in inertia_rows]
+    omega, vel = v[:3], v[3:]
+    a = cross3(h[:3], omega)
+    b = cross3(h[3:], vel)
+    c = cross3(h[3:], omega)
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], c[0], c[1], c[2])
+
+
+def reference_mixed_bias(inertia_rows, mass: float, r0, rot, omega) -> tuple:
+    # (omega x Theta omega, m R (omega x (omega x r0))); no linear part at the COM
+    a = cross3(omega, mv3(inertia_rows, omega))
+    if r0 is None:
+        return (a[0], a[1], a[2], 0.0, 0.0, 0.0)
+    b = mv3(rot, cross3(omega, cross3(omega, r0)))
+    return (a[0], a[1], a[2], mass * b[0], mass * b[1], mass * b[2])
+
+
+def reference_wrenches(model, rots, origins) -> list[list[float]]:
+    """Applied wrenches per body as 6-lists (force_assembly's kernel)."""
+    mixed = model._mixed
+    out = []
+    for rot, fs, r0 in zip(rots, model._gravity_f, model._offsets):
+        fb = mtv3(rot, fs)
+        tau = cross3(r0, fb) if r0 is not None else (0.0, 0.0, 0.0)
+        f = fs if mixed else fb
+        out.append([tau[0], tau[1], tau[2], f[0], f[1], f[2]])
+    for body, attach, ground, k, has_attach in model._springs_f:
+        rot = rots[body]
+        att = add3(origins[body], mv3(rot, attach))
+        fs = (k * (ground[0] - att[0]), k * (ground[1] - att[1]),
+              k * (ground[2] - att[2]))
+        fb = mtv3(rot, fs)
+        w = out[body]
+        if has_attach:
+            tau = cross3(attach, fb)
+            w[0] += tau[0]
+            w[1] += tau[1]
+            w[2] += tau[2]
+        f = fs if mixed else fb
+        w[3] += f[0]
+        w[4] += f[1]
+        w[5] += f[2]
+    return out
+
+
+def reference_body_rhs(model, frames) -> list[float]:
+    """Stacked Newton-Euler right-hand sides Q (applied wrench plus the
+    velocity-dependent terms) of all bodies, flat."""
+    wrenches = reference_wrenches(model, [f[0] for f in frames], [f[1] for f in frames])
+    q = []
+    for i, ((rot, _, omega, vel), w) in enumerate(zip(frames, wrenches)):
+        if model._mixed:
+            b = reference_mixed_bias(model._inertia_rows[i], model._masses[i],
+                                     model._offsets[i], rot, omega)
+            q += [w[0] - b[0], w[1] - b[1], w[2] - b[2],
+                  w[3] - b[3], w[4] - b[4], w[5] - b[5]]
+        else:
+            g = reference_gyroscopic_body(model._mass_rows[i], omega + vel)
+            q += [w[0] + g[0], w[1] + g[1], w[2] + g[2],
+                  w[3] + g[3], w[4] + g[4], w[5] + g[5]]
+    return q
+
+
+def reference_free_accelerations(model, frames) -> np.ndarray:
+    """Vdot = M^-1 Q body by body, for a model without joints."""
+    q = reference_body_rhs(model, frames)
+    out = []
+    for i, rot in enumerate(f[0] for f in frames):
+        qi = q[6 * i:6 * i + 6]
+        minv = model._mass_inv_rows[i]
+        rotate = model._mixed and model._offsets[i] is not None
+        if rotate:
+            qi = qi[:3] + list(mtv3(rot, qi[3:]))
+        q0, q1, q2, q3, q4, q5 = qi
+        a = [r[0] * q0 + r[1] * q1 + r[2] * q2 + r[3] * q3 + r[4] * q4 + r[5] * q5
+             for r in minv]
+        out.append(a[:3] + list(mv3(rot, a[3:])) if rotate else a)
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
 # Newton-Euler equations of one body, for checks against the stacked
 # right-hand side the step loop assembles
 # ---------------------------------------------------------------------------
@@ -227,7 +314,7 @@ def world_frame_joint_rows(joint, frame_a, frame_b, mixed: bool):
 def newton_euler_body(body, v, wrench) -> tuple[np.ndarray, np.ndarray]:
     """Mass matrix and right-hand side of J V' - ad_V^T J V = W."""
     m = spatial_inertia(body)
-    gyro = _gyroscopic_body(m.tolist(), np.asarray(v, dtype=float).tolist())
+    gyro = reference_gyroscopic_body(m.tolist(), np.asarray(v, dtype=float).tolist())
     return m, np.asarray(wrench, dtype=float) + np.array(gyro)
 
 
@@ -239,7 +326,7 @@ def newton_euler_mixed(body, rotation, v, wrench) -> tuple[np.ndarray, np.ndarra
     m = spatial_inertia(body)
     if r0 is not None:
         _put_mixed_coupling(m, 0, body.mass, r0, rot)
-    bias = _mixed_bias(body.inertia_ref.tolist(), body.mass, r0, rot, v[:3])
+    bias = reference_mixed_bias(body.inertia_ref.tolist(), body.mass, r0, rot, v[:3])
     return m, np.asarray(wrench, dtype=float) - np.array(bias)
 
 
@@ -344,15 +431,15 @@ def reference_joint_rows(joint, frame_a, frame_b, mixed: bool):
 
 
 def reference_assemble_index1(model, poses, velocities):
-    """dynamics.assemble_index1 with every joint's rows from
-    reference_joint_rows."""
+    """dynamics.assemble_index1 with the body terms from reference_body_rhs
+    and every joint's rows from reference_joint_rows."""
     frames = _frames(poses, velocities)
     kkt = model._kkt0.copy()
     if model._mixed:
         for i, r0 in enumerate(model._offsets):
             if r0 is not None:
                 _put_mixed_coupling(kkt, 6 * i, model._masses[i], r0, frames[i][0])
-    rhs = _body_rhs(model, frames)
+    rhs = reference_body_rhs(model, frames)
     values = []
     for joint in model.joints:
         frame_a = _GROUND if joint.body_a is None else frames[joint.body_a]

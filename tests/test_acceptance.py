@@ -12,15 +12,20 @@ perturbations by ~1e2 over the horizon.  Criterion 12 inherits that
 failure through the verify exit code.
 """
 
+import collections
 import math
 import time
 
 import numpy as np
 import pytest
 
-from oracles import reference_constraint_violation, reference_joint_residuals
+from oracles import (
+    random_rotation,
+    reference_constraint_violation,
+    reference_joint_residuals,
+)
 from screwmbs import acceptance, liealg
-from screwmbs.integrate import mk_step, tableau_rk4
+from screwmbs.integrate import TrajectoryRecord, mk_step, tableau_rk4
 from screwmbs.liealg import SE3, Pose, se3_ad
 
 CRITERIA = [
@@ -104,6 +109,54 @@ class TestRunCacheColumns:
                     cache.max_joint_residual(name, group, dt, j, self.TF, part)
             cache.columns(name, group, dt, self.TF)
         assert calls == [2e-3, 1e-3]
+
+
+def _two_sample_record(state0, dt: float):
+    """A stand-in run: the initial state and a perturbed copy of it one
+    step later, so every column the checks read is finite and nonzero."""
+    rng = np.random.default_rng(17)
+    rots = np.array([p.R for p in state0.poses])
+    pos = np.array([p.r for p in state0.poses])
+    turn = np.array([random_rotation(rng, 0.1) for _ in rots])
+    return TrajectoryRecord(
+        times=np.array([state0.t, state0.t + dt]),
+        rotations=np.stack([rots, rots @ turn]),
+        positions=np.stack([pos, pos + rng.uniform(-1e-3, 1e-3, pos.shape)]),
+        velocities=np.stack([state0.velocities, state0.velocities + 1e-3]),
+        dt=dt, quat_defects=np.zeros((2, 2)))
+
+
+def test_checklist_integrates_each_run_once(monkeypatch):
+    """Over the whole checklist no (model, group, dt, t_final) integrates
+    twice, and the cache keeps a record only while a later ``run`` reads it
+    or when no columns were built from it."""
+    integrated = collections.Counter()
+    caches = []
+
+    def fake_integrate(model, group, state0, dt, t_final, tableau, stride=1):
+        integrated[id(model), dt, t_final] += 1
+        return _two_sample_record(state0, dt)
+
+    class SpyCache(acceptance.RunCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(acceptance, "integrate", fake_integrate)
+    monkeypatch.setattr(acceptance, "integrate_quaternion",
+                        lambda model, group, state0, dt, t_final, tableau:
+                        _two_sample_record(state0, dt))
+    monkeypatch.setattr(acceptance, "check_kernel_identities",
+                        lambda: acceptance.CheckResult("1 kernel identities", True, ""))
+    monkeypatch.setattr(acceptance, "RunCache", SpyCache)
+    results = acceptance.run_all()
+    assert [r.name for r in results] == CRITERIA
+    assert len(integrated) > 40 and set(integrated.values()) == {1}
+    (cache,) = caches
+    held = set(cache._runs)
+    assert {key for key in held if key in cache._columns} == {
+        ("heavy-top", "se3", 1e-3, cache.spec("heavy-top", "se3").t_final)}
+    assert {key[0] for key in held - set(cache._columns)} == {"free-body-com"}
 
 
 def _dexpinv_second_order(x):

@@ -34,6 +34,7 @@ from screwmbs.dynamics import (
     velocity_residual,
 )
 from screwmbs.liealg import Pose, hat3, mixed_twist_matrix, se3_dexp, se3_exp
+from screwmbs.modelfile import load_model_file, write_model_file
 from oracles import (
     central_diff,
     joint_acc_rhs,
@@ -41,9 +42,12 @@ from oracles import (
     newton_euler_mixed,
     random_rotation,
     reference_assemble_index1,
+    reference_body_rhs,
     reference_constraint_jacobian,
+    reference_free_accelerations,
     reference_joint_rows,
     reference_project_velocities,
+    reference_wrenches,
     world_frame_joint_rows,
 )
 
@@ -363,6 +367,102 @@ def test_row_templates_compile_once_per_structure():
     assert info.misses == info.currsize == 4
     kernels = {k.__code__ for m in models for k in m._row_kernels}
     assert len(kernels) == 4
+
+
+def _assert_body_terms_match_reference(model, poses, velocities):
+    """Q, the applied wrenches and, without joints, Vdot = M^-1 Q from the
+    compiled body kernels equal the interpreted reference bit for bit."""
+    frames = dynamics._frames(poses, velocities)
+    assert _bits(dynamics._body_terms(model._rhs_kernels, frames)) == \
+        _bits(reference_body_rhs(model, frames))
+    ref_w = reference_wrenches(model, [f[0] for f in frames], [f[1] for f in frames])
+    assert _bits(force_assembly(model, poses)) == _bits(ref_w)
+    if not model.joints:
+        assert _bits(accelerations(model, poses, velocities)) == \
+            _bits(reference_free_accelerations(model, frames))
+
+
+def _off_manifold_poses(rng, n):
+    """Random poses whose R leave SO(3) by up to 5 % per entry."""
+    return [Pose(random_rotation(rng) * rng.uniform(0.95, 1.05, (3, 3)), rng.uniform(-2, 2, 3))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("group", ["se3", "so3xr3"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_body_kernels_match_reference_bitwise(name, group):
+    """The compiled body terms of every built-in model equal the interpreted
+    ones on 50 random states off the manifold."""
+    model = build(name, group).model
+    rng = np.random.default_rng(113)
+    for _ in range(50):
+        _assert_body_terms_match_reference(model, _off_manifold_poses(rng, model.n_bodies),
+                                           rng.uniform(-3, 3, (model.n_bodies, 6)))
+
+
+def _sprung_off_com_body(representation, joints=()) -> MbsModel:
+    """An off-COM body on two springs, one attached off the reference frame
+    and one at it, and a body at its COM on one unattached spring, all
+    under gravity."""
+    bodies = [RigidBody("a", 2.5, np.diag([0.2, 0.3, 0.35]), com_offset=[0.3, -0.1, 0.05]),
+              RigidBody("b", 1.5, np.diag([0.1, 0.1, 0.15]))]
+    forces = [LinearSpring(0, [0.1, 0.2, -0.3], [1.0, 0.0, 0.5], 40.0),
+              Gravity([0.0, 0.0, -GRAV]),
+              LinearSpring(1, [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 25.0),
+              LinearSpring(0, [0.0, 0.0, 0.0], [-0.5, 0.2, 0.0], 10.0)]
+    return MbsModel(bodies, list(joints), forces, representation=representation)
+
+
+@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("jointed", [False, True], ids=["free", "jointed"])
+def test_sprung_off_com_body_terms_bitwise(representation, jointed):
+    """Off-COM bodies with attached and unattached springs, with and without
+    joints, on random states, and on velocities holding -0.0 and a NaN and
+    a rotation holding a NaN: signed zeros and NaN propagate as in the
+    interpreted kernel."""
+    joints = [Joint("spherical", 0, 1, anchor_a=[0.2, 0.0, 0.0])] if jointed else []
+    model = _sprung_off_com_body(representation, joints)
+    rng = np.random.default_rng(127)
+    for _ in range(50):
+        _assert_body_terms_match_reference(model, _off_manifold_poses(rng, 2),
+                                           rng.uniform(-3, 3, (2, 6)))
+    poses = [Pose(np.eye(3), np.zeros(3)), Pose(-np.eye(3), np.array([-0.0, 0.0, -0.0]))]
+    signed = np.array([[-0.0, 0.0, -0.0, -0.0, -0.0, 0.0], [0.0, -0.0, -0.0, 0.0, -0.0, -0.0]])
+    _assert_body_terms_match_reference(model, poses, signed)
+    signed[1, 1] = math.nan  # an angular rate: the mixed Q has no linear-velocity term
+    _assert_body_terms_match_reference(model, poses, signed)
+    assert np.isnan(dynamics._body_terms(model._rhs_kernels, dynamics._frames(poses, signed))).any()
+    # a NaN rotation reaches every wrench term, also the zero moment arm of
+    # an unattached spring
+    poses[1].R[0, 1] = math.nan
+    _assert_body_terms_match_reference(model, poses, -np.zeros((2, 6)))
+    weightless = MbsModel(model.bodies, model.joints, [], representation=representation)
+    _assert_body_terms_match_reference(weightless, poses, -np.zeros((2, 6)))
+
+
+def test_model_file_reload_compiles_no_template(tmp_path):
+    """A model file loaded again binds its kernels from the cached
+    templates: neither template cache misses."""
+    spec = build("rp-chain", "so3xr3")
+    path = tmp_path / "rp.yaml"
+    write_model_file(path, spec.model, spec.state0)
+    load_model_file(path, "so3xr3")
+    caches = (dynamics._row_template, dynamics._body_template)
+    misses = [c.cache_info().misses for c in caches]
+    load_model_file(path, "so3xr3")
+    assert [c.cache_info().misses for c in caches] == misses
+
+
+def test_body_templates_for_the_built_ins():
+    """The built-in models compile 12 body templates: per representation,
+    right-hand sides for a plain body, an off-COM body and a body with an
+    unattached or an attached spring, and Vdot = M^-1 Q with and without
+    the COM offset for the free bodies."""
+    dynamics._body_template.cache_clear()
+    for name in BUILDERS:
+        for group in ("se3", "so3xr3"):
+            build(name, group)
+    assert dynamics._body_template.cache_info().currsize == 12
 
 
 @pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
