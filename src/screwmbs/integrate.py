@@ -143,10 +143,9 @@ def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
 
     frames = [(p.R.tolist(), p.r.tolist()) for p in poses]
     ks = _stage_slopes(group, frames, t, dt, tableau, velocity)
-    # the step's end stays on arrays, phi = dt sum(b_j k_j) then compose(g,
-    # exp(phi)): the decoupling test reproduces this arithmetic bit for bit
-    phi = dt * sum(w * np.reshape(k, (-1, 6)) for w, k in zip(tableau.b, ks) if w != 0.0)
-    return [group.compose(g, group.exp(p)) for g, p in zip(poses, phi)]
+    phi = _combine(dt, tableau._weights, ks, [0.0] * (6 * len(frames)))
+    _advance(group, frames, phi, [(0.0, 0.0, 0.0)] * len(frames))
+    return [Pose(np.array(rot), np.array(r)) for rot, r in frames]
 
 
 def _coupled_increments(model: MbsModel, group: CSpaceGroup, frames, v0,
@@ -194,6 +193,16 @@ def _kahan_add(x, dx, comp):
     ys = [d - c for d, c in zip(dx, comp)]
     s = [a + y for a, y in zip(x, ys)]
     return s, [(b - a) - y for a, b, y in zip(x, s, ys)]
+
+
+def _advance(group: CSpaceGroup, frames, phi, comp_r) -> None:
+    """A step's end: each (R rows, r) float pose in ``frames`` becomes
+    g exp(phi_i), in place, its translation added compensated against
+    ``comp_r`` (all zeros: a plain add, as in mk_step)."""
+    for i, (rot, r) in enumerate(frames):
+        rot, delta = group.advance_parts(rot, phi[6 * i:6 * i + 6])
+        r, comp_r[i] = _kahan_add(r, delta, comp_r[i])
+        frames[i] = (rot, r)
 
 
 def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
@@ -253,10 +262,7 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
         if not math.isfinite(sum(dv, sum(phi))):
             raise IntegrationError("non-finite velocity or chart increment", step, t)
         v, comp_v = _kahan_add(v, dv, comp_v)
-        for i, (rot, r) in enumerate(frames):
-            rot, delta = group.advance_parts(rot, phi[6 * i:6 * i + 6])
-            r, comp_r[i] = _kahan_add(r, delta, comp_r[i])
-            frames[i] = (rot, r)
+        _advance(group, frames, phi, comp_r)
         t = t0 + step * dt
         if slot < len(sample_idx) and step == sample_idx[slot]:
             record(slot, t, frames, v)
@@ -270,9 +276,13 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
 # ---------------------------------------------------------------------------
 
 def _quat_chart(group_name: str):
-    """Width and per-body (pack, unpack, rates) functions of the quaternion
-    chart; chart coordinates and rates are flat float sequences, and
-    ``unpack`` gives the body's (R rows, r) float pair on either group."""
+    """Width and per-body (pack, unpack, rates, defects) functions of the
+    quaternion chart; chart coordinates and rates are flat float sequences,
+    ``unpack`` gives the body's (R rows, r) float pair on either group, and
+    ``defects`` its (unit norm, Pluecker) invariant defects."""
+    def unit(y):
+        return abs(math.sqrt(sum(x * x for x in y[:4])) - 1.0)
+
     if group_name == "se3":
         def pack(pose):
             return dq_from_pose(pose).as_vector().tolist()
@@ -284,7 +294,10 @@ def _quat_chart(group_name: str):
         def rates(y, v):
             return reconstruct_rates(DualQuaternion(y[:4], y[4:]), v)
 
-        return 8, pack, unpack, rates
+        def defects(y):
+            return unit(y), abs(sum(a * b for a, b in zip(y[:4], y[4:])))
+
+        return 8, pack, unpack, rates, defects
 
     def pack(pose):
         return quat_from_rotation(pose.R).tolist() + pose.r.tolist()
@@ -295,7 +308,10 @@ def _quat_chart(group_name: str):
     def rates(y, v):
         return euler_reconstruct_rates(y[:4], y[4:], v)
 
-    return 7, pack, unpack, rates
+    def defects(y):
+        return unit(y), 0.0
+
+    return 7, pack, unpack, rates, defects
 
 
 def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
@@ -309,7 +325,7 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     one flat float list: the chart coordinates of every body, then the 6n
     velocities.
     """
-    width, pack, unpack, chart_rates = _quat_chart(group.name)
+    width, pack, unpack, chart_rates, chart_defects = _quat_chart(group.name)
     n = model.n_bodies
     nq = width * n
     n_steps, sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
@@ -335,11 +351,8 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
         for i in range(n):
             q = y[width * i:width * (i + 1)]
             rec.rotations[slot, i], rec.positions[slot, i] = unpack(q)
-            norm_defect = abs(math.sqrt(sum(x * x for x in q[:4])) - 1.0)
-            plucker = (abs(sum(a * b for a, b in zip(q[:4], q[4:])))
-                       if width == 8 else 0.0)
-            rec.quat_defects[slot, 0] = max(rec.quat_defects[slot, 0], norm_defect)
-            rec.quat_defects[slot, 1] = max(rec.quat_defects[slot, 1], plucker)
+            rec.quat_defects[slot] = [max(a, b) for a, b in
+                                      zip(rec.quat_defects[slot], chart_defects(q))]
         rec.velocities[slot] = np.reshape(y[nq:], (n, 6))
     record(0, state0.t, y)
 

@@ -226,12 +226,9 @@ def so3_dexp(xi) -> np.ndarray:
 
 
 def so3_dexpinv(xi) -> np.ndarray:
-    """Matrix inverse of so3_dexp; pole at |xi| = 2*pi."""
-    xi = np.asarray(xi, dtype=float)
-    x = math.sqrt(xi @ xi)
-    _check_pole(x)
-    h = hat3(xi)
-    return _EYE3 - 0.5 * h + _dinv(x) * (h @ h)
+    """Matrix inverse of so3_dexp, the rotation block of dp_dexpinv; pole at
+    |xi| = 2*pi."""
+    return dp_dexpinv(xi)[:3, :3]
 
 
 def rotation_error(r_ref, r) -> float:
@@ -376,13 +373,6 @@ def _se3_dexp_adseries(x) -> np.ndarray:
     return _EYE6 + 0.5 * a + a2 / 6.0 + a3 / 24.0 + (a3 @ a) / 120.0
 
 
-def _se3_dexpinv_adseries(x) -> np.ndarray:
-    """Truncated Bernoulli series I - ad/2 + ad^2/12 - ad^4/720."""
-    a = se3_ad(x)
-    a2 = a @ a
-    return _EYE6 - 0.5 * a + a2 / 12.0 - (a2 @ a2) / 720.0
-
-
 def se3_dexp(x) -> np.ndarray:
     """6x6 right-translated dexp on SE(3): V = se3_dexp(-X) @ Xdot."""
     x = np.asarray(x, dtype=float)
@@ -399,25 +389,15 @@ def se3_dexp(x) -> np.ndarray:
 
 
 def se3_dexpinv(x) -> np.ndarray:
-    """Inverse of se3_dexp, block-triangular form with U = -J^-1 Q J^-1."""
-    x = np.asarray(x, dtype=float)
-    xi, eta = x[:3], x[3:]
-    xn = math.sqrt(xi @ xi)
-    _check_pole(xn)
-    if xn < SMALL_ANGLE:
-        return _se3_dexpinv_adseries(x)
-    m = np.zeros((6, 6))
-    ji = so3_dexpinv(xi)
-    m[:3, :3] = ji
-    m[3:, 3:] = ji
-    m[3:, :3] = -ji @ _se3_q(xi, eta, xn) @ ji
-    return m
+    """Inverse of se3_dexp: the columns of the stage loop's kernel on the unit
+    vectors, read as ``SE3Group.dexpinv_apply`` so a patched kernel reaches it."""
+    return np.array([SE3Group.dexpinv_apply(x, e) for e in _EYE6.tolist()]).T
 
 
 def se3_dexpinv_adpoly(x) -> np.ndarray:
     """Alternative closed form of se3_dexpinv as a polynomial in ad_X.
 
-    Independent evaluation route kept for cross-checking the block form.
+    Independent evaluation route kept for cross-checking the apply kernel.
     """
     x = np.asarray(x, dtype=float)
     xn = math.sqrt(x[:3] @ x[:3])
@@ -446,13 +426,13 @@ def _se3_ad_apply(xi, eta, v) -> tuple:
 
 
 def se3_dexpinv_apply(x, v) -> tuple:
-    """se3_dexpinv(x) @ v as a float tuple, without forming the 6x6 matrix.
+    """Inverse of se3_dexp(x) applied to v, as a float tuple.
 
-    With the block form [[J^-1, 0], [-J^-1 Q J^-1, J^-1]] the product is
+    se3_dexp is block-triangular, [[J, 0], [Q, J]], so the product is
     (J^-1 w, J^-1 (u - Q J^-1 w)); Q (the lower-left block of se3_dexp) is
     applied to a vector as the nested cross products of its hat-product
-    terms.  Below SMALL_ANGLE the truncated Bernoulli series is applied
-    term by term, as in se3_dexpinv.
+    terms.  Below SMALL_ANGLE the truncated Bernoulli series
+    I - ad/2 + ad^2/12 - ad^4/720 is applied term by term.
     """
     x = _floats(x)
     v = _floats(v)
@@ -508,20 +488,10 @@ def dp_log(c: Pose) -> np.ndarray:
     return np.concatenate([so3_log(c.R), c.r])
 
 
-def dp_ad(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    m = np.zeros((6, 6))
-    m[:3, :3] = hat3(x[:3])
-    return m
-
-
 def dp_dexpinv(x) -> np.ndarray:
-    """Block-diagonal (so3_dexpinv, I): rotation and translation decouple."""
-    x = np.asarray(x, dtype=float)
-    m = np.zeros((6, 6))
-    m[:3, :3] = so3_dexpinv(x[:3])
-    m[3:, 3:] = _EYE3
-    return m
+    """Block-diagonal (so3_dexpinv, I), the columns of the stage loop's kernel
+    ``DirectProductGroup.dexpinv_apply``: rotation and translation decouple."""
+    return np.array([DirectProductGroup.dexpinv_apply(x, e) for e in _EYE6.tolist()]).T
 
 
 def dp_dexpinv_apply(x, v) -> tuple:

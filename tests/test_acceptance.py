@@ -176,10 +176,12 @@ class TestDexpinvMutation:
     closed-form cross-check while leaving constant-twist exactness and the
     integrator's convergence order intact."""
 
-    def test_cross_check_criterion_fails(self):
-        result = acceptance.check_kernel_identities(
-            n=300, dexpinv=_dexpinv_second_order)
-        assert not result.passed
+    def test_cross_check_criterion_fails(self, monkeypatch):
+        # criterion 1 reads the kernel the stage loops call, so patching that
+        # kernel alone must turn it red
+        monkeypatch.setattr(liealg.SE3Group, "dexpinv_apply",
+                            staticmethod(_dexpinv_apply_second_order))
+        assert not acceptance.check_kernel_identities(n=300).passed
 
     def test_patch_reaches_the_step_loop(self, monkeypatch):
         # the stage loops must read the patched attribute, else the two

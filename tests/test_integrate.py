@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from screwmbs import bench, integrate as integrate_module
+from screwmbs import bench, integrate as integrate_module, liealg
 from screwmbs.dynamics import (
+    REPRESENTATION,
     Gravity,
     Joint,
     LinearSpring,
@@ -28,7 +29,7 @@ from screwmbs.liealg import (
     Pose,
     se3_compose,
     se3_exp,
-    so3_dexpinv,
+    mm3,
     so3_exp,
 )
 from oracles import coupled_step, random_screw
@@ -107,7 +108,8 @@ class TestMkStep:
 
     def test_so3xr3_step_decouples(self):
         # rotation follows the so(3) MK update and translation a plain RK
-        # update; the direct product arithmetic must agree exactly
+        # update; the direct product arithmetic must agree exactly with the
+        # float step end (the rotation rows times the exp rows, r + phi)
         tab = tableau_rk4()
         dt = 0.01
         r0 = so3_exp([0.3, 0.2, -0.1])
@@ -122,24 +124,66 @@ class TestMkStep:
 
         # reference: independent so3 chart update + vector-space RK on r,
         # replicating the stage accumulation order
+        def combine(terms, ks):
+            out = np.zeros(3)
+            for l, w in terms:
+                out = out + (dt * w) * ks[l]
+            return out
+
         ks_rot, ks_tr = [], []
         for j in range(tab.stages):
             deps = tab._deps[j]
             if deps:
-                psi_rot = dt * sum(w * ks_rot[l] for l, w in deps)
-                psi_tr = dt * sum(w * ks_tr[l] for l, w in deps)
-                stage = [Pose(r0 @ so3_exp(psi_rot), p0 + psi_tr)]
+                psi_rot = combine(deps, ks_rot)
+                stage = [Pose(r0 @ so3_exp(psi_rot), p0 + combine(deps, ks_tr))]
                 v = field(tab.c[j] * dt, stage)[0]
-                ks_rot.append(so3_dexpinv(-psi_rot) @ v[:3])
-                ks_tr.append(v[3:].copy())
+                c = liealg._dinv(np.linalg.norm(psi_rot))
+                ks_rot.append(np.array(liealg._so3_dexpinv_apply(-psi_rot, v[:3], c)))
             else:
                 v = field(0.0, [Pose(r0, p0)])[0]
                 ks_rot.append(v[:3].copy())
-                ks_tr.append(v[3:].copy())
-        phi_rot = dt * sum(w * k for w, k in zip(tab.b, ks_rot) if w != 0.0)
-        phi_tr = dt * sum(w * k for w, k in zip(tab.b, ks_tr) if w != 0.0)
-        assert np.array_equal(out[0].R, r0 @ so3_exp(phi_rot))
-        assert np.array_equal(out[0].r, p0 + phi_tr)
+            ks_tr.append(v[3:].copy())
+        phi_rot = combine(tab._weights, ks_rot)
+        rot = mm3(r0.tolist(), so3_exp(phi_rot).tolist())
+        assert np.array_equal(out[0].R, rot)
+        assert np.array_equal(out[0].r, p0 + combine(tab._weights, ks_tr))
+
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    def test_step_end_moves_each_body_like_integrate(self, group, monkeypatch):
+        # one advance_parts call per body and stage, the step's end included
+        calls = []
+        cls = type(group)
+        advance = cls.__dict__["advance_parts"].__func__
+        monkeypatch.setattr(cls, "advance_parts", staticmethod(
+            lambda rot, phi: calls.append(phi) or advance(rot, phi)))
+        tab = tableau_rk4()
+        model = MbsModel([BOX, RigidBody("box2", 2.0, np.diag([1.0, 2.0, 3.0]))],
+                         [], [], representation=REPRESENTATION[group.name])
+        v = RNG.normal(size=(2, 6))
+        state = MbsState([Pose.identity(), Pose(so3_exp([0.1, 0.2, 0.3]), np.ones(3))], v)
+        mk_step(group, state.poses, lambda t, g: v, 0.0, 0.01, tab)
+        assert len(calls) == tab.stages * 2
+        calls.clear()
+        integrate(model, group, state, 0.01, 0.01, tab)
+        assert len(calls) == tab.stages * 2
+
+    @pytest.mark.parametrize("group, v0", [
+        (SE3, [0.0, 0.0, 3.0, 0.0, 0.0, 0.5]),
+        (SO3R3, [0.0, 0.0, 3.0, 0.4, -0.2, 0.5]),
+    ], ids=["se3", "so3xr3"])
+    def test_torque_free_spin_step_is_mk_step(self, group, v0):
+        # a spin about a principal axis (on se3 with a slide along it, on
+        # so3xr3 with a COM rdot) has zero accelerations, so one integrate
+        # step is mk_step with the constant velocity, bit for bit
+        model = free_model(REPRESENTATION[group.name])
+        pose = Pose(so3_exp([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.25]))
+        v0 = np.array([v0])
+        tab, dt = tableau_rk4(), 0.01
+        rec = integrate(model, group, MbsState([pose], v0), dt, dt, tab)
+        out = mk_step(group, [pose], lambda t, g: v0, 0.0, dt, tab)
+        assert np.array_equal(rec.velocities[1], v0)
+        assert np.array_equal(rec.rotations[1, 0], out[0].R)
+        assert np.array_equal(rec.positions[1, 0], out[0].r)
 
 
 class TestCoupledStep:
