@@ -25,12 +25,11 @@ acceleration right-hand side is ``eta = -Jdot @ V``.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import Pose, add3, cross3, dot3, hat3, mtv3, mv3, sub3
+from .liealg import Pose, _Emitter, _names, add3, cross3, dot3, hat3, mtv3, mv3, sub3
 
 BODY_FIXED = "body"
 MIXED = "mixed"
@@ -417,60 +416,6 @@ def joint_geometry(joint: Joint, poses, model: MbsModel | None = None) -> np.nda
         else:  # offsetdot
             out.append(dot3(mv3(ra, row[1]), sub3(pb, pa)))
     return np.array(out)
-
-
-class _Emitter:
-    """Straight-line float code from vector-level formulas.  A vector is a
-    3-tuple of expressions (local names or literals); each op writes one
-    ``name = expr`` line per component in the operation order of the liealg
-    kernel of the same name (``cross`` is ``cross3``, ``mv`` is ``mv3``, ...).
-    A repeated op reuses its name; nothing is folded or reordered."""
-
-    def __init__(self):
-        self.lines, self._names = [], {}
-
-    def scalar(self, expr: str) -> str:
-        if expr not in self._names:
-            self._names[expr] = f"t{len(self._names)}"
-            self.lines.append(f"{self._names[expr]} = {expr}")
-        return self._names[expr]
-
-    def cross(self, a, b):
-        (a0, a1, a2), (b0, b1, b2) = a, b
-        return tuple(map(self.scalar, (f"{a1} * {b2} - {a2} * {b1}",
-                                       f"{a2} * {b0} - {a0} * {b2}",
-                                       f"{a0} * {b1} - {a1} * {b0}")))
-
-    def dot(self, a, b):
-        return self.scalar(" + ".join(f"{x} * {y}" for x, y in zip(a, b)))
-
-    def mv(self, m, x):
-        return tuple(self.dot(row, x) for row in m)
-
-    def mtv(self, m, x):
-        return self.mv(tuple(zip(*m)), x)
-
-    def add(self, a, b):
-        return tuple(self.scalar(f"{x} + {y}") for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.scalar(f"{x} - {y}") for x, y in zip(a, b))
-
-    def twice(self, a):
-        return tuple(self.scalar(f"2.0 * {x}") for x in a)
-
-    def live(self, outputs) -> list[str]:
-        """The lines the outputs depend on, in order; dead ones are dropped."""
-        used, live = set(re.findall(r"\bt\d+", " ".join(outputs))), []
-        for line in reversed(self.lines):
-            if line.split(" = ")[0] in used:
-                used.update(re.findall(r"\bt\d+", line))
-                live.append(line)
-        return live[::-1]
-
-
-def _names(s: str) -> tuple:
-    return (f"{s}0", f"{s}1", f"{s}2")
 
 
 def _frame(s: str) -> tuple:

@@ -13,6 +13,7 @@ part is a plain RK update sharing the same stage coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from .dualquat import (
     reconstruct_rates,
 )
 from .dynamics import MbsModel, MbsState, accelerations
-from .liealg import CSpaceGroup, Pose, add3
+from .liealg import CSpaceGroup, Pose
 
 
 class IntegrationError(RuntimeError):
@@ -56,6 +57,8 @@ class ButcherTableau:
         s = len(b)
         if a.shape != (s, s) or c.shape != (s,):
             raise ValueError("inconsistent tableau dimensions")
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+            raise ValueError("tableau coefficients must be finite")
         if np.abs(np.triu(a)).max() != 0.0:
             raise ValueError("tableau must be explicit (strictly lower triangular)")
         if abs(b.sum() - 1.0) > 1e-14:
@@ -63,13 +66,13 @@ class ButcherTableau:
         if np.abs(a.sum(axis=1) - c).max() > 1e-14:
             raise ValueError("nodes must satisfy c_j = sum_l a_jl")
         # nonzero stage couplings and weights as plain floats, precomputed
-        # for the stage loops
+        # for the stage loops; as tuples they key the compiled loop by value
         object.__setattr__(self, "_deps",
-                           [[(l, float(a[j, l])) for l in range(j) if a[j, l] != 0.0]
-                            for j in range(s)])
+                           tuple(tuple((l, float(a[j, l])) for l in range(j) if a[j, l] != 0.0)
+                                 for j in range(s)))
         object.__setattr__(self, "_weights",
-                           [(j, float(w)) for j, w in enumerate(b) if w != 0.0])
-        object.__setattr__(self, "_nodes", c.tolist())
+                           tuple((j, float(w)) for j, w in enumerate(b) if w != 0.0))
+        object.__setattr__(self, "_nodes", tuple(c.tolist()))
 
     @property
     def stages(self) -> int:
@@ -102,31 +105,58 @@ def _combine(dt: float, terms, rows, base) -> list[float]:
     return out
 
 
-def _stage_slopes(group: CSpaceGroup, frames, t: float, dt: float,
-                  tableau: ButcherTableau, velocity) -> list[list[float]]:
-    """Chart slopes k_j = dexpinv(-Psi_j) V_j of one shared-stage step from
-    the (R rows, r) float poses ``frames``; ``velocity(j, t_j, stage poses)``
-    gives V_j.  Slopes and velocities are flat lists of 6n floats."""
-    zeros = [0.0] * (6 * len(frames))
-    ks = []
-    for j, deps in enumerate(tableau._deps):
-        tj = t + tableau._nodes[j] * dt
-        if not deps:
-            # Psi_j = 0: the stage sits at g and needs no dexpinv evaluation
-            ks.append(velocity(j, tj, frames))
+@functools.cache
+def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int):
+    """The chart increment Phi = dt sum_j b_j k_j of one shared-stage step,
+    compiled once per process for each tableau's coefficients (by value) and
+    body count: ``loop(group, frames, t, dt, velocity)``.
+
+    The slopes are k_j = dexpinv(-Psi_j) V_j, with Psi_j = dt sum_l a_jl k_l
+    and the stage poses g_i exp(Psi_j,i) from the (R rows, r) float poses
+    ``frames``; ``velocity(j, t_j, stage poses)`` gives V_j as a flat list of
+    6n floats.  A stage with Psi_j = 0 sits at ``frames`` and needs no dexpinv
+    evaluation.  The group's kernels are read when the loop runs, so a
+    patched ``advance_parts`` or ``dexpinv_apply`` reaches it."""
+    m = 6 * n_bodies
+
+    def combine(terms, row):
+        # 0.0 + c_1 k_l1 + c_2 k_l2 + ... in term order, c = dt * w
+        return [" + ".join(["0.0", *(f"c{row}_{l} * k{l}_{i}" for l, _ in terms)])
+                for i in range(m)]
+
+    src = ["def loop(group, frames, t, dt, velocity):",
+           "    advance, dexpinv = group.advance_parts, group.dexpinv_apply",
+           *(f"    rot{i}, (r{i}_0, r{i}_1, r{i}_2) = frames[{i}]" for i in range(n_bodies))]
+    for j, stage_deps in enumerate(deps):
+        tj = f"t + {nodes[j]!r} * dt"
+        if not stage_deps:
+            src.append(f"    {', '.join(f'k{j}_{i}' for i in range(m))}, = "
+                       f"velocity({j}, {tj}, frames)")
             continue
-        psi = _combine(dt, deps, ks, zeros)
-        stage = []
-        for i, (rot, r) in enumerate(frames):
-            rot_j, delta = group.advance_parts(rot, psi[6 * i:6 * i + 6])
-            stage.append((rot_j, add3(r, delta)))
-        vj = velocity(j, tj, stage)
-        k = []
-        for i in range(len(frames)):
-            k.extend(group.dexpinv_apply([-x for x in psi[6 * i:6 * i + 6]],
-                                         vj[6 * i:6 * i + 6]))
-        ks.append(k)
-    return ks
+        src += [f"    c{j}_{l} = dt * {w!r}" for l, w in stage_deps]
+        src += [f"    p{j}_{i} = {expr}" for i, expr in enumerate(combine(stage_deps, j))]
+        psi = [[f"p{j}_{i}" for i in range(6 * b, 6 * b + 6)] for b in range(n_bodies)]
+        src += [f"    s{b}, (d{b}_0, d{b}_1, d{b}_2) = advance(rot{b}, ({', '.join(psi[b])}))"
+                for b in range(n_bodies)]
+        stage = ", ".join(f"(s{b}, (r{b}_0 + d{b}_0, r{b}_1 + d{b}_1, r{b}_2 + d{b}_2))"
+                          for b in range(n_bodies))
+        src.append(f"    v = velocity({j}, {tj}, [{stage}])")
+        src += [f"    {', '.join(f'k{j}_{i}' for i in range(6 * b, 6 * b + 6))} = dexpinv("
+                f"({', '.join('-' + p for p in psi[b])}), v[{6 * b}:{6 * b + 6}])"
+                for b in range(n_bodies)]
+    src += [f"    c{len(deps)}_{l} = dt * {w!r}" for l, w in weights]
+    src.append(f"    return [{', '.join(combine(weights, len(deps)))}]")
+    namespace = {}
+    exec(compile("\n".join(src), f"<stage loop {deps, weights, nodes, n_bodies}>", "exec"),
+         namespace)
+    return namespace["loop"]
+
+
+def _chart_increment(group: CSpaceGroup, frames, t: float, dt: float,
+                     tableau: ButcherTableau, velocity) -> list[float]:
+    """Phi of one shared-stage step through the compiled ``_stage_loop``."""
+    return _stage_loop(tableau._deps, tableau._weights, tableau._nodes, len(frames))(
+        group, frames, t, dt, velocity)
 
 
 def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
@@ -142,8 +172,7 @@ def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
         return np.asarray(v_field(tj, poses_j), dtype=float).reshape(-1).tolist()
 
     frames = [(p.R.tolist(), p.r.tolist()) for p in poses]
-    ks = _stage_slopes(group, frames, t, dt, tableau, velocity)
-    phi = _combine(dt, tableau._weights, ks, [0.0] * (6 * len(frames)))
+    phi = _chart_increment(group, frames, t, dt, tableau, velocity)
     _advance(group, frames, phi, [(0.0, 0.0, 0.0)] * len(frames))
     return [Pose(np.array(rot), np.array(r)) for rot, r in frames]
 
@@ -160,10 +189,8 @@ def _coupled_increments(model: MbsModel, group: CSpaceGroup, frames, v0,
         fs.append(accelerations(model, stage, vj, tj).reshape(-1).tolist())
         return vj
 
-    ks = _stage_slopes(group, frames, t, dt, tableau, velocity)
-    zeros = [0.0] * len(v0)
-    return (_combine(dt, tableau._weights, ks, zeros),
-            _combine(dt, tableau._weights, fs, zeros))
+    phi = _chart_increment(group, frames, t, dt, tableau, velocity)
+    return phi, _combine(dt, tableau._weights, fs, [0.0] * len(v0))
 
 
 @dataclass

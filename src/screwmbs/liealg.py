@@ -15,11 +15,14 @@ Conventions used throughout the package:
 
 The public kernels take and return float ndarrays; the integrator's inner
 loop holds poses as ``(R rows, r)`` float tuples, moved by ``advance_parts``.
+The kernels that loop calls are straight-line float code, emitted at import
+from vector-level formulas (``_Emitter``) in the interpreted operation order.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,23 +180,114 @@ def mtv3(m, x) -> tuple:
             r0[2] * x0 + r1[2] * x1 + r2[2] * x2)
 
 
-def mm3(a, b) -> tuple:
-    """Rows of a @ b for 3x3 matrices given as row sequences: a[i] @ b."""
-    return tuple(mtv3(b, row) for row in a)
+# ---------------------------------------------------------------------------
+# straight-line kernels
+# ---------------------------------------------------------------------------
+
+class _Emitter:
+    """Straight-line float code from vector-level formulas.  A vector is a
+    3-tuple of expressions (local names or literals); each op writes one
+    ``name = expr`` line per component in the operation order of the 3-vector
+    kernel of the same name (``cross`` is ``cross3``, ``mv`` is ``mv3``, ...).
+    A repeated op reuses its name; nothing is folded or reordered."""
+
+    def __init__(self):
+        self.lines, self._names = [], {}
+
+    def scalar(self, expr: str) -> str:
+        if expr not in self._names:
+            self._names[expr] = f"t{len(self._names)}"
+            self.lines.append(f"{self._names[expr]} = {expr}")
+        return self._names[expr]
+
+    def cross(self, a, b):
+        (a0, a1, a2), (b0, b1, b2) = a, b
+        return tuple(map(self.scalar, (f"{a1} * {b2} - {a2} * {b1}",
+                                       f"{a2} * {b0} - {a0} * {b2}",
+                                       f"{a0} * {b1} - {a1} * {b0}")))
+
+    def dot(self, a, b):
+        return self.scalar(" + ".join(f"{x} * {y}" for x, y in zip(a, b)))
+
+    def mv(self, m, x):
+        return tuple(self.dot(row, x) for row in m)
+
+    def mtv(self, m, x):
+        return self.mv(tuple(zip(*m)), x)
+
+    def add(self, a, b):
+        return tuple(self.scalar(f"{x} + {y}") for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(self.scalar(f"{x} - {y}") for x, y in zip(a, b))
+
+    def twice(self, a):
+        return tuple(self.scalar(f"2.0 * {x}") for x in a)
+
+    def live(self, outputs) -> list[str]:
+        """The lines the outputs depend on, in order; dead ones are dropped."""
+        used, live = set(re.findall(r"\bt\d+", " ".join(outputs))), []
+        for line in reversed(self.lines):
+            if line.split(" = ")[0] in used:
+                used.update(re.findall(r"\bt\d+", line))
+                live.append(line)
+        return live[::-1]
 
 
-def _so3_exp_rows(x0: float, x1: float, x2: float) -> tuple:
+def _names(s: str, n: int = 3) -> tuple:
+    return tuple(f"{s}{i}" for i in range(n))
+
+
+def _define(signature: str, body, doc: str):
+    """The function ``def signature:`` over the body lines, compiled with this
+    module's globals, so it calls the coefficient functions by name."""
+    namespace = {}
+    src = "\n".join([f"def {signature}:", *(f"    {line}" for line in body)])
+    exec(compile(src, f"<{signature}>", "exec"), globals(), namespace)
+    (fn,) = namespace.values()
+    fn.__doc__ = doc
+    return fn
+
+
+def _block(emit) -> list[str]:
+    """Straight-line lines computing and returning ``emit(emitter)``'s
+    outputs (names in nested tuples)."""
+    e = _Emitter()
+    ret = "return " + str(emit(e)).replace("'", "")
+    return [*e.live([ret]), ret]
+
+
+_X, _V = _names("x", 6), _names("v", 6)
+_ROT = tuple(_names(f"a{i}_") for i in range(3))
+_UNPACK_V = f"{', '.join(_V)} = _floats(v)"
+_NORM = "xn = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)"
+
+
+def _emit_so3_exp_rows(e: _Emitter, x):
     """Rows of I + sinc*hat(xi) + cos1*hat(xi)^2 (Euler-Rodrigues), with
-    hat(xi)^2 = xi xi^T - |xi|^2 I written out entrywise."""
-    s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
-    x = math.sqrt(s0 + s1 + s2)
-    a = _sinc(x)
-    b = _cos1(x)
-    ax0, ax1, ax2 = a * x0, a * x1, a * x2
-    b01, b02, b12 = b * (x0 * x1), b * (x0 * x2), b * (x1 * x2)
-    return ((1.0 - b * (s1 + s2), b01 - ax2, b02 + ax1),
-            (b01 + ax2, 1.0 - b * (s0 + s2), b12 - ax0),
-            (b02 - ax1, b12 + ax0, 1.0 - b * (s0 + s1)))
+    hat(xi)^2 = xi xi^T - |xi|^2 I written out entrywise; and |xi|."""
+    x0, x1, x2 = x
+    s = e.scalar
+    s0, s1, s2 = (s(f"{c} * {c}") for c in x)
+    xn = s(f"math.sqrt({s0} + {s1} + {s2})")
+    a, b = s(f"_sinc({xn})"), s(f"_cos1({xn})")
+    ax0, ax1, ax2 = (s(f"{a} * {c}") for c in x)
+    b01, b02, b12 = (s(f"{b} * ({p} * {q})") for p, q in ((x0, x1), (x0, x2), (x1, x2)))
+    return ((s(f"1.0 - {b} * ({s1} + {s2})"), s(f"{b01} - {ax2}"), s(f"{b02} + {ax1}")),
+            (s(f"{b01} + {ax2}"), s(f"1.0 - {b} * ({s0} + {s2})"), s(f"{b12} - {ax0}")),
+            (s(f"{b02} - {ax1}"), s(f"{b12} + {ax0}"), s(f"1.0 - {b} * ({s0} + {s1})"))), xn
+
+
+def _emit_so3_dexpinv_apply(e: _Emitter, xi, y, c):
+    """so3_dexpinv(xi) @ y = y - xi x y / 2 + c xi x (xi x y), c = _dinv(|xi|)."""
+    p = e.cross(xi, y)
+    pp = e.cross(xi, p)
+    return tuple(e.scalar(f"{a} - 0.5 * {b} + {c} * {d}") for a, b, d in zip(y, p, pp))
+
+
+_so3_exp_rows = _define("_so3_exp_rows(x0, x1, x2)",
+                        _block(lambda e: _emit_so3_exp_rows(e, _X[:3])[0]),
+                        "Rows of exp(hat(xi)) for xi = (x0, x1, x2) (Euler-Rodrigues).")
 
 
 def so3_exp(xi) -> np.ndarray:
@@ -303,19 +397,20 @@ def se3_inverse(c: Pose) -> Pose:
     return Pose(c.R.T, -(c.R.T @ c.r))
 
 
-def _se3_exp_parts(x) -> tuple:
-    """se3_exp on floats: (rows of exp(xi), dexp_xi @ eta)."""
-    x0, x1, x2, e0, e1, e2 = x
-    xi = (x0, x1, x2)
-    xn = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    # dexp_xi @ eta = eta + cos1 xi x eta + xs3 xi x (xi x eta)
-    c = cross3(xi, (e0, e1, e2))
-    cc = cross3(xi, c)
-    b, d = _cos1(xn), _xs3(xn)
-    return (_so3_exp_rows(x0, x1, x2),
-            (e0 + b * c[0] + d * cc[0],
-             e1 + b * c[1] + d * cc[1],
-             e2 + b * c[2] + d * cc[2]))
+def _emit_se3_exp_parts(e: _Emitter, x):
+    """(rows of exp(xi), dexp_xi @ eta) of x = (xi, eta), with
+    dexp_xi @ eta = eta + cos1 xi x eta + xs3 xi x (xi x eta)."""
+    xi, eta = x[:3], x[3:]
+    rows, xn = _emit_so3_exp_rows(e, xi)
+    c = e.cross(xi, eta)
+    cc = e.cross(xi, c)
+    b, d = e.scalar(f"_cos1({xn})"), e.scalar(f"_xs3({xn})")
+    return rows, tuple(e.scalar(f"{u} + {b} * {p} + {d} * {q}") for u, p, q in zip(eta, c, cc))
+
+
+_se3_exp_parts = _define("_se3_exp_parts(x)",
+                         [f"{', '.join(_X)} = x", *_block(lambda e: _emit_se3_exp_parts(e, _X))],
+                         "se3_exp on floats: (rows of exp(xi), dexp_xi @ eta).")
 
 
 def se3_exp(x) -> Pose:
@@ -407,63 +502,54 @@ def se3_dexpinv_adpoly(x) -> np.ndarray:
     return _EYE6 - 0.5 * a + _adpoly2(xn) * a2 + _adpoly4(xn) * (a2 @ a2)
 
 
-def _so3_dexpinv_apply(xi, y, c: float) -> tuple:
-    """so3_dexpinv(xi) @ y = y - xi x y / 2 + c xi x (xi x y), c = _dinv(|xi|)."""
-    p = cross3(xi, y)
-    pp = cross3(xi, p)
-    return (y[0] - 0.5 * p[0] + c * pp[0],
-            y[1] - 0.5 * p[1] + c * pp[1],
-            y[2] - 0.5 * p[2] + c * pp[2])
-
-
-def _se3_ad_apply(xi, eta, v) -> tuple:
-    """se3_ad(X) @ v = (xi x w, xi x u + eta x w) for v = (w, u)."""
-    w, u = v[:3], v[3:]
-    a = cross3(xi, w)
-    b = cross3(xi, u)
-    c = cross3(eta, w)
-    return (a[0], a[1], a[2], b[0] + c[0], b[1] + c[1], b[2] + c[2])
-
-
-def se3_dexpinv_apply(x, v) -> tuple:
-    """Inverse of se3_dexp(x) applied to v, as a float tuple.
-
-    se3_dexp is block-triangular, [[J, 0], [Q, J]], so the product is
-    (J^-1 w, J^-1 (u - Q J^-1 w)); Q (the lower-left block of se3_dexp) is
-    applied to a vector as the nested cross products of its hat-product
-    terms.  Below SMALL_ANGLE the truncated Bernoulli series
-    I - ad/2 + ad^2/12 - ad^4/720 is applied term by term.
-    """
-    x = _floats(x)
-    v = _floats(v)
+def _emit_se3_dexpinv_apply(e: _Emitter, x, v):
+    """(J^-1 w, J^-1 (u - Q J^-1 w)) for v = (w, u): se3_dexp is [[J, 0], [Q, J]],
+    and Q, the lower-left block, is applied as the nested cross products of
+    its hat-product terms (as in _se3_q)."""
     xi, eta = x[:3], x[3:]
-    xn = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
-    _check_pole(xn)
-    if xn < SMALL_ANGLE:
-        a1 = _se3_ad_apply(xi, eta, v)
-        a2 = _se3_ad_apply(xi, eta, a1)
-        a4 = _se3_ad_apply(xi, eta, _se3_ad_apply(xi, eta, a2))
-        return tuple([v[i] - 0.5 * a1[i] + a2[i] / 12.0 - a4[i] / 720.0
-                      for i in range(6)])
-    c = _dinv(xn)
-    top = _so3_dexpinv_apply(xi, v[:3], c)
-    # Q y for y = top, term by term as in _se3_q
-    e = cross3(eta, top)
-    p = cross3(xi, top)
-    xe = cross3(xi, e)
-    ep = cross3(eta, p)
-    xep = cross3(xi, ep)
-    xxe = cross3(xi, xe)
-    epp = cross3(eta, cross3(xi, p))
-    xepp = cross3(xi, epp)
-    xxep = cross3(xi, xep)
-    c3, c4, c5 = _xs3(xn), _q2(xn), _q3(xn)
-    rest = [v[3 + i] - (0.5 * e[i]
-                        + c3 * (xe[i] + ep[i] + xep[i])
-                        + c4 * (xxe[i] + epp[i] - 3.0 * xep[i])
-                        + c5 * (xepp[i] + xxep[i]))
+    c = e.scalar("_dinv(xn)")
+    top = _emit_so3_dexpinv_apply(e, xi, v[:3], c)
+    ee = e.cross(eta, top)
+    p = e.cross(xi, top)
+    xe = e.cross(xi, ee)
+    ep = e.cross(eta, p)
+    xep = e.cross(xi, ep)
+    xxe = e.cross(xi, xe)
+    epp = e.cross(eta, e.cross(xi, p))
+    xepp = e.cross(xi, epp)
+    xxep = e.cross(xi, xep)
+    c3, c4, c5 = (e.scalar(f"{f}(xn)") for f in ("_xs3", "_q2", "_q3"))
+    rest = [e.scalar(f"{v[3 + i]} - (0.5 * {ee[i]}"
+                     f" + {c3} * ({xe[i]} + {ep[i]} + {xep[i]})"
+                     f" + {c4} * ({xxe[i]} + {epp[i]} - 3.0 * {xep[i]})"
+                     f" + {c5} * ({xepp[i]} + {xxep[i]}))")
             for i in range(3)]
-    return top + _so3_dexpinv_apply(xi, rest, c)
+    return (*top, *_emit_so3_dexpinv_apply(e, xi, rest, c))
+
+
+def _emit_se3_dexpinv_series(e: _Emitter, x, v):
+    """The truncated Bernoulli series I - ad/2 + ad^2/12 - ad^4/720 applied
+    term by term, with ad_X (w, u) = (xi x w, xi x u + eta x w)."""
+    xi, eta = x[:3], x[3:]
+
+    def ad(w):
+        return (*e.cross(xi, w[:3]), *e.add(e.cross(xi, w[3:]), e.cross(eta, w[:3])))
+
+    a1 = ad(v)
+    a2 = ad(a1)
+    a4 = ad(ad(a2))
+    return tuple(e.scalar(f"{p} - 0.5 * {a} + {b} / 12.0 - {c} / 720.0")
+                 for p, a, b, c in zip(v, a1, a2, a4))
+
+
+se3_dexpinv_apply = _define(
+    "se3_dexpinv_apply(x, v)",
+    [f"{', '.join(_X)} = _floats(x)", _UNPACK_V, _NORM, "_check_pole(xn)", "if xn < SMALL_ANGLE:",
+     *(f"    {line}" for line in _block(lambda e: _emit_se3_dexpinv_series(e, _X, _V))),
+     *_block(lambda e: _emit_se3_dexpinv_apply(e, _X, _V))],
+    """Inverse of se3_dexp(x) applied to v, as a float tuple: the closed form
+    (_emit_se3_dexpinv_apply), below SMALL_ANGLE the truncated Bernoulli
+    series; straight-line code, x and v as float sequences or ndarrays.""")
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +580,14 @@ def dp_dexpinv(x) -> np.ndarray:
     return np.array([DirectProductGroup.dexpinv_apply(x, e) for e in _EYE6.tolist()]).T
 
 
-def dp_dexpinv_apply(x, v) -> tuple:
+dp_dexpinv_apply = _define(
+    "dp_dexpinv_apply(x, v)",
+    [f"{', '.join(_X[:3])} = _floats(x)[:3]", _UNPACK_V, _NORM, "_check_pole(xn)",
+     *_block(lambda e: (*_emit_so3_dexpinv_apply(e, _X[:3], _V[:3], e.scalar("_dinv(xn)")),
+                        *_V[3:]))],
     """dp_dexpinv(x) @ v as a float tuple: the rotation part through
-    so3_dexpinv, the translation part unchanged."""
-    xi = _floats(x)[:3]
-    v = _floats(v)
-    xn = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
-    _check_pole(xn)
-    return _so3_dexpinv_apply(xi, v[:3], _dinv(xn)) + tuple(v[3:])
+    so3_dexpinv, the translation part unchanged; x may be the rotation part
+    alone.""")
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +618,23 @@ def three_angle_rates_matrix(axes, angles) -> np.ndarray:
 # configuration-space group objects
 # ---------------------------------------------------------------------------
 
+def _emit_se3_advance(e: _Emitter):
+    rows, t = _emit_se3_exp_parts(e, _X)
+    return tuple(e.mtv(rows, row) for row in _ROT), e.mv(_ROT, t)
+
+
+def _emit_dp_advance(e: _Emitter):
+    rows, _ = _emit_so3_exp_rows(e, _X[:3])
+    return tuple(e.mtv(rows, row) for row in _ROT), _X[3:]
+
+
+def _advance_kernel(emit, doc: str):
+    """The staticmethod ``advance_parts(rot, phi)`` returning ``emit``'s
+    outputs for R = rot (rows) and phi = (xi, eta)."""
+    head = [str(_ROT).replace("'", "") + " = rot", f"{', '.join(_X)} = phi"]
+    return staticmethod(_define("advance_parts(rot, phi)", [*head, *_block(emit)], doc))
+
+
 class CSpaceGroup:
     """Behavior bundle of one candidate configuration-space Lie group."""
 
@@ -552,12 +655,10 @@ class SE3Group(CSpaceGroup):
     dexpinv = staticmethod(se3_dexpinv)
     dexpinv_apply = staticmethod(se3_dexpinv_apply)
 
-    @staticmethod
-    def advance_parts(rot, phi) -> tuple[tuple, tuple]:
+    advance_parts = _advance_kernel(
+        _emit_se3_advance,
         """compose((R, r), exp(phi)) on floats as (rows of the new rotation,
-        translation increment), so long runs can add the increment compensated."""
-        rows, t = _se3_exp_parts(phi)
-        return mm3(rot, rows), mv3(rot, t)
+        translation increment), so long runs can add the increment compensated.""")
 
 
 class DirectProductGroup(CSpaceGroup):
@@ -571,9 +672,8 @@ class DirectProductGroup(CSpaceGroup):
     dexpinv = staticmethod(dp_dexpinv)
     dexpinv_apply = staticmethod(dp_dexpinv_apply)
 
-    @staticmethod
-    def advance_parts(rot, phi) -> tuple[tuple, tuple]:
-        return mm3(rot, _so3_exp_rows(*phi[:3])), tuple(phi[3:])
+    advance_parts = _advance_kernel(
+        _emit_dp_advance, "compose((R, r), exp(phi)) on floats: (rows of R exp(xi), eta).")
 
 
 SE3 = SE3Group()

@@ -6,6 +6,8 @@ operator series, derivatives through central finite differences.
 """
 
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -22,12 +24,20 @@ from screwmbs.dynamics import (
 from screwmbs.dualquat import DualQuaternion, dmat, emat, quat_mul
 from screwmbs.integrate import integrate
 from screwmbs.liealg import (
+    SMALL_ANGLE,
     Pose,
+    _check_pole,
+    _cos1,
+    _dinv,
+    _floats,
+    _q2,
+    _q3,
+    _sinc,
+    _xs3,
     add3,
     cross3,
     dot3,
     hat3,
-    mm3,
     mtv3,
     mv3,
     rotation_error,
@@ -599,3 +609,158 @@ def reference_energy(record, model, datum: float = 0.0):
         kin[k] = kinetic_energy(model, state)
         tot[k] = total_energy(model, state) + datum
     return kin, tot
+
+
+# ---------------------------------------------------------------------------
+# interpreted Munthe-Kaas kernels: the IEEE-byte reference for the emitted
+# liealg kernels and the generated integrate stage loop, which must give the
+# same bits in the same operation order
+# ---------------------------------------------------------------------------
+
+def mm3(a, b) -> tuple:
+    """Rows of a @ b for 3x3 matrices given as row sequences: a[i] @ b."""
+    return tuple(mtv3(b, row) for row in a)
+
+
+def so3_exp_rows(x0: float, x1: float, x2: float) -> tuple:
+    """Rows of I + sinc*hat(xi) + cos1*hat(xi)^2 (Euler-Rodrigues), with
+    hat(xi)^2 = xi xi^T - |xi|^2 I written out entrywise."""
+    s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
+    x = math.sqrt(s0 + s1 + s2)
+    a = _sinc(x)
+    b = _cos1(x)
+    ax0, ax1, ax2 = a * x0, a * x1, a * x2
+    b01, b02, b12 = b * (x0 * x1), b * (x0 * x2), b * (x1 * x2)
+    return ((1.0 - b * (s1 + s2), b01 - ax2, b02 + ax1),
+            (b01 + ax2, 1.0 - b * (s0 + s2), b12 - ax0),
+            (b02 - ax1, b12 + ax0, 1.0 - b * (s0 + s1)))
+
+
+def se3_exp_parts(x) -> tuple:
+    """se3_exp on floats: (rows of exp(xi), dexp_xi @ eta)."""
+    x0, x1, x2, e0, e1, e2 = x
+    xi = (x0, x1, x2)
+    xn = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    # dexp_xi @ eta = eta + cos1 xi x eta + xs3 xi x (xi x eta)
+    c = cross3(xi, (e0, e1, e2))
+    cc = cross3(xi, c)
+    b, d = _cos1(xn), _xs3(xn)
+    return (so3_exp_rows(x0, x1, x2),
+            (e0 + b * c[0] + d * cc[0],
+             e1 + b * c[1] + d * cc[1],
+             e2 + b * c[2] + d * cc[2]))
+
+
+def se3_advance_parts(rot, phi) -> tuple:
+    """SE3Group.advance_parts: (rows of R exp(phi)_R, R dexp_xi eta)."""
+    rows, t = se3_exp_parts(phi)
+    return mm3(rot, rows), mv3(rot, t)
+
+
+def dp_advance_parts(rot, phi) -> tuple:
+    """DirectProductGroup.advance_parts: (rows of R exp(xi), eta)."""
+    return mm3(rot, so3_exp_rows(*phi[:3])), tuple(phi[3:])
+
+
+def _so3_dexpinv_apply(xi, y, c: float) -> tuple:
+    """so3_dexpinv(xi) @ y = y - xi x y / 2 + c xi x (xi x y), c = _dinv(|xi|)."""
+    p = cross3(xi, y)
+    pp = cross3(xi, p)
+    return (y[0] - 0.5 * p[0] + c * pp[0],
+            y[1] - 0.5 * p[1] + c * pp[1],
+            y[2] - 0.5 * p[2] + c * pp[2])
+
+
+def _se3_ad_apply(xi, eta, v) -> tuple:
+    """se3_ad(X) @ v = (xi x w, xi x u + eta x w) for v = (w, u)."""
+    w, u = v[:3], v[3:]
+    a = cross3(xi, w)
+    b = cross3(xi, u)
+    c = cross3(eta, w)
+    return (a[0], a[1], a[2], b[0] + c[0], b[1] + c[1], b[2] + c[2])
+
+
+def se3_dexpinv_apply(x, v) -> tuple:
+    """Inverse of se3_dexp(x) applied to v: (J^-1 w, J^-1 (u - Q J^-1 w)) with
+    Q applied as nested cross products; the truncated Bernoulli series
+    I - ad/2 + ad^2/12 - ad^4/720 below SMALL_ANGLE."""
+    x = _floats(x)
+    v = _floats(v)
+    xi, eta = x[:3], x[3:]
+    xn = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
+    _check_pole(xn)
+    if xn < SMALL_ANGLE:
+        a1 = _se3_ad_apply(xi, eta, v)
+        a2 = _se3_ad_apply(xi, eta, a1)
+        a4 = _se3_ad_apply(xi, eta, _se3_ad_apply(xi, eta, a2))
+        return tuple([v[i] - 0.5 * a1[i] + a2[i] / 12.0 - a4[i] / 720.0
+                      for i in range(6)])
+    c = _dinv(xn)
+    top = _so3_dexpinv_apply(xi, v[:3], c)
+    e = cross3(eta, top)
+    p = cross3(xi, top)
+    xe = cross3(xi, e)
+    ep = cross3(eta, p)
+    xep = cross3(xi, ep)
+    xxe = cross3(xi, xe)
+    epp = cross3(eta, cross3(xi, p))
+    xepp = cross3(xi, epp)
+    xxep = cross3(xi, xep)
+    c3, c4, c5 = _xs3(xn), _q2(xn), _q3(xn)
+    rest = [v[3 + i] - (0.5 * e[i]
+                        + c3 * (xe[i] + ep[i] + xep[i])
+                        + c4 * (xxe[i] + epp[i] - 3.0 * xep[i])
+                        + c5 * (xepp[i] + xxep[i]))
+            for i in range(3)]
+    return top + _so3_dexpinv_apply(xi, rest, c)
+
+
+def dp_dexpinv_apply(x, v) -> tuple:
+    """dp_dexpinv(x) @ v: the rotation part through so3_dexpinv, the
+    translation part unchanged."""
+    xi = _floats(x)[:3]
+    v = _floats(v)
+    xn = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
+    _check_pole(xn)
+    return _so3_dexpinv_apply(xi, v[:3], _dinv(xn)) + tuple(v[3:])
+
+
+def _combine(dt: float, terms, rows, base) -> list:
+    """base + dt * sum(w * rows[l] for l, w in terms), elementwise on floats."""
+    out = base
+    for l, w in terms:
+        c = dt * w
+        out = [o + c * x for o, x in zip(out, rows[l])]
+    return out
+
+
+def _stage_slopes(group, frames, t: float, dt: float, tableau, velocity) -> list:
+    """Chart slopes k_j = dexpinv(-Psi_j) V_j of one shared-stage step from
+    the (R rows, r) float poses ``frames``; ``velocity(j, t_j, stage poses)``
+    gives V_j."""
+    zeros = [0.0] * (6 * len(frames))
+    ks = []
+    for j, deps in enumerate(tableau._deps):
+        tj = t + tableau._nodes[j] * dt
+        if not deps:
+            ks.append(velocity(j, tj, frames))
+            continue
+        psi = _combine(dt, deps, ks, zeros)
+        stage = []
+        for i, (rot, r) in enumerate(frames):
+            rot_j, delta = group.advance_parts(rot, psi[6 * i:6 * i + 6])
+            stage.append((rot_j, add3(r, delta)))
+        vj = velocity(j, tj, stage)
+        k = []
+        for i in range(len(frames)):
+            k.extend(group.dexpinv_apply([-x for x in psi[6 * i:6 * i + 6]],
+                                         vj[6 * i:6 * i + 6]))
+        ks.append(k)
+    return ks
+
+
+def chart_increment(group, frames, t: float, dt: float, tableau, velocity) -> list:
+    """The step's chart increment Phi = dt sum b_j k_j, interpreted: the
+    reference for integrate's generated stage loop."""
+    ks = _stage_slopes(group, frames, t, dt, tableau, velocity)
+    return _combine(dt, tableau._weights, ks, [0.0] * (6 * len(frames)))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from screwmbs import bench, integrate as integrate_module, liealg
+import oracles
+from screwmbs import bench, cli, integrate as integrate_module, liealg
 from screwmbs.dynamics import (
     REPRESENTATION,
     Gravity,
@@ -29,10 +30,9 @@ from screwmbs.liealg import (
     Pose,
     se3_compose,
     se3_exp,
-    mm3,
     so3_exp,
 )
-from oracles import coupled_step, random_screw
+from oracles import _so3_dexpinv_apply, coupled_step, mm3, random_pose, random_screw
 
 RNG = np.random.default_rng(31337)
 
@@ -63,6 +63,15 @@ class TestTableaus:
     def test_rejects_implicit(self):
         with pytest.raises(ValueError):
             ButcherTableau(np.eye(2), np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # the consistency checks compare with > and let NaN through; the
+        # compiled stage loop writes coefficients as literals
+        a = np.zeros((2, 2))
+        a[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ButcherTableau(a, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
 
 
 class TestMkStep:
@@ -138,7 +147,7 @@ class TestMkStep:
                 stage = [Pose(r0 @ so3_exp(psi_rot), p0 + combine(deps, ks_tr))]
                 v = field(tab.c[j] * dt, stage)[0]
                 c = liealg._dinv(np.linalg.norm(psi_rot))
-                ks_rot.append(np.array(liealg._so3_dexpinv_apply(-psi_rot, v[:3], c)))
+                ks_rot.append(np.array(_so3_dexpinv_apply(-psi_rot, v[:3], c)))
             else:
                 v = field(0.0, [Pose(r0, p0)])[0]
                 ks_rot.append(v[:3].copy())
@@ -313,6 +322,75 @@ class TestIntegrate:
         for _ in range(100_000):
             poses = mk_step(SE3, poses, field, 0.0, 1e-3, tab)
         assert poses[0].orthonormality_defect() < 1e-9
+
+
+INTERPRETED_KERNELS = {SE3: (oracles.se3_advance_parts, oracles.se3_dexpinv_apply),
+                       SO3R3: (oracles.dp_advance_parts, oracles.dp_dexpinv_apply)}
+
+
+def interpret(monkeypatch, group, kernels: bool):
+    """Route the step through the interpreted stage loop and, with
+    ``kernels``, the group's interpreted Lie-group kernels."""
+    monkeypatch.setattr(integrate_module, "_chart_increment", oracles.chart_increment)
+    if kernels:
+        for name, fn in zip(("advance_parts", "dexpinv_apply"), INTERPRETED_KERNELS[group]):
+            monkeypatch.setattr(type(group), name, staticmethod(fn))
+
+
+class TestGeneratedStageLoop:
+    """The generated stage loop and emitted kernels give the interpreted
+    step's bits: the same records over 50 steps and the same mk_step poses."""
+
+    TABLEAUS = [tableau_rk4, tableau_explicit_trapezoidal]
+
+    @pytest.mark.parametrize("kernels", [False, True], ids=["loop", "loop+kernels"])
+    @pytest.mark.parametrize("tableau", TABLEAUS, ids=["rk4", "trapezoid"])
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    @pytest.mark.parametrize("name", ["free-body-offset", "double-pendulum", "four-bar"])
+    def test_integrate_records_equal(self, monkeypatch, name, group, tableau, kernels):
+        spec = bench.build(name, group.name)
+        dt = 1e-3
+
+        def run():
+            return integrate(spec.model, group, spec.state0, dt, 50 * dt, tableau())
+
+        compiled = run()
+        interpret(monkeypatch, group, kernels)
+        reference = run()
+        for field in ("times", "rotations", "positions", "velocities"):
+            # as IEEE bytes, so signed zeros count
+            assert getattr(compiled, field).tobytes() == getattr(reference, field).tobytes()
+
+    @pytest.mark.parametrize("tableau", TABLEAUS, ids=["rk4", "trapezoid"])
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mk_step_equal(self, monkeypatch, n, group, tableau):
+        poses = [random_pose(RNG) for _ in range(n)]
+
+        def field(t, g):
+            return np.array([[0.5 + 0.1 * p.r[0], -0.2, 0.3 * t, 1.0, p.R[0, 1], -0.4]
+                             for p in g])
+
+        compiled = mk_step(group, poses, field, 0.1, 0.05, tableau())
+        interpret(monkeypatch, group, True)
+        reference = mk_step(group, poses, field, 0.1, 0.05, tableau())
+        for a, b in zip(compiled, reference):
+            assert a.R.tobytes() == b.R.tobytes() and a.r.tobytes() == b.r.tobytes()
+
+    def test_compiled_once_per_coefficients(self, tmp_path, monkeypatch):
+        # fresh tableaux with equal coefficients share one loop, and repeated
+        # simulate jobs on one model compile nothing new
+        loop = integrate_module._stage_loop
+        a, b = tableau_rk4(), tableau_rk4()
+        assert loop(a._deps, a._weights, a._nodes, 2) is loop(b._deps, b._weights, b._nodes, 2)
+        monkeypatch.chdir(tmp_path)
+        args = ["simulate", "--model", "double-pendulum", "--group", "se3",
+                "--dt", "1e-3", "--tf", "0.005", "--out", "dp.csv"]
+        assert cli.main(args) == 0
+        size = loop.cache_info().currsize
+        for _ in range(3):
+            assert cli.main(args) == 0
+        assert loop.cache_info().currsize == size
 
 
 class TestIntegrateQuaternion:

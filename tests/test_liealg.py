@@ -37,6 +37,7 @@ from screwmbs.liealg import (
     so3_log,
     three_angle_rates_matrix,
 )
+import oracles
 from oracles import (
     central_diff,
     dp_matrix,
@@ -308,6 +309,86 @@ class TestDexpinvApply:
     def test_pole_error(self, group):
         with pytest.raises(PoleError):
             group.dexpinv_apply(np.array([2 * math.pi, 0, 0, 0.1, 0, 0]), np.ones(6))
+
+
+def _bits(values) -> bytes:
+    """IEEE bytes of a float sequence, so NaN results compare too."""
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestEmittedKernels:
+    """The straight-line kernels give the interpreted oracles' tuples bit for
+    bit, on every branch, for list and ndarray arguments."""
+
+    KERNELS = [(SE3.dexpinv_apply, oracles.se3_dexpinv_apply),
+               (SO3R3.dexpinv_apply, oracles.dp_dexpinv_apply)]
+    # the series branch, either side of the coefficient switch, and up to the pole
+    BANDS = [(1e-9, liealg.SMALL_ANGLE), (0.2, liealg._COEF_SERIES_ANGLE),
+             (liealg._COEF_SERIES_ANGLE, 0.3), (0.3, liealg.TAU - liealg._POLE_MARGIN)]
+
+    @pytest.mark.parametrize("band", BANDS, ids=["series", "below-switch", "above-switch",
+                                                  "to-pole"])
+    @pytest.mark.parametrize("kernel, oracle", KERNELS, ids=["se3", "so3xr3"])
+    def test_dexpinv_apply(self, kernel, oracle, band):
+        for _ in range(200):
+            x = random_screw(RNG, *band)
+            v = RNG.normal(size=6)
+            out = kernel(x, v)
+            assert type(out) is tuple and all(type(c) is float for c in out)
+            assert out == oracle(x, v) == kernel(x.tolist(), v.tolist())
+
+    @pytest.mark.parametrize("kernel, oracle", KERNELS, ids=["se3", "so3xr3"])
+    def test_dexpinv_apply_at_band_edges(self, kernel, oracle):
+        for angle in (np.nextafter(liealg.SMALL_ANGLE, 0.0), liealg.SMALL_ANGLE,
+                      np.nextafter(liealg._COEF_SERIES_ANGLE, 0.0),
+                      liealg._COEF_SERIES_ANGLE, 0.0):
+            x = np.array([angle, 0.0, 0.0, 0.3, -0.2, 0.1])
+            v = RNG.normal(size=6)
+            assert kernel(x, v) == oracle(x, v)
+
+    @pytest.mark.parametrize("kernel, oracle", KERNELS, ids=["se3", "so3xr3"])
+    def test_pole_at_the_same_angle(self, kernel, oracle):
+        below = np.nextafter(liealg.TAU - liealg._POLE_MARGIN, 0.0)
+        x = np.array([0.0, below, 0.0, 1.0, 0.0, 0.0])
+        assert kernel(x, np.ones(6)) == oracle(x, np.ones(6))
+        x[1] = liealg.TAU - liealg._POLE_MARGIN
+        for f in (kernel, oracle):
+            with pytest.raises(PoleError):
+                f(x, np.ones(6))
+
+    @pytest.mark.parametrize("kernel, oracle", KERNELS, ids=["se3", "so3xr3"])
+    def test_nan_passes_through(self, kernel, oracle):
+        x = random_screw(RNG)
+        v = RNG.normal(size=6)
+        for i in range(6):
+            for arg in ("x", "v"):
+                xs, vs = x.copy(), v.copy()
+                (xs if arg == "x" else vs)[i] = math.nan
+                out = kernel(xs.tolist(), vs)
+                assert _bits(out) == _bits(oracle(xs, vs.tolist()))
+                # the direct product's map does not read x's translation part
+                ignored = arg == "x" and i >= 3 and kernel is SO3R3.dexpinv_apply
+                assert any(map(math.isnan, out)) != ignored
+
+    @pytest.mark.parametrize("band", BANDS, ids=["series", "below-switch", "above-switch",
+                                                  "to-pole"])
+    @pytest.mark.parametrize("group, oracle", [(SE3, oracles.se3_advance_parts),
+                                               (SO3R3, oracles.dp_advance_parts)],
+                             ids=["se3", "so3xr3"])
+    def test_advance_parts(self, group, oracle, band):
+        for _ in range(100):
+            rot = random_pose(RNG).R.tolist()
+            phi = random_screw(RNG, *band).tolist()
+            assert group.advance_parts(rot, phi) == oracle(rot, phi)
+        rot[1][2] = math.nan
+        (rows, t), (ref_rows, ref_t) = group.advance_parts(rot, phi), oracle(rot, phi)
+        assert _bits([*rows, t]) == _bits([*ref_rows, ref_t])
+
+    def test_exp_kernels(self):
+        for _ in range(200):
+            x = random_screw(RNG, 1e-9, 3.0).tolist()
+            assert liealg._so3_exp_rows(*x[:3]) == oracles.so3_exp_rows(*x[:3])
+            assert liealg._se3_exp_parts(x) == oracles.se3_exp_parts(x)
 
 
 class TestSmallAngleContinuity:

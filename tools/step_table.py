@@ -1,12 +1,17 @@
 """Microseconds per RK4 step of the matrix-chart step loop, per built-in
-model and configuration-space group.
+model and configuration-space group; with ``--kernels``, microseconds per
+call of the Lie-group kernels the step loop and the public API call.
 
-    python tools/step_table.py [--json]
+    python tools/step_table.py [--kernels] [--json]
 
 Run from any directory: the script imports ``screwmbs`` from ``src/`` of its
-own checkout.  Each cell is the smallest process time per step over REPEATS
-runs of ``integrate`` with STEPS steps and one sample at each end; the free
-body steps at dt = 1e-4, the jointed models at dt = 1e-3.
+own checkout.  Each step cell is the smallest process time per step over
+REPEATS runs of ``integrate`` with STEPS steps and one sample at each end; the
+free body steps at dt = 1e-4, the jointed models at dt = 1e-3.  Each kernel
+cell is the smallest time per call over KERNEL_REPEATS ``timeit`` runs of
+KERNEL_CALLS calls, with float-sequence arguments as the step loop passes
+them; ``dexpinv_apply`` is timed on its closed form (|xi| = 0.5) and on its
+series branch (|xi| = 5e-5, below SMALL_ANGLE).
 """
 
 from __future__ import annotations
@@ -15,18 +20,22 @@ import argparse
 import json
 import sys
 import time
+import timeit
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from screwmbs.bench import build  # noqa: E402
 from screwmbs.integrate import integrate, tableau_rk4  # noqa: E402
+from screwmbs.liealg import GROUPS as GROUP_OBJECTS, se3_exp, so3_exp  # noqa: E402
 
 MODELS = ("free-body-offset", "heavy-top", "double-pendulum", "cardan", "rp-chain",
           "four-bar")
 GROUPS = ("se3", "so3xr3")
 STEPS = 300
 REPEATS = 3
+KERNEL_CALLS = 20000
+KERNEL_REPEATS = 5
 
 
 def us_per_step(model: str, group: str) -> float:
@@ -41,10 +50,42 @@ def us_per_step(model: str, group: str) -> float:
     return 1e6 * best / STEPS
 
 
+def kernel_table() -> dict[str, float]:
+    """Microseconds per call of each kernel, by name."""
+    rot = so3_exp([0.1, 0.2, 0.3]).tolist()
+    v = [0.4, -0.1, 0.3, 1.0, -0.5, 0.2]
+    closed = (0.3, -0.4, 0.0, 0.7, 0.1, -0.2)   # |xi| = 0.5
+    series = (3e-5, -4e-5, 0.0, 0.7, 0.1, -0.2)  # |xi| = 5e-5
+    calls = {"so3_exp": (so3_exp, (list(closed[:3]),)),
+             "se3_exp": (se3_exp, (list(closed),))}
+    for name in GROUPS:
+        group = GROUP_OBJECTS[name]
+        calls[f"{name}.dexpinv_apply.closed"] = (group.dexpinv_apply, (closed, v))
+        calls[f"{name}.dexpinv_apply.series"] = (group.dexpinv_apply, (series, v))
+        calls[f"{name}.advance_parts"] = (group.advance_parts, (rot, closed))
+    table = {}
+    for name, (fn, args) in calls.items():
+        timer = timeit.Timer("fn(*args)", globals={"fn": fn, "args": args})
+        best = min(timer.repeat(KERNEL_REPEATS, KERNEL_CALLS))
+        table[name] = 1e6 * best / KERNEL_CALLS
+    return table
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--json", action="store_true", help="print one JSON object")
+    parser.add_argument("--kernels", action="store_true",
+                        help="time the Lie-group kernels instead of the step loop")
     args = parser.parse_args(argv)
+    if args.kernels:
+        table = kernel_table()
+        if args.json:
+            print(json.dumps(table))
+        else:
+            print(f"{'kernel':28s} {'us/call':>8s}")
+            for name, us in table.items():
+                print(f"{name:28s} {us:8.2f}")
+        return 0
     table = {f"{model}.{group}": us_per_step(model, group)
              for model in MODELS for group in GROUPS}
     if args.json:
