@@ -10,6 +10,7 @@ kinetic/total energies.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -147,8 +148,8 @@ def _out_path(args, spec: ExperimentSpec, dt: float, single: bool) -> str:
 def _check_steps(args) -> None:
     """Reject a bad --dt, --tf or --stride before any run writes a CSV."""
     steps = [*(args.dt or ()), 1.0 if args.tf is None else args.tf]
-    if not all(x > 0 for x in steps) or args.stride < 1:
-        raise ValueError("dt and tf must be positive and stride >= 1")
+    if not all(0.0 < x < math.inf for x in steps) or args.stride < 1:
+        raise ValueError("dt and tf must be positive and finite, and stride >= 1")
 
 
 def cmd_simulate(args) -> int:

@@ -188,7 +188,7 @@ def h_mixed(a: DualQuaternion) -> np.ndarray:
     return h
 
 
-def h_euler_params(q, r=None) -> np.ndarray:
+def h_euler_params(q) -> np.ndarray:
     """6x7 map for the Euler-parameter chart of SO(3)xR3; the translation
     block is the identity (decoupled)."""
     h = np.zeros((6, 7))

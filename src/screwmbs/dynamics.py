@@ -732,13 +732,14 @@ def project_velocities(model: MbsModel, state: MbsState) -> MbsState:
 def check_initial_state(model: MbsModel, state: MbsState) -> None:
     """Hard feasibility gate used by model builders and the loader: |h| of
     every joint within TOL_POS and |J V| within TOL_VEL."""
+    # not (x <= tol): a NaN residual fails the gate
     for joint in model.joints:
         h = joint_geometry(joint, state.poses, model)
-        if np.abs(h).max() > TOL_POS:
+        if not np.abs(h).max() <= TOL_POS:
             raise InfeasibleStateError(
                 f"joint {joint.label!r}: |h| = {np.abs(h).max():.3e} "
                 f"exceeds {TOL_POS:.1e} in the initial configuration")
     res = velocity_residual(model, state)
-    if res > TOL_VEL:
+    if not res <= TOL_VEL:
         raise InfeasibleStateError(
             f"initial velocity constraint residual {res:.3e} exceeds {TOL_VEL:.1e}")

@@ -8,7 +8,9 @@ One fixed-size step advances the coupled system
 with a single Butcher tableau.  The pose part solves the chart equation
 ``Phidot = dexpinv(-Phi) V(t, g exp(Phi))`` with the chart reset at every
 step, so the stage increments stay far from the dexpinv poles; the velocity
-part is a plain RK update sharing the same stage coefficients.
+part is a plain RK update sharing the same stage coefficients.  The
+quaternion chart runs the same step with no Lie part: its vector part holds
+the chart coordinates too.
 """
 
 from __future__ import annotations
@@ -96,67 +98,70 @@ def tableau_explicit_trapezoidal() -> ButcherTableau:
     return ButcherTableau(a, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
 
 
-def _combine(dt: float, terms, rows, base) -> list[float]:
-    """base + dt * sum(w * rows[l] for l, w in terms), elementwise on floats."""
-    out = base
-    for l, w in terms:
-        c = dt * w
-        out = [o + c * x for o, x in zip(out, rows[l])]
-    return out
-
-
 @functools.cache
-def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int):
-    """The chart increment Phi = dt sum_j b_j k_j of one shared-stage step,
-    compiled once per process for each tableau's coefficients (by value) and
-    body count: ``loop(group, frames, t, dt, velocity)``.
+def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int, width: int):
+    """One shared-stage step of a Lie part and a vector part, compiled once
+    per process for each tableau's coefficients (by value), body count and
+    vector width: ``loop(group, frames, y, t, dt, rhs)`` gives (phi, dy).
 
-    The slopes are k_j = dexpinv(-Psi_j) V_j, with Psi_j = dt sum_l a_jl k_l
-    and the stage poses g_i exp(Psi_j,i) from the (R rows, r) float poses
-    ``frames``; ``velocity(j, t_j, stage poses)`` gives V_j as a flat list of
-    6n floats.  A stage with Psi_j = 0 sits at ``frames`` and needs no dexpinv
-    evaluation.  The group's kernels are read when the loop runs, so a
-    patched ``advance_parts`` or ``dexpinv_apply`` reaches it."""
+    The Lie part is the (R rows, r) float poses ``frames``: slopes
+    k_j = dexpinv(-Psi_j) V_j, with Psi_j = dt sum_l a_jl k_l and the stage
+    poses g_i exp(Psi_j,i), and phi = dt sum_j b_j k_j.  The vector part is
+    the flat float list ``y``: stages y_j = y + dt sum_l a_jl F_l and
+    dy = dt sum_j b_j F_j, which is the Lie part on R^N (exp is +, dexpinv
+    the identity).  ``rhs(j, t_j, stage poses, y_j)`` gives (V_j, F_j), 6n
+    and ``width`` floats.  A stage with Psi_j = 0 sits at ``frames`` and ``y``
+    and needs no dexpinv evaluation.  The group's kernels are read when the
+    loop runs, so a patched ``advance_parts`` or ``dexpinv_apply`` reaches it."""
     m = 6 * n_bodies
 
-    def combine(terms, row):
-        # 0.0 + c_1 k_l1 + c_2 k_l2 + ... in term order, c = dt * w
-        return [" + ".join(["0.0", *(f"c{row}_{l} * k{l}_{i}" for l, _ in terms)])
-                for i in range(m)]
+    def combine(terms, row, slope, size, base="0.0"):
+        # base + c_1 s_l1 + c_2 s_l2 + ... in term order, c = dt * w
+        return [" + ".join([base.format(i), *(f"c{row}_{l} * {slope}{l}_{i}" for l, _ in terms)])
+                for i in range(size)]
 
-    src = ["def loop(group, frames, t, dt, velocity):",
+    def unpack(names, value):
+        return [f"    {', '.join(names)}, = {value}"] if names else []
+
+    src = ["def loop(group, frames, y, t, dt, rhs):",
            "    advance, dexpinv = group.advance_parts, group.dexpinv_apply",
-           *(f"    rot{i}, (r{i}_0, r{i}_1, r{i}_2) = frames[{i}]" for i in range(n_bodies))]
+           *(f"    rot{i}, (r{i}_0, r{i}_1, r{i}_2) = frames[{i}]" for i in range(n_bodies)),
+           *unpack([f"y_{i}" for i in range(width)], "y")]
     for j, stage_deps in enumerate(deps):
         tj = f"t + {nodes[j]!r} * dt"
+        fj = unpack([f"f{j}_{i}" for i in range(width)], "f")
         if not stage_deps:
-            src.append(f"    {', '.join(f'k{j}_{i}' for i in range(m))}, = "
-                       f"velocity({j}, {tj}, frames)")
+            src += [f"    v, f = rhs({j}, {tj}, frames, y)",
+                    *unpack([f"k{j}_{i}" for i in range(m)], "v"), *fj]
             continue
         src += [f"    c{j}_{l} = dt * {w!r}" for l, w in stage_deps]
-        src += [f"    p{j}_{i} = {expr}" for i, expr in enumerate(combine(stage_deps, j))]
+        src += [f"    p{j}_{i} = {expr}" for i, expr in enumerate(combine(stage_deps, j, "k", m))]
         psi = [[f"p{j}_{i}" for i in range(6 * b, 6 * b + 6)] for b in range(n_bodies)]
         src += [f"    s{b}, (d{b}_0, d{b}_1, d{b}_2) = advance(rot{b}, ({', '.join(psi[b])}))"
                 for b in range(n_bodies)]
         stage = ", ".join(f"(s{b}, (r{b}_0 + d{b}_0, r{b}_1 + d{b}_1, r{b}_2 + d{b}_2))"
                           for b in range(n_bodies))
-        src.append(f"    v = velocity({j}, {tj}, [{stage}])")
+        yj = ", ".join(combine(stage_deps, j, "f", width, base="y_{}"))
+        src.append(f"    v, f = rhs({j}, {tj}, [{stage}], [{yj}])")
         src += [f"    {', '.join(f'k{j}_{i}' for i in range(6 * b, 6 * b + 6))} = dexpinv("
                 f"({', '.join('-' + p for p in psi[b])}), v[{6 * b}:{6 * b + 6}])"
                 for b in range(n_bodies)]
-    src += [f"    c{len(deps)}_{l} = dt * {w!r}" for l, w in weights]
-    src.append(f"    return [{', '.join(combine(weights, len(deps)))}]")
+        src += fj
+    s = len(deps)
+    src += [f"    c{s}_{l} = dt * {w!r}" for l, w in weights]
+    src.append(f"    return ([{', '.join(combine(weights, s, 'k', m))}], "
+               f"[{', '.join(combine(weights, s, 'f', width))}])")
     namespace = {}
-    exec(compile("\n".join(src), f"<stage loop {deps, weights, nodes, n_bodies}>", "exec"),
-         namespace)
+    exec(compile("\n".join(src), f"<stage loop {deps, weights, nodes, n_bodies, width}>",
+                 "exec"), namespace)
     return namespace["loop"]
 
 
-def _chart_increment(group: CSpaceGroup, frames, t: float, dt: float,
-                     tableau: ButcherTableau, velocity) -> list[float]:
-    """Phi of one shared-stage step through the compiled ``_stage_loop``."""
-    return _stage_loop(tableau._deps, tableau._weights, tableau._nodes, len(frames))(
-        group, frames, t, dt, velocity)
+def _shared_step(group: CSpaceGroup, frames, y, t: float, dt: float,
+                 tableau: ButcherTableau, rhs):
+    """(phi, dy) of one shared-stage step through the compiled ``_stage_loop``."""
+    return _stage_loop(tableau._deps, tableau._weights, tableau._nodes, len(frames),
+                       len(y))(group, frames, y, t, dt, rhs)
 
 
 def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
@@ -166,31 +171,15 @@ def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
     ``v_field(t, poses)`` returns the (n, 6) stacked velocities in the
     group's algebra coordinates.
     """
-    def velocity(j, tj, stage):
+    def rhs(j, tj, stage, y):
         poses_j = (poses if stage is frames
                    else [Pose(np.array(rot), np.array(r)) for rot, r in stage])
-        return np.asarray(v_field(tj, poses_j), dtype=float).reshape(-1).tolist()
+        return np.asarray(v_field(tj, poses_j), dtype=float).reshape(-1).tolist(), ()
 
     frames = [(p.R.tolist(), p.r.tolist()) for p in poses]
-    phi = _chart_increment(group, frames, t, dt, tableau, velocity)
+    phi, _ = _shared_step(group, frames, [], t, dt, tableau, rhs)
     _advance(group, frames, phi, [(0.0, 0.0, 0.0)] * len(frames))
     return [Pose(np.array(rot), np.array(r)) for rot, r in frames]
-
-
-def _coupled_increments(model: MbsModel, group: CSpaceGroup, frames, v0,
-                        t: float, dt: float, tableau: ButcherTableau):
-    """Shared-stage chart increment Phi and velocity update of one step, as
-    flat float lists, from (R rows, r) float poses."""
-    fs = []       # accelerations F(g_j, V_j)
-
-    def velocity(j, tj, stage):
-        deps = tableau._deps[j]
-        vj = _combine(dt, deps, fs, v0) if deps else v0
-        fs.append(accelerations(model, stage, vj, tj).reshape(-1).tolist())
-        return vj
-
-    phi = _chart_increment(group, frames, t, dt, tableau, velocity)
-    return phi, _combine(dt, tableau._weights, fs, [0.0] * len(v0))
 
 
 @dataclass
@@ -233,13 +222,16 @@ def _advance(group: CSpaceGroup, frames, phi, comp_r) -> None:
 
 
 def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
-    """Step count, sampled step indices and the empty record of a run.
+    """Sampled step indices (the last is the step count) and the empty
+    record of a run.
 
     Every ``stride``-th step is sampled; the initial and final states
     always are.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not math.isfinite(t_final):
+        raise ValueError("t_final must be finite")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_steps = max(0, int(round((t_final - t0) / dt)))
@@ -254,16 +246,47 @@ def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
         velocities=np.empty((n_samples, n_bodies, 6)),
         dt=dt,
     )
-    return n_steps, sample_idx, rec
+    return sample_idx, rec
+
+
+def _run(group: CSpaceGroup, frames, y, t0: float, dt: float, sample_idx,
+         tableau: ButcherTableau, rhs, record) -> None:
+    """The fixed-step loop of both charts: ``_shared_step`` from t0 up to
+    step ``sample_idx[-1]``, with ``record(slot, t, frames, y)`` at the
+    initial state and at each sampled step.  The translations of ``frames``
+    and ``y`` accumulate compensated (Kahan) so the roundoff of 1e5-step runs
+    stays far below the drift scales measured."""
+    record(0, t0, frames, y)
+    slot = 1
+    comp_r = [(0.0, 0.0, 0.0)] * len(frames)
+    comp_y = [0.0] * len(y)
+    t = t0
+    for step in range(1, sample_idx[-1] + 1):
+        try:
+            phi, dy = _shared_step(group, frames, y, t, dt, tableau, rhs)
+        except Exception as exc:
+            raise IntegrationError(str(exc), step, t) from exc
+        if not math.isfinite(sum(dy, sum(phi))):
+            raise IntegrationError("non-finite velocity or chart increment", step, t)
+        y, comp_y = _kahan_add(y, dy, comp_y)
+        _advance(group, frames, phi, comp_r)
+        t = t0 + step * dt
+        if slot < len(sample_idx) and step == sample_idx[slot]:
+            record(slot, t, frames, y)
+            slot += 1
 
 
 def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
               dt: float, t_final: float, tableau: ButcherTableau,
               stride: int = 1) -> TrajectoryRecord:
     """Fixed-step loop from state0.t to t_final, sampling every ``stride``
-    steps (the initial and final states are always recorded)."""
+    steps (the initial and final states are always recorded).  The vector
+    part of the step is the 6n velocities."""
     n = model.n_bodies
-    n_steps, sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
+    sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
+
+    def rhs(j, tj, stage, v):
+        return v, accelerations(model, stage, v, tj).reshape(-1).tolist()
 
     def record(slot, t, frames, v):
         rec.times[slot] = t
@@ -271,29 +294,9 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
         rec.positions[slot] = [r for _, r in frames]
         rec.velocities[slot] = np.reshape(v, (n, 6))
 
-    t0 = state0.t
-    frames = [(p.R.tolist(), p.r.tolist()) for p in state0.poses]
-    v = state0.velocities.reshape(-1).tolist()
-    record(0, t0, frames, v)
-    slot = 1
-    # positions and velocities accumulate compensated (Kahan) so the
-    # roundoff of 1e5-step runs stays far below the drift scales measured
-    comp_r = [(0.0, 0.0, 0.0)] * n
-    comp_v = [0.0] * len(v)
-    t = t0
-    for step in range(1, n_steps + 1):
-        try:
-            phi, dv = _coupled_increments(model, group, frames, v, t, dt, tableau)
-        except Exception as exc:
-            raise IntegrationError(str(exc), step, t) from exc
-        if not math.isfinite(sum(dv, sum(phi))):
-            raise IntegrationError("non-finite velocity or chart increment", step, t)
-        v, comp_v = _kahan_add(v, dv, comp_v)
-        _advance(group, frames, phi, comp_r)
-        t = t0 + step * dt
-        if slot < len(sample_idx) and step == sample_idx[slot]:
-            record(slot, t, frames, v)
-            slot += 1
+    _run(group, [(p.R.tolist(), p.r.tolist()) for p in state0.poses],
+         state0.velocities.reshape(-1).tolist(), state0.t, dt, sample_idx, tableau,
+         rhs, record)
     return rec
 
 
@@ -348,32 +351,24 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
 
     Dual quaternions parameterize SE(3), Euler parameters plus position the
     direct product; the reconstructed rates are tangent to the unit-norm and
-    Pluecker invariants, whose drift is recorded per sample.  The state is
-    one flat float list: the chart coordinates of every body, then the 6n
-    velocities.
+    Pluecker invariants, whose drift is recorded per sample.  The step has
+    no Lie part: its vector part is one flat float list, the chart
+    coordinates of every body, then the 6n velocities.
     """
     width, pack, unpack, chart_rates, chart_defects = _quat_chart(group.name)
     n = model.n_bodies
     nq = width * n
-    n_steps, sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
+    sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
     rec.quat_defects = np.zeros((rec.n_samples, 2))
 
-    def f(t, y):
+    def rhs(j, tj, stage, y):
         charts = [y[width * i:width * (i + 1)] for i in range(n)]
         vel = y[nq:]
-        vdot = accelerations(model, [unpack(q) for q in charts], vel, t)
-        out = []
-        for i, q in enumerate(charts):
-            out.extend(chart_rates(q, vel[6 * i:6 * i + 6]))
-        out.extend(vdot.reshape(-1).tolist())
-        return out
+        vdot = accelerations(model, [unpack(q) for q in charts], vel, tj)
+        return (), [x for i, q in enumerate(charts)
+                    for x in chart_rates(q, vel[6 * i:6 * i + 6])] + vdot.reshape(-1).tolist()
 
-    y = []
-    for pose in state0.poses:
-        y.extend(pack(pose))
-    y.extend(state0.velocities.reshape(-1).tolist())
-
-    def record(slot, t, y):
+    def record(slot, t, frames, y):
         rec.times[slot] = t
         for i in range(n):
             q = y[width * i:width * (i + 1)]
@@ -381,24 +376,7 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
             rec.quat_defects[slot] = [max(a, b) for a, b in
                                       zip(rec.quat_defects[slot], chart_defects(q))]
         rec.velocities[slot] = np.reshape(y[nq:], (n, 6))
-    record(0, state0.t, y)
 
-    slot = 1
-    t0 = state0.t
-    for step in range(1, n_steps + 1):
-        t = t0 + (step - 1) * dt
-        try:
-            ks = []
-            for j in range(tableau.stages):
-                deps = tableau._deps[j]
-                yj = _combine(dt, deps, ks, y) if deps else y
-                ks.append(f(t + tableau._nodes[j] * dt, yj))
-            y = _combine(dt, tableau._weights, ks, y)
-        except Exception as exc:
-            raise IntegrationError(str(exc), step, t) from exc
-        if not math.isfinite(sum(y)):
-            raise IntegrationError("non-finite velocity or chart increment", step, t)
-        if slot < len(sample_idx) and step == sample_idx[slot]:
-            record(slot, t0 + step * dt, y)
-            slot += 1
+    y = [x for pose in state0.poses for x in pack(pose)] + state0.velocities.reshape(-1).tolist()
+    _run(group, [], y, state0.t, dt, sample_idx, tableau, rhs, record)
     return rec

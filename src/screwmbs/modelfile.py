@@ -37,12 +37,24 @@ class ModelFileError(ValueError):
     """Schema violation in a model definition file."""
 
 
+def _finite(value, field, where) -> np.ndarray:
+    """``value`` as a float array; a NaN or infinite entry is an error
+    naming the field, as comparisons with NaN pass every range check."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{where}: {field!r} must be numeric") from exc
+    if not np.isfinite(arr).all():
+        raise ModelFileError(f"{where}: {field!r} must be finite")
+    return arr
+
+
 def _vec3(section, field, where, default=None):
     if field not in section:
         if default is not None:
             return np.asarray(default, dtype=float)
         raise ModelFileError(f"{where}: missing field {field!r}")
-    v = np.asarray(section[field], dtype=float)
+    v = _finite(section[field], field, where)
     if v.shape != (3,):
         raise ModelFileError(f"{where}: {field!r} must be a 3-vector")
     return v
@@ -52,7 +64,7 @@ def _inertia(section, where):
     raw = section.get("inertia_kgm2")
     if raw is None:
         raise ModelFileError(f"{where}: missing field 'inertia_kgm2'")
-    arr = np.asarray(raw, dtype=float)
+    arr = _finite(raw, "inertia_kgm2", where)
     if arr.shape == (3,):
         arr = np.diag(arr)
     if arr.shape != (3, 3):
@@ -104,9 +116,11 @@ def load_model_file(path, group: str = "se3", project: bool = False):
             raise ModelFileError(f"{where}: duplicate body name {name!r}")
         if "mass_kg" not in section:
             raise ModelFileError(f"{where}: missing field 'mass_kg'")
+        mass = float(_finite(section["mass_kg"], "mass_kg", where))
+        inertia = _inertia(section, where)
+        com = _vec3(section, "com_offset_m", where, default=(0, 0, 0))
         try:
-            body = RigidBody(name, float(section["mass_kg"]), _inertia(section, where),
-                             _vec3(section, "com_offset_m", where, default=(0, 0, 0)))
+            body = RigidBody(name, mass, inertia, com)
         except ValueError as exc:
             raise ModelFileError(f"{where}: {exc}") from exc
         names[name] = i
@@ -161,7 +175,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
                 body_ref(section, "body", where, allow_ground=False),
                 _vec3(section, "attach_m", where, default=(0, 0, 0)),
                 _vec3(section, "ground_point_m", where),
-                float(section["stiffness_n_per_m"]),
+                float(_finite(section["stiffness_n_per_m"], "stiffness_n_per_m", where)),
             ))
         else:
             raise ModelFileError(f"{where}: unknown force kind {kind!r}")

@@ -759,8 +759,19 @@ def _stage_slopes(group, frames, t: float, dt: float, tableau, velocity) -> list
     return ks
 
 
-def chart_increment(group, frames, t: float, dt: float, tableau, velocity) -> list:
-    """The step's chart increment Phi = dt sum b_j k_j, interpreted: the
-    reference for integrate's generated stage loop."""
+def shared_step(group, frames, y, t: float, dt: float, tableau, rhs) -> tuple:
+    """The step's (phi, dy), interpreted: the reference for integrate's
+    generated stage loop.  The vector part's stages y_j = y + dt sum a_jl F_l
+    ride on the Lie part's ``velocity`` callback; ``rhs(j, t_j, stage poses,
+    y_j)`` gives (V_j, F_j)."""
+    fs = []
+
+    def velocity(j, tj, stage):
+        deps = tableau._deps[j]
+        v, f = rhs(j, tj, stage, _combine(dt, deps, fs, y) if deps else y)
+        fs.append(f)
+        return v
+
     ks = _stage_slopes(group, frames, t, dt, tableau, velocity)
-    return _combine(dt, tableau._weights, ks, [0.0] * (6 * len(frames)))
+    return (_combine(dt, tableau._weights, ks, [0.0] * (6 * len(frames))),
+            _combine(dt, tableau._weights, fs, [0.0] * len(y)))

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from oracles import (
 )
 from screwmbs import acceptance, bench, cli
 from screwmbs.acceptance import CheckResult
+from screwmbs.dynamics import Gravity, MbsModel
 from screwmbs.integrate import integrate
 
 
@@ -57,15 +59,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("param", ["matrix", "quaternion"])
     def test_non_finite_run_exits_2(self, tmp_path, monkeypatch, capsys, param):
         # a NaN in the gravity vector: the run stops at step 1 with a named
-        # error instead of writing NaN rows
+        # error instead of writing NaN rows.  The loader rejects a NaN in the
+        # file, so the NaN gravity replaces the loaded one.
         doc = {
             "name": "nan-gravity",
             "bodies": [{"name": "b", "mass_kg": 1.0,
                         "inertia_kgm2": [1.0, 1.0, 1.0]}],
-            "forces": [{"kind": "gravity", "g_mps2": [float("nan"), 0.0, -9.81]}],
+            "forces": [{"kind": "gravity", "g_mps2": [0.0, 0.0, -9.81]}],
         }
         path = tmp_path / "nan.yaml"
         path.write_text(yaml.safe_dump(doc))
+        load = cli.load_model_file
+
+        def load_nan_gravity(*args, **kwargs):
+            model, state, meta = load(*args, **kwargs)
+            model = MbsModel(model.bodies, model.joints, [Gravity([math.nan, 0.0, -9.81])],
+                             representation=model.representation)
+            return model, state, meta
+
+        monkeypatch.setattr(cli, "load_model_file", load_nan_gravity)
         code = run_cli(["simulate", "--model-file", str(path), "--param", param,
                         "--dt", "1e-3", "--tf", "0.01", "--out", "nan.csv"],
                        tmp_path, monkeypatch)
@@ -92,8 +104,8 @@ class TestExitCodes:
 
 
 class TestBadInput:
-    """Malformed files and non-positive times exit 1 with "invalid
-    configuration" and write no CSV."""
+    """Malformed files and non-positive or infinite times exit 1 with
+    "invalid configuration" and write no CSV."""
 
     @pytest.mark.parametrize("text, names", [
         ("bodies: [\n", "bad.yaml"),               # malformed YAML, cited by file
@@ -112,18 +124,22 @@ class TestBadInput:
         assert "invalid configuration" in err and names in err
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("tf", ["0", "-1"])
-    def test_simulate_non_positive_tf(self, tmp_path, monkeypatch, capsys, tf):
-        code = run_cli(["simulate", "--model", "heavy-top", "--tf", tf,
+    # an infinite --tf has no step count, an infinite --dt no step
+    STEPS = [("--tf", "0"), ("--tf", "-1"), ("--tf", "inf"), ("--dt", "inf")]
+
+    @pytest.mark.parametrize("flag, value", STEPS)
+    def test_simulate_bad_step(self, tmp_path, monkeypatch, capsys, flag, value):
+        code = run_cli(["simulate", "--model", "heavy-top", flag, value,
                         "--out", "ht.csv"], tmp_path, monkeypatch)
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("tf", ["0", "-1"])
-    def test_sweep_non_positive_tf(self, tmp_path, monkeypatch, capsys, tf):
+    @pytest.mark.parametrize("flag, value", STEPS)
+    def test_sweep_bad_step(self, tmp_path, monkeypatch, capsys, flag, value):
+        args = {"--dt": "1e-2", "--tf": "0.01", flag: value}
         code = run_cli(["sweep", "--model", "heavy-top", "--group", "se3",
-                        "--dt", "1e-2", "--tf", tf, "--out-dir", "out"],
+                        *(x for item in args.items() for x in item), "--out-dir", "out"],
                        tmp_path, monkeypatch)
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err

@@ -331,7 +331,7 @@ INTERPRETED_KERNELS = {SE3: (oracles.se3_advance_parts, oracles.se3_dexpinv_appl
 def interpret(monkeypatch, group, kernels: bool):
     """Route the step through the interpreted stage loop and, with
     ``kernels``, the group's interpreted Lie-group kernels."""
-    monkeypatch.setattr(integrate_module, "_chart_increment", oracles.chart_increment)
+    monkeypatch.setattr(integrate_module, "_shared_step", oracles.shared_step)
     if kernels:
         for name, fn in zip(("advance_parts", "dexpinv_apply"), INTERPRETED_KERNELS[group]):
             monkeypatch.setattr(type(group), name, staticmethod(fn))
@@ -339,7 +339,8 @@ def interpret(monkeypatch, group, kernels: bool):
 
 class TestGeneratedStageLoop:
     """The generated stage loop and emitted kernels give the interpreted
-    step's bits: the same records over 50 steps and the same mk_step poses."""
+    step's bits: the same records of both charts over 50 steps and the same
+    mk_step poses."""
 
     TABLEAUS = [tableau_rk4, tableau_explicit_trapezoidal]
 
@@ -363,6 +364,24 @@ class TestGeneratedStageLoop:
 
     @pytest.mark.parametrize("tableau", TABLEAUS, ids=["rk4", "trapezoid"])
     @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    @pytest.mark.parametrize("name", ["free-body-offset", "double-pendulum", "four-bar"])
+    def test_integrate_quaternion_records_equal(self, monkeypatch, name, group, tableau):
+        # the quaternion chart has no Lie part: the whole step is the vector part
+        spec = bench.build(name, group.name)
+        dt = 1e-3
+
+        def run():
+            return integrate_quaternion(spec.model, group, spec.state0, dt, 50 * dt,
+                                        tableau())
+
+        compiled = run()
+        interpret(monkeypatch, group, False)
+        reference = run()
+        for field in ("times", "rotations", "positions", "velocities", "quat_defects"):
+            assert getattr(compiled, field).tobytes() == getattr(reference, field).tobytes()
+
+    @pytest.mark.parametrize("tableau", TABLEAUS, ids=["rk4", "trapezoid"])
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mk_step_equal(self, monkeypatch, n, group, tableau):
         poses = [random_pose(RNG) for _ in range(n)]
@@ -382,7 +401,8 @@ class TestGeneratedStageLoop:
         # simulate jobs on one model compile nothing new
         loop = integrate_module._stage_loop
         a, b = tableau_rk4(), tableau_rk4()
-        assert loop(a._deps, a._weights, a._nodes, 2) is loop(b._deps, b._weights, b._nodes, 2)
+        assert (loop(a._deps, a._weights, a._nodes, 2, 12)
+                is loop(b._deps, b._weights, b._nodes, 2, 12))
         monkeypatch.chdir(tmp_path)
         args = ["simulate", "--model", "double-pendulum", "--group", "se3",
                 "--dt", "1e-3", "--tf", "0.005", "--out", "dp.csv"]
@@ -437,3 +457,9 @@ class TestIntegrateQuaternion:
         for fn in (integrate, integrate_quaternion):
             with pytest.raises(ValueError, match="stride"):
                 fn(model, group, state, 0.1, 1.0, tableau_rk4(), stride=0)
+            for dt in (math.inf, math.nan, 0.0):
+                with pytest.raises(ValueError, match="dt"):
+                    fn(model, group, state, dt, 1.0, tableau_rk4())
+            for t_final in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="t_final"):
+                    fn(model, group, state, 0.1, t_final, tableau_rk4())

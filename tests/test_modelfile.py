@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from screwmbs import bench, modelfile
-from screwmbs.dynamics import InfeasibleStateError
+from screwmbs.dynamics import InfeasibleStateError, check_initial_state
 from screwmbs.modelfile import (
     ModelFileError,
     dump_model,
@@ -182,6 +183,34 @@ class TestErrors:
         with pytest.raises(ModelFileError,
                            match=rf"joints\[1\]: duplicate joint name '{second}'"):
             load_model_file(str(path), "se3")
+
+    @pytest.mark.parametrize("section, index, field, value", [
+        ("initial_state", 0, "position_m", [math.nan, 0.0, 0.0]),
+        ("initial_state", 0, "angular_velocity_radps", [0.0, 0.0, math.nan]),
+        ("bodies", 0, "mass_kg", math.nan),
+        ("bodies", 0, "inertia_kgm2", [math.inf, 0.306, 0.09]),
+        ("forces", 1, "stiffness_n_per_m", math.inf),
+        ("forces", 0, "g_mps2", [0.0, 0.0, -math.inf]),
+    ])
+    def test_non_finite_number_names_field(self, tmp_path, section, index, field, value):
+        # NaN fails no range check, so the loader rejects it by name
+        doc = yaml.safe_load(HEAVY_TOP_YAML)
+        doc[section][index][field] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError, match=rf"{section}\[{index}\]: '{field}' must be finite"):
+            load_model_file(str(path), "se3")
+
+    @pytest.mark.parametrize("part", ["poses", "velocities"])
+    def test_nan_state_fails_feasibility_gate(self, part):
+        spec = bench.build("heavy-top", "se3")
+        state = spec.state0.copy()
+        if part == "poses":
+            state.poses[0].r[0] = math.nan
+        else:
+            state.velocities[0, 2] = math.nan
+        with pytest.raises(InfeasibleStateError):
+            check_initial_state(spec.model, state)
 
     def test_infeasible_velocities_cite_residual(self, tmp_path, top_file):
         doc = yaml.safe_load(HEAVY_TOP_YAML)

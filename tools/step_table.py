@@ -1,17 +1,20 @@
-"""Microseconds per RK4 step of the matrix-chart step loop, per built-in
-model and configuration-space group; with ``--kernels``, microseconds per
-call of the Lie-group kernels the step loop and the public API call.
+"""Microseconds per RK4 step of the step loop, per built-in model,
+configuration-space group and chart (matrix and quaternion); with
+``--kernels``, microseconds per call of the Lie-group kernels the step loop
+and the public API call.
 
     python tools/step_table.py [--kernels] [--json]
 
 Run from any directory: the script imports ``screwmbs`` from ``src/`` of its
 own checkout.  Each step cell is the smallest process time per step over
-REPEATS runs of ``integrate`` with STEPS steps and one sample at each end; the
-free body steps at dt = 1e-4, the jointed models at dt = 1e-3.  Each kernel
-cell is the smallest time per call over KERNEL_REPEATS ``timeit`` runs of
-KERNEL_CALLS calls, with float-sequence arguments as the step loop passes
-them; ``dexpinv_apply`` is timed on its closed form (|xi| = 0.5) and on its
-series branch (|xi| = 5e-5, below SMALL_ANGLE).
+REPEATS runs of ``integrate`` (cells ``<model>.<group>``) or
+``integrate_quaternion`` (cells ``<model>.<group>.quaternion``) with STEPS
+steps and one sample at each end; the free body steps at dt = 1e-4, the
+jointed models at dt = 1e-3.  Each kernel cell is the smallest time per call
+over KERNEL_REPEATS ``timeit`` runs of KERNEL_CALLS calls, with
+float-sequence arguments as the step loop passes them; ``dexpinv_apply`` is
+timed on its closed form (|xi| = 0.5) and on its series branch (|xi| = 5e-5,
+below SMALL_ANGLE).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from screwmbs.bench import build  # noqa: E402
-from screwmbs.integrate import integrate, tableau_rk4  # noqa: E402
+from screwmbs.integrate import integrate, integrate_quaternion, tableau_rk4  # noqa: E402
 from screwmbs.liealg import GROUPS as GROUP_OBJECTS, se3_exp, so3_exp  # noqa: E402
 
 MODELS = ("free-body-offset", "heavy-top", "double-pendulum", "cardan", "rp-chain",
@@ -38,14 +41,14 @@ KERNEL_CALLS = 20000
 KERNEL_REPEATS = 5
 
 
-def us_per_step(model: str, group: str) -> float:
+def us_per_step(model: str, group: str, run=integrate) -> float:
     spec = build(model, group)
     dt = 1e-4 if not spec.model.joints else 1e-3
     best = float("inf")
     for _ in range(REPEATS):
         start = time.process_time()
-        integrate(spec.model, spec.group, spec.state0, dt, STEPS * dt, tableau_rk4(),
-                  stride=STEPS)
+        run(spec.model, spec.group, spec.state0, dt, STEPS * dt, tableau_rk4(),
+            stride=STEPS)
         best = min(best, time.process_time() - start)
     return 1e6 * best / STEPS
 
@@ -86,14 +89,19 @@ def main(argv=None) -> int:
             for name, us in table.items():
                 print(f"{name:28s} {us:8.2f}")
         return 0
-    table = {f"{model}.{group}": us_per_step(model, group)
-             for model in MODELS for group in GROUPS}
+    table = {}
+    for model in MODELS:
+        for group in GROUPS:
+            table[f"{model}.{group}"] = us_per_step(model, group)
+            table[f"{model}.{group}.quaternion"] = us_per_step(model, group,
+                                                               integrate_quaternion)
     if args.json:
         print(json.dumps(table))
         return 0
-    print(f"{'model':18s} {'se3 us/step':>12s} {'so3xr3 us/step':>15s}")
+    cells = [f"{group}{chart}" for chart in ("", ".quaternion") for group in GROUPS]
+    print(f"{'model':18s}" + "".join(f" {c:>18s}" for c in cells) + "  (us/step)")
     for model in MODELS:
-        print(f"{model:18s} {table[f'{model}.se3']:12.1f} {table[f'{model}.so3xr3']:15.1f}")
+        print(f"{model:18s}" + "".join(f" {table[f'{model}.{c}']:18.1f}" for c in cells))
     return 0
 
 
