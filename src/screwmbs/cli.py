@@ -152,9 +152,18 @@ def _check_steps(args) -> None:
         raise ValueError("dt and tf must be positive and finite, and stride >= 1")
 
 
+def _check_horizon(t_final: float, dts) -> None:
+    """Reject a horizon the step loop would round: dt steps not whole to 1e-9."""
+    for dt in dts:
+        steps = t_final / dt  # not (...) rejects NaN, and inf before round()
+        if not (steps < math.inf and abs(steps - max(1, round(steps))) <= 1e-9 * steps):
+            raise ValueError(f"tf = {t_final!r} s is not a whole number of dt = {dt!r} s steps")
+
+
 def cmd_simulate(args) -> int:
     _check_steps(args)
     spec = _load_spec(args)
+    _check_horizon(spec.t_final - spec.state0.t, spec.dts)
     single = len(spec.dts) == 1
     for dt in spec.dts:
         if args.param == "quaternion":
@@ -194,13 +203,15 @@ def cmd_sweep(args) -> int:
     models = args.model or sorted(BUILDERS)
     groups = args.group or ["se3", "so3xr3"]
     _check_steps(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     tasks = []
     for name in models:
         for group in groups:
-            dts = args.dt or list(build(name, group).dts)
+            spec = build(name, group)
+            dts = args.dt or list(spec.dts)
+            _check_horizon((args.tf or spec.t_final) - spec.state0.t, dts)
             for dt in dts:
                 tasks.append((name, group, dt, args.tf, args.stride, args.out_dir))
+    os.makedirs(args.out_dir, exist_ok=True)
     workers = int(os.environ.get(WORKERS_ENV, "0")) or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -150,18 +150,17 @@ def quat_rotation_rows(q0: float, q1: float, q2: float, q3: float) -> tuple:
             (2.0 * (x13 - x02), 2.0 * (x23 + x01), s0 - s1 - s2 + s3))
 
 
-def pose_from_dq(a: DualQuaternion) -> Pose:
-    """Pose of a dual quaternion: R from Q / |Q| and r = 2 vec(Qe Q*).
+def pose_from_dq(a: DualQuaternion) -> tuple:
+    """The (R rows, r) float pair of a dual quaternion: R from Q / |Q| and r = 2 vec(Qe Q*).
 
     ``a.q`` and ``a.qe`` may be any length-4 float sequences.
     """
     q0, q1, q2, q3 = _floats(a.q)
     e0, e1, e2, e3 = _floats(a.qe)
     # vec(Qe Q*) = q0 e - e0 q + q x e
-    r = np.array((2.0 * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
-                  2.0 * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
-                  2.0 * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1)))
-    return Pose(np.array(quat_rotation_rows(q0, q1, q2, q3)), r)
+    return quat_rotation_rows(q0, q1, q2, q3), (2.0 * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
+                                                2.0 * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
+                                                2.0 * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1))
 
 
 # ---------------------------------------------------------------------------

@@ -329,35 +329,32 @@ def _put_mixed_coupling(m, at: int, mass: float, r0, rot) -> None:
     m[at:at + 3, at + 3:at + 6] = coup.T
 
 
-def _frames(poses, velocities) -> list[tuple]:
-    """Per-body (R rows, r, omega, v) as plain floats for the stage kernels.
-
-    ``poses`` holds ``Pose`` objects or the stage loop's (R rows, r) float
-    pairs, which are used as they are; ``velocities`` is (n, 6) array-like,
-    and a flat list of 6n floats (the stage loop's form) is used as it is.
-    """
+def _frames(poses, velocities) -> tuple:
+    """(poses, velocities) as the compiled kernels read them: (R rows, r)
+    float pairs and 6n flat floats.  The stage loop's forms pass as they
+    are; ``Pose`` lists and (n, 6) array-likes are converted."""
     if not (isinstance(velocities, list) and velocities
             and isinstance(velocities[0], float)):
         velocities = np.asarray(velocities, dtype=float).reshape(-1).tolist()
-    poses = [(p.R.tolist(), p.r.tolist()) if isinstance(p, Pose) else p for p in poses]
-    return [(rot, r, velocities[6 * i:6 * i + 3], velocities[6 * i + 3:6 * i + 6])
-            for i, (rot, r) in enumerate(poses)]
+    if poses and isinstance(poses[0], Pose):
+        poses = [(p.R.tolist(), p.r.tolist()) for p in poses]
+    return poses, velocities
 
 
-def _body_terms(kernels, frames) -> list[float]:
+def _body_terms(kernels, poses, velocities) -> list[float]:
     """The six entries per body of compiled body kernels (``_emit_body``),
     stacked flat: Q from ``MbsModel._rhs_kernels`` (applied wrench plus the
     velocity-dependent terms), Vdot = M^-1 Q from ``_acc_kernels``."""
     out = []
     for kernel in kernels:
-        kernel(frames, out)
+        kernel(poses, velocities, out)
     return out
 
 
 def force_assembly(model: MbsModel, poses, t: float = 0.0) -> np.ndarray:
     """Applied wrenches per body in the model's velocity representation."""
     kernels = [_bind_body(model, i, "wrench") for i in range(model.n_bodies)]
-    return np.array(_body_terms(kernels, _frames(poses, np.zeros((len(poses), 6))))).reshape(-1, 6)
+    return np.array(_body_terms(kernels, *_frames(poses, np.zeros((len(poses), 6))))).reshape(-1, 6)
 
 
 def kinetic_energy(model: MbsModel, state: MbsState) -> float:
@@ -421,6 +418,12 @@ def joint_geometry(joint: Joint, poses, model: MbsModel | None = None) -> np.nda
 def _frame(s: str) -> tuple:
     """(R rows, r, omega, v) of body ``s`` as the kernel's local names."""
     return (tuple(_names(f"r{s}{i}") for i in range(3)), *(_names(q + s) for q in "pwv"))
+
+
+def _read_frame(s: str, i: str) -> list[str]:
+    """Kernel lines binding ``_frame(s)`` to body ``i`` of ``_frames``' forms."""
+    rot, p, w, v = _frame(s)
+    return [f"{rot, p} = poses[{i}]", f"{(*w, *v)} = velocities[6 * {i}:6 * {i} + 6]"]
 
 
 _neg = "-{}".format
@@ -516,15 +519,15 @@ def _row_template(shape, grounded: bool, mixed: bool):
     """The kernel factory of one row structure (rows with indices into the
     joint's directions), compiled once per process.  It binds a joint's body
     indices, anchors and directions as closure values and returns
-    ``kernel(frames, values, eta)``, which appends J and eta entries."""
+    ``kernel(poses, velocities, values, eta)`` appending J and eta entries."""
     e = _Emitter()
     jac, eta = _emit_rows(e, [(row[0], *(_names(f"k{i}_") for i in row[1:]))
                               for row in shape], grounded, mixed)
     consts = ["aa", "ab", *(f"k{i}_" for i in sorted({i for r in shape for i in r[1:]}))]
     src = [f"def factory(ia, ib, {', '.join(consts)}):",
            *(f"    {_names(c)} = {c}" for c in consts),
-           "    def kernel(frames, values, eta):",
-           *(f"        {_frame(s)} = frames[i{s}]" for s in "ab"[grounded:]),
+           "    def kernel(poses, velocities, values, eta):",
+           *(f"        {line}" for s in "ab"[grounded:] for line in _read_frame(s, f"i{s}")),
            *(f"        {line}" for line in e.live(jac + eta)),
            f"        values.extend(({', '.join(jac)},))",
            f"        eta.extend(({', '.join(eta)},))",
@@ -549,7 +552,7 @@ def joint_rows(joint: Joint, poses, velocities, model: MbsModel):
     differentials of joint_geometry and second-derivative remainders, valid
     off the manifold."""
     values, eta = [], []
-    _bind_rows(joint, model._mixed)(_frames(poses, velocities), values, eta)
+    _bind_rows(joint, model._mixed)(*_frames(poses, velocities), values, eta)
     rows = np.array(values).reshape(joint.dim, -1)
     if joint.body_a is None:
         return {joint.body_b: rows}, np.array(eta)
@@ -607,7 +610,7 @@ def _emit_body(e: _Emitter, mixed: bool, offset: bool, attach: tuple, output: st
 def _body_template(mixed: bool, offset: bool, attach: tuple, output: str):
     """The kernel factory of one body structure, compiled once per process.
     It binds a body's index and constants as closure values and returns
-    ``kernel(frames, out)``, which appends the body's six entries."""
+    ``kernel(poses, velocities, out)``, which appends the body's six entries."""
     e = _Emitter()
     out = _emit_body(e, mixed, offset, attach, output)
     consts = {"g": _names("g"), "c": _names("c"), "theta": _matrix("th", 3),
@@ -616,8 +619,8 @@ def _body_template(mixed: bool, offset: bool, attach: tuple, output: str):
                                for k in range(len(attach)))}
     src = [f"def factory(i, m, {', '.join(consts)}):",
            *(f"    {names} = {arg}" for arg, names in consts.items()),
-           "    def kernel(frames, out):",
-           f"        {_frame('')} = frames[i]",
+           "    def kernel(poses, velocities, out):",
+           *(f"        {line}" for line in _read_frame("", "i")),
            *(f"        {line}" for line in e.live(out)),
            f"        out.extend(({', '.join(out)},))",
            "    return kernel"]
@@ -641,28 +644,28 @@ def _bind_body(model: MbsModel, i: int, output: str):
 # index-1 DAE assembly and solution
 # ---------------------------------------------------------------------------
 
-def _kkt(model: MbsModel, frames, rhs: list):
+def _kkt(model: MbsModel, poses, velocities, rhs: list):
     """KKT system [[M, J^T], [J, 0]] (Vdot, lambda) = (Q, eta) on the layout
-    ``MbsModel._compile`` fixed; J does not depend on the velocities.  The
-    row kernels append eta to ``rhs``, which holds Q or, for a consumer of
-    J alone, nothing."""
+    ``MbsModel._compile`` fixed, from ``_frames``' float forms; J does not
+    depend on the velocities.  The row kernels append eta to ``rhs``, which
+    holds Q or, for a consumer of J alone, nothing."""
     kkt = model._kkt0.copy()
     if model._mixed:
         for i, r0 in enumerate(model._offsets):
             if r0 is not None:
-                _put_mixed_coupling(kkt, 6 * i, model._masses[i], r0, frames[i][0])
+                _put_mixed_coupling(kkt, 6 * i, model._masses[i], r0, poses[i][0])
     values = []
     for kernel in model._row_kernels:
-        kernel(frames, values, rhs)
-    # J and J^T in one scatter
-    kkt.put(model._jac_at, values + values)
+        kernel(poses, velocities, values, rhs)
+    # J and J^T in one scatter: put repeats the entries, converted once
+    kkt.put(model._jac_at, np.array(values))
     return kkt, np.array(rhs)
 
 
 def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
     """KKT system [[M, J^T], [J, 0]] (Vdot, lambda) = (Q, eta)."""
-    frames = _frames(poses, velocities)
-    return _kkt(model, frames, _body_terms(model._rhs_kernels, frames))
+    poses, velocities = _frames(poses, velocities)
+    return _kkt(model, poses, velocities, _body_terms(model._rhs_kernels, poses, velocities))
 
 
 # LAPACK gesv, imported at the first solve: a model without joints never
@@ -685,24 +688,24 @@ def solve_index1(model: MbsModel, kkt, rhs):
     return sol[:nv].reshape(-1, 6), sol[nv:]
 
 
-def accelerations(model: MbsModel, poses, velocities, t: float = 0.0) -> np.ndarray:
+def accelerations(model: MbsModel, poses, velocities, t: float = 0.0) -> list[float]:
     """Explicit ODE right-hand side Vdot = F(g, V) from the index-1 system.
 
     A model without joints has a block-diagonal system and skips the KKT
     assembly and solve.
     """
     if not model.joints:
-        return np.array(_body_terms(model._acc_kernels, _frames(poses, velocities))).reshape(-1, 6)
+        return _body_terms(model._acc_kernels, *_frames(poses, velocities))
     kkt, rhs = assemble_index1(model, poses, velocities, t)
     vdot, _ = solve_index1(model, kkt, rhs)
-    return vdot
+    return vdot.reshape(-1).tolist()
 
 
 def constraint_jacobian(model: MbsModel, poses) -> np.ndarray:
     """Stacked m x 6n velocity-constraint Jacobian: the J block of the KKT
     matrix (at zero velocity; J does not depend on it)."""
     nv = 6 * model.n_bodies
-    kkt, _ = _kkt(model, _frames(poses, np.zeros((len(poses), 6))), [])
+    kkt, _ = _kkt(model, *_frames(poses, np.zeros((len(poses), 6))), [])
     return kkt[nv:, :nv].copy()
 
 
@@ -720,7 +723,7 @@ def project_velocities(model: MbsModel, state: MbsState) -> MbsState:
     if not model.joints:
         return state.copy()
     nv = 6 * model.n_bodies
-    kkt, _ = _kkt(model, _frames(state.poses, np.zeros_like(state.velocities)), [])
+    kkt, _ = _kkt(model, *_frames(state.poses, np.zeros_like(state.velocities)), [])
     rhs = np.zeros(len(kkt))
     rhs[nv:] = -kkt[nv:, :nv] @ state.velocities.reshape(-1)
     sol = np.linalg.solve(kkt, rhs)

@@ -98,6 +98,10 @@ def tableau_explicit_trapezoidal() -> ButcherTableau:
     return ButcherTableau(a, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
 
 
+def _unpack(names, value) -> list[str]:
+    return [f"    {', '.join(names)}, = {value}"] if names else []
+
+
 @functools.cache
 def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int, width: int):
     """One shared-stage step of a Lie part and a vector part, compiled once
@@ -120,19 +124,16 @@ def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int, width:
         return [" + ".join([base.format(i), *(f"c{row}_{l} * {slope}{l}_{i}" for l, _ in terms)])
                 for i in range(size)]
 
-    def unpack(names, value):
-        return [f"    {', '.join(names)}, = {value}"] if names else []
-
     src = ["def loop(group, frames, y, t, dt, rhs):",
            "    advance, dexpinv = group.advance_parts, group.dexpinv_apply",
            *(f"    rot{i}, (r{i}_0, r{i}_1, r{i}_2) = frames[{i}]" for i in range(n_bodies)),
-           *unpack([f"y_{i}" for i in range(width)], "y")]
+           *_unpack([f"y_{i}" for i in range(width)], "y")]
     for j, stage_deps in enumerate(deps):
         tj = f"t + {nodes[j]!r} * dt"
-        fj = unpack([f"f{j}_{i}" for i in range(width)], "f")
+        fj = _unpack([f"f{j}_{i}" for i in range(width)], "f")
         if not stage_deps:
             src += [f"    v, f = rhs({j}, {tj}, frames, y)",
-                    *unpack([f"k{j}_{i}" for i in range(m)], "v"), *fj]
+                    *_unpack([f"k{j}_{i}" for i in range(m)], "v"), *fj]
             continue
         src += [f"    c{j}_{l} = dt * {w!r}" for l, w in stage_deps]
         src += [f"    p{j}_{i} = {expr}" for i, expr in enumerate(combine(stage_deps, j, "k", m))]
@@ -164,6 +165,32 @@ def _shared_step(group: CSpaceGroup, frames, y, t: float, dt: float,
                        len(y))(group, frames, y, t, dt, rhs)
 
 
+@functools.cache
+def _step_end(n_bodies: int, width: int):
+    """A step's end, compiled once per process for each body count and vector
+    width: ``end(group, frames, phi, y, dy, comp)`` gives the next (frames, y,
+    comp).  Each pose becomes g exp(phi_i) (``advance_parts``, read when it
+    runs); its translation increment and dy are added with Kahan compensation
+    ``comp``, three entries per body, then y's.  Zero ``comp``: a plain add."""
+    m, size = 3 * n_bodies, 3 * n_bodies + width
+    src = ["def end(group, frames, phi, y, dy, comp):",
+           "    advance = group.advance_parts",
+           *_unpack([f"c{k}" for k in range(size)], "comp"),
+           *_unpack([f"x{k}" for k in range(m, size)], "y"),
+           *_unpack([f"d{k}" for k in range(m, size)], "dy")]
+    for b, k in enumerate(range(0, m, 3)):
+        src += [f"    rot{b}, (x{k}, x{k + 1}, x{k + 2}) = frames[{b}]",
+                f"    rot{b}, (d{k}, d{k + 1}, d{k + 2}) = advance(rot{b}, phi[{2 * k}:{2 * k + 6}])"]
+    for k in range(size):  # Kahan's operation order: the bits depend on it
+        src += [f"    u{k} = d{k} - c{k}", f"    s{k} = x{k} + u{k}", f"    c{k} = (s{k} - x{k}) - u{k}"]
+    poses = ", ".join(f"(rot{b}, (s{k}, s{k + 1}, s{k + 2}))" for b, k in enumerate(range(0, m, 3)))
+    src.append(f"    return [{poses}], [{', '.join(f's{k}' for k in range(m, size))}], "
+               f"[{', '.join(f'c{k}' for k in range(size))}]")
+    namespace = {}
+    exec(compile("\n".join(src), f"<step end {n_bodies, width}>", "exec"), namespace)
+    return namespace["end"]
+
+
 def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
             tableau: ButcherTableau) -> list[Pose]:
     """One Munthe-Kaas step of gdot = g Vhat for a prescribed velocity field.
@@ -178,7 +205,7 @@ def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
 
     frames = [(p.R.tolist(), p.r.tolist()) for p in poses]
     phi, _ = _shared_step(group, frames, [], t, dt, tableau, rhs)
-    _advance(group, frames, phi, [(0.0, 0.0, 0.0)] * len(frames))
+    frames, _, _ = _step_end(len(frames), 0)(group, frames, phi, [], [], [0.0] * 3 * len(frames))
     return [Pose(np.array(rot), np.array(r)) for rot, r in frames]
 
 
@@ -201,24 +228,6 @@ class TrajectoryRecord:
     def state_at(self, k: int) -> MbsState:
         poses = [Pose(rot, pos) for rot, pos in zip(self.rotations[k], self.positions[k])]
         return MbsState(poses, self.velocities[k].copy(), float(self.times[k]))
-
-
-def _kahan_add(x, dx, comp):
-    """Compensated x + dx on float lists: the sum and the roundoff of this
-    addition, which the next addition subtracts first."""
-    ys = [d - c for d, c in zip(dx, comp)]
-    s = [a + y for a, y in zip(x, ys)]
-    return s, [(b - a) - y for a, b, y in zip(x, s, ys)]
-
-
-def _advance(group: CSpaceGroup, frames, phi, comp_r) -> None:
-    """A step's end: each (R rows, r) float pose in ``frames`` becomes
-    g exp(phi_i), in place, its translation added compensated against
-    ``comp_r`` (all zeros: a plain add, as in mk_step)."""
-    for i, (rot, r) in enumerate(frames):
-        rot, delta = group.advance_parts(rot, phi[6 * i:6 * i + 6])
-        r, comp_r[i] = _kahan_add(r, delta, comp_r[i])
-        frames[i] = (rot, r)
 
 
 def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
@@ -254,12 +263,12 @@ def _run(group: CSpaceGroup, frames, y, t0: float, dt: float, sample_idx,
     """The fixed-step loop of both charts: ``_shared_step`` from t0 up to
     step ``sample_idx[-1]``, with ``record(slot, t, frames, y)`` at the
     initial state and at each sampled step.  The translations of ``frames``
-    and ``y`` accumulate compensated (Kahan) so the roundoff of 1e5-step runs
-    stays far below the drift scales measured."""
+    and ``y`` accumulate compensated (Kahan, ``_step_end``) so the roundoff
+    of 1e5-step runs stays far below the drift scales measured."""
     record(0, t0, frames, y)
     slot = 1
-    comp_r = [(0.0, 0.0, 0.0)] * len(frames)
-    comp_y = [0.0] * len(y)
+    end = _step_end(len(frames), len(y))
+    comp = [0.0] * (3 * len(frames) + len(y))
     t = t0
     for step in range(1, sample_idx[-1] + 1):
         try:
@@ -268,8 +277,7 @@ def _run(group: CSpaceGroup, frames, y, t0: float, dt: float, sample_idx,
             raise IntegrationError(str(exc), step, t) from exc
         if not math.isfinite(sum(dy, sum(phi))):
             raise IntegrationError("non-finite velocity or chart increment", step, t)
-        y, comp_y = _kahan_add(y, dy, comp_y)
-        _advance(group, frames, phi, comp_r)
+        frames, y, comp = end(group, frames, phi, y, dy, comp)
         t = t0 + step * dt
         if slot < len(sample_idx) and step == sample_idx[slot]:
             record(slot, t, frames, y)
@@ -286,7 +294,7 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
 
     def rhs(j, tj, stage, v):
-        return v, accelerations(model, stage, v, tj).reshape(-1).tolist()
+        return v, accelerations(model, stage, v, tj)
 
     def record(slot, t, frames, v):
         rec.times[slot] = t
@@ -318,8 +326,7 @@ def _quat_chart(group_name: str):
             return dq_from_pose(pose).as_vector().tolist()
 
         def unpack(y):
-            pose = pose_from_dq(DualQuaternion(y[:4], y[4:]))
-            return pose.R.tolist(), pose.r.tolist()
+            return pose_from_dq(DualQuaternion(y[:4], y[4:]))
 
         def rates(y, v):
             return reconstruct_rates(DualQuaternion(y[:4], y[4:]), v)
@@ -366,7 +373,7 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
         vel = y[nq:]
         vdot = accelerations(model, [unpack(q) for q in charts], vel, tj)
         return (), [x for i, q in enumerate(charts)
-                    for x in chart_rates(q, vel[6 * i:6 * i + 6])] + vdot.reshape(-1).tolist()
+                    for x in chart_rates(q, vel[6 * i:6 * i + 6])] + vdot
 
     def record(slot, t, frames, y):
         rec.times[slot] = t

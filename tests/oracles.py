@@ -21,7 +21,7 @@ from screwmbs.dynamics import (
     spatial_inertia,
     total_energy,
 )
-from screwmbs.dualquat import DualQuaternion, dmat, emat, quat_mul
+from screwmbs.dualquat import DualQuaternion, dmat, emat, quat_mul, quat_rotation_rows
 from screwmbs.integrate import integrate
 from screwmbs.liealg import (
     SMALL_ANGLE,
@@ -281,6 +281,14 @@ def reference_wrenches(model, rots, origins) -> list[list[float]]:
     return out
 
 
+def body_frames(poses, velocities) -> list[tuple]:
+    """Per-body (R rows, r, omega, v) floats, the interpreted kernels' input,
+    from ``Pose`` lists or float pairs and (n, 6) or flat velocities."""
+    poses, v = _frames(poses, velocities)
+    return [(rot, r, v[6 * i:6 * i + 3], v[6 * i + 3:6 * i + 6])
+            for i, (rot, r) in enumerate(poses)]
+
+
 def reference_body_rhs(model, frames) -> list[float]:
     """Stacked Newton-Euler right-hand sides Q (applied wrench plus the
     velocity-dependent terms) of all bodies, flat."""
@@ -443,7 +451,7 @@ def reference_joint_rows(joint, frame_a, frame_b, mixed: bool):
 def reference_assemble_index1(model, poses, velocities):
     """dynamics.assemble_index1 with the body terms from reference_body_rhs
     and every joint's rows from reference_joint_rows."""
-    frames = _frames(poses, velocities)
+    frames = body_frames(poses, velocities)
     kkt = model._kkt0.copy()
     if model._mixed:
         for i, r0 in enumerate(model._offsets):
@@ -530,6 +538,17 @@ def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
         quat_mul(a.q, b.q),
         quat_mul(a.q, b.qe) + quat_mul(a.qe, b.q),
     )
+
+
+def reference_pose_from_dq(a: DualQuaternion) -> Pose:
+    """dualquat.pose_from_dq when it returned a ``Pose``: the same float
+    arithmetic, converted to arrays."""
+    q0, q1, q2, q3 = _floats(a.q)
+    e0, e1, e2, e3 = _floats(a.qe)
+    r = np.array((2.0 * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
+                  2.0 * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
+                  2.0 * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1)))
+    return Pose(np.array(quat_rotation_rows(q0, q1, q2, q3)), r)
 
 
 def dq_align(a: DualQuaternion, ref: DualQuaternion) -> DualQuaternion:
@@ -775,3 +794,33 @@ def shared_step(group, frames, y, t: float, dt: float, tableau, rhs) -> tuple:
     ks = _stage_slopes(group, frames, t, dt, tableau, velocity)
     return (_combine(dt, tableau._weights, ks, [0.0] * (6 * len(frames))),
             _combine(dt, tableau._weights, fs, [0.0] * len(y)))
+
+
+def kahan_add(x, dx, comp):
+    """Compensated x + dx on float lists: the sum and the roundoff of this
+    addition, which the next addition subtracts first."""
+    ys = [d - c for d, c in zip(dx, comp)]
+    s = [a + y for a, y in zip(x, ys)]
+    return s, [(b - a) - y for a, b, y in zip(x, s, ys)]
+
+
+def advance(group, frames, phi, comp_r) -> None:
+    """A step's end on the Lie part: each (R rows, r) float pose in
+    ``frames`` becomes g exp(phi_i), in place, its translation added
+    compensated against the 3-lists ``comp_r`` (updated in place)."""
+    for i, (rot, r) in enumerate(frames):
+        rot, delta = group.advance_parts(rot, phi[6 * i:6 * i + 6])
+        r, comp_r[i] = kahan_add(r, delta, comp_r[i])
+        frames[i] = (rot, r)
+
+
+def close_step(group, frames, phi, y, dy, comp) -> tuple:
+    """The step end, interpreted: the reference for integrate's generated
+    ``_step_end``.  ``comp`` holds the translations' compensations (three
+    per body), then y's."""
+    n = 3 * len(frames)
+    frames = list(frames)
+    comp_r = [comp[k:k + 3] for k in range(0, n, 3)]
+    advance(group, frames, phi, comp_r)
+    y, comp_y = kahan_add(y, dy, comp[n:])
+    return frames, y, [c for cr in comp_r for c in cr] + comp_y

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 import os
 import subprocess
@@ -144,6 +145,59 @@ class TestBadInput:
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+
+class TestHorizon:
+    """A horizon that is not a whole number of steps would be rounded to one
+    by the step loop, silently changing it; it is an invalid configuration."""
+
+    # a dt so small that tf / dt overflows has no whole step count either
+    @pytest.mark.parametrize("dt, tf", [("1e-3", "0.0015"), ("1e-3", "0.0004"), ("1e-320", "1")])
+    def test_simulate_partial_step_exits_1(self, tmp_path, monkeypatch, capsys, dt, tf):
+        code = run_cli(["simulate", "--model", "heavy-top", "--dt", dt, "--tf", tf,
+                        "--out", "ht.csv"], tmp_path, monkeypatch)
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_simulate_checks_every_dt_before_writing(self, tmp_path, monkeypatch, capsys):
+        code = run_cli(["simulate", "--model", "heavy-top", "--dt", "1e-3", "--dt", "3e-3",
+                        "--tf", "0.01", "--out", "ht.csv"], tmp_path, monkeypatch)
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_sweep_partial_step_exits_1(self, tmp_path, monkeypatch, capsys):
+        # the default dts of heavy-top start at 1e-2: half a step
+        code = run_cli(["sweep", "--model", "heavy-top", "--group", "se3", "--tf", "0.005",
+                        "--out-dir", "out"], tmp_path, monkeypatch)
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_builtin_horizons_accepted(self, group):
+        # cardan's 1.2 s at 1e-4 is 11999.999999999998 steps in floats
+        for name in bench.BUILDERS:
+            spec = bench.build(name, group)
+            cli._check_horizon(spec.t_final - spec.state0.t, spec.dts)
+
+    def test_simbench_horizons_accepted(self, tmp_path, monkeypatch):
+        # every simbench job's --dt/--tf pair, run on the built-in model
+        # (the benchmark's model files differ only in initial velocities)
+        path = Path(__file__).resolve().parents[1] / "simbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("simbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for variants in workloads.WORKLOADS.values():
+            for variant in variants:
+                argv = workloads.Job(variant, "se3", 0).argv(str(tmp_path))
+                dt, tf = (argv[argv.index(flag) + 1] for flag in ("--dt", "--tf"))
+                assert run_cli(["simulate", "--model", variant.model, "--param", variant.chart,
+                                "--dt", dt, "--tf", tf, "--stride", str(variant.stride),
+                                "--out", "job.csv"], tmp_path, monkeypatch) == 0
 
 
 class TestSimulateCsv:

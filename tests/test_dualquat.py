@@ -25,6 +25,7 @@ from oracles import (
     dq_mul,
     quat_conj,
     random_pose,
+    reference_pose_from_dq,
     random_screw,
     rotation_from_quat,
 )
@@ -70,14 +71,14 @@ class TestDqProduct:
         t1, t2 = RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 3)
         a = dq_from_pose(Pose(np.eye(3), t1))
         b = dq_from_pose(Pose(np.eye(3), t2))
-        out = pose_from_dq(dq_mul(a, b))
+        out = Pose(*map(np.array, pose_from_dq(dq_mul(a, b))))
         assert_allclose(out.r, t1 + t2, atol=1e-14)
 
     def test_homomorphic_to_pose_composition(self):
         # dq product maps to the 4x4 homogeneous product in the same order
         for _ in range(10):
             ca, cb = random_pose(RNG), random_pose(RNG)
-            prod = pose_from_dq(dq_mul(dq_from_pose(ca), dq_from_pose(cb)))
+            prod = Pose(*map(np.array, pose_from_dq(dq_mul(dq_from_pose(ca), dq_from_pose(cb)))))
             ref = se3_compose(ca, cb)
             assert_allclose(prod.R, ref.R, atol=1e-10)
             assert_allclose(prod.r, ref.r, atol=1e-10)
@@ -131,13 +132,13 @@ class TestPoseConversion:
     def test_roundtrip(self):
         for _ in range(20):
             c = random_pose(RNG)
-            out = pose_from_dq(dq_from_pose(c))
+            out = Pose(*map(np.array, pose_from_dq(dq_from_pose(c))))
             assert_allclose(out.R, c.R, atol=1e-12)
             assert_allclose(out.r, c.r, atol=1e-12)
 
     def test_double_cover_same_pose(self):
         a = random_dq(RNG)
-        p1, p2 = pose_from_dq(a), pose_from_dq(a.negated())
+        p1, p2 = (Pose(*map(np.array, pose_from_dq(b))) for b in (a, a.negated()))
         assert_allclose(p1.R, p2.R, atol=0)
         assert_allclose(p1.r, p2.r, atol=0)
 
@@ -293,11 +294,24 @@ class TestClosedFormAgainstSolve:
         rng = np.random.default_rng(20)
         for _ in range(50):
             a = off_unit_dq(rng)
-            pose = pose_from_dq(a)
+            pose = Pose(*map(np.array, pose_from_dq(a)))
             assert_allclose(pose.R, rotation_from_quat(a.q / np.linalg.norm(a.q)),
                             rtol=0, atol=1e-14)
             assert_allclose(pose.r, 2.0 * quat_mul(a.qe, quat_conj(a.q))[1:],
                             rtol=0, atol=1e-14)
+
+
+    def test_pose_from_dq_pair_has_the_pose_bits(self):
+        # the (R rows, r) float pair the step loop reads carries the bits
+        # of the Pose entries pose_from_dq returned before
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            a = off_unit_dq(rng)
+            rows, r = pose_from_dq(a)
+            ref = reference_pose_from_dq(a)
+            assert np.array(rows).tobytes() == ref.R.tobytes()
+            assert np.array(r).tobytes() == ref.r.tobytes()
+            assert all(type(x) is float for x in (*r, *(x for row in rows for x in row)))
 
 
 class TestInvariantPreservation:
@@ -321,7 +335,7 @@ class TestInvariantPreservation:
         assert a.plucker_defect() < 1e-8
         # the reconstructed motion is the constant-twist screw motion
         ref = se3_exp(1.0 * v)
-        out = pose_from_dq(a)
+        out = Pose(*map(np.array, pose_from_dq(a)))
         assert_allclose(out.R, ref.R, atol=1e-9)
         assert_allclose(out.r, ref.r, atol=1e-9)
 

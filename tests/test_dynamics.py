@@ -36,6 +36,7 @@ from screwmbs.dynamics import (
 from screwmbs.liealg import Pose, hat3, mixed_twist_matrix, se3_dexp, se3_exp
 from screwmbs.modelfile import load_model_file, write_model_file
 from oracles import (
+    body_frames,
     central_diff,
     joint_acc_rhs,
     newton_euler_body,
@@ -372,14 +373,39 @@ def test_row_templates_compile_once_per_structure():
 def _assert_body_terms_match_reference(model, poses, velocities):
     """Q, the applied wrenches and, without joints, Vdot = M^-1 Q from the
     compiled body kernels equal the interpreted reference bit for bit."""
-    frames = dynamics._frames(poses, velocities)
-    assert _bits(dynamics._body_terms(model._rhs_kernels, frames)) == \
+    frames = body_frames(poses, velocities)
+    assert _bits(dynamics._body_terms(model._rhs_kernels, *dynamics._frames(poses, velocities))) == \
         _bits(reference_body_rhs(model, frames))
     ref_w = reference_wrenches(model, [f[0] for f in frames], [f[1] for f in frames])
     assert _bits(force_assembly(model, poses)) == _bits(ref_w)
     if not model.joints:
         assert _bits(accelerations(model, poses, velocities)) == \
             _bits(reference_free_accelerations(model, frames))
+
+
+@pytest.mark.parametrize("group", ["se3", "so3xr3"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_accelerations_flat_list_bitwise(name, group):
+    """accelerations gives Vdot as the flat list of 6n floats the stage loop
+    works on, with the bits of the (n, 6) index-1 solution (jointed) or of
+    the interpreted M^-1 Q (jointless), from Pose lists and from the stage
+    loop's float forms alike."""
+    spec = build(name, group)
+    model, n = spec.model, spec.model.n_bodies
+    rng = np.random.default_rng(131)
+    states = [(spec.state0.poses, spec.state0.velocities),
+              (_off_manifold_poses(rng, n), rng.uniform(-3, 3, (n, 6)))]
+    for poses, velocities in states:
+        if model.joints:
+            ref, _ = solve_index1(model, *assemble_index1(model, poses, velocities))
+        else:
+            ref = reference_free_accelerations(model, body_frames(poses, velocities))
+        floats = ([(p.R.tolist(), p.r.tolist()) for p in poses], velocities.reshape(-1).tolist())
+        for args in ((poses, velocities), floats):
+            vdot = accelerations(model, *args)
+            assert type(vdot) is list and len(vdot) == 6 * n
+            assert all(type(x) is float for x in vdot)
+            assert _bits(vdot) == _bits(ref)
 
 
 def _off_manifold_poses(rng, n):
@@ -431,7 +457,7 @@ def test_sprung_off_com_body_terms_bitwise(representation, jointed):
     _assert_body_terms_match_reference(model, poses, signed)
     signed[1, 1] = math.nan  # an angular rate: the mixed Q has no linear-velocity term
     _assert_body_terms_match_reference(model, poses, signed)
-    assert np.isnan(dynamics._body_terms(model._rhs_kernels, dynamics._frames(poses, signed))).any()
+    assert np.isnan(dynamics._body_terms(model._rhs_kernels, *dynamics._frames(poses, signed))).any()
     # a NaN rotation reaches every wrench term, also the zero moment arm of
     # an unattached spring
     poses[1].R[0, 1] = math.nan
@@ -563,7 +589,7 @@ class TestIndex1Solve:
         model = MbsModel([BOX_FREE], [], [Gravity([0, 0, -GRAV])],
                          representation=BODY_FIXED)
         state = MbsState([Pose.identity()], RNG.normal(size=6)[None, :])
-        vdot = accelerations(model, state.poses, state.velocities)
+        vdot = np.reshape(accelerations(model, state.poses, state.velocities), (-1, 6))
         m, rhs = newton_euler_body(BOX_FREE, state.velocities[0],
                                    force_assembly(model, state.poses)[0])
         assert_allclose(vdot[0], np.linalg.solve(m, rhs), atol=1e-12)
@@ -620,8 +646,8 @@ class TestIndex1Solve:
         omega = np.array([0.3, 0.8, -0.4])
         vb = np.concatenate([omega, np.cross(TOP_R0, omega)])
         vm = np.concatenate([omega, r @ vb[3:]])
-        ab = accelerations(mb, poses, vb[None, :])[0]
-        am = accelerations(mm, poses, vm[None, :])[0]
+        ab = np.reshape(accelerations(mb, poses, vb[None, :]), (-1, 6))[0]
+        am = np.reshape(accelerations(mm, poses, vm[None, :]), (-1, 6))[0]
         assert_allclose(am[:3], ab[:3], atol=1e-9)
         # vdot_body = R^T vdot_s - omega x v_body
         assert_allclose(r.T @ am[3:] - np.cross(omega, vb[3:]), ab[3:], atol=1e-9)
@@ -640,8 +666,8 @@ class TestIndex1Solve:
         omega = np.array([2.0, -1.5, 3.0])
         vb = np.concatenate([omega, np.array([0.5, -0.25, 1.0])])
         vm = np.concatenate([omega, r @ vb[3:]])
-        ab = accelerations(mb, poses, vb[None, :])[0]
-        am = accelerations(mm, poses, vm[None, :])[0]
+        ab = np.reshape(accelerations(mb, poses, vb[None, :]), (-1, 6))[0]
+        am = np.reshape(accelerations(mm, poses, vm[None, :]), (-1, 6))[0]
         assert_allclose(am[:3], ab[:3], atol=1e-9)
         assert_allclose(r.T @ am[3:] - np.cross(omega, vb[3:]), ab[3:], atol=1e-9)
 
@@ -659,7 +685,7 @@ class TestIndex1Solve:
         state = MbsState([Pose(r, np.array([0.2, 0.4, -0.1]))],
                          np.array([[1.0, -2.0, 0.5, 0.3, 0.8, -0.6]]))
         v = state.velocities[0]
-        vdot = accelerations(model, state.poses, state.velocities)[0]
+        vdot = np.reshape(accelerations(model, state.poses, state.velocities), (-1, 6))[0]
         m0 = model.spatial_inertia_blocks([r])[0]
         h = 1e-7
         rp = r @ (np.eye(3) + h * hat3(v[:3]))
@@ -676,7 +702,7 @@ class TestIndex1Solve:
         # work and the gyroscopic terms must cancel against dM/dt
         model = heavy_top_model(representation)
         state = heavy_top_state(representation)
-        vdot = accelerations(model, state.poses, state.velocities)[0]
+        vdot = np.reshape(accelerations(model, state.poses, state.velocities), (-1, 6))[0]
         v = state.velocities[0]
         blocks = model.spatial_inertia_blocks([p.R for p in state.poses])
 

@@ -329,9 +329,10 @@ INTERPRETED_KERNELS = {SE3: (oracles.se3_advance_parts, oracles.se3_dexpinv_appl
 
 
 def interpret(monkeypatch, group, kernels: bool):
-    """Route the step through the interpreted stage loop and, with
-    ``kernels``, the group's interpreted Lie-group kernels."""
+    """Route the step through the interpreted stage loop and step end and,
+    with ``kernels``, the group's interpreted Lie-group kernels."""
     monkeypatch.setattr(integrate_module, "_shared_step", oracles.shared_step)
+    monkeypatch.setattr(integrate_module, "_step_end", lambda n, width: oracles.close_step)
     if kernels:
         for name, fn in zip(("advance_parts", "dexpinv_apply"), INTERPRETED_KERNELS[group]):
             monkeypatch.setattr(type(group), name, staticmethod(fn))
@@ -411,6 +412,57 @@ class TestGeneratedStageLoop:
         for _ in range(3):
             assert cli.main(args) == 0
         assert loop.cache_info().currsize == size
+
+
+def _bits(values) -> bytes:
+    """IEEE bytes of nested float sequences: signed zeros count."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestGeneratedStepEnd:
+    """The generated step end gives the bits of the interpreted one
+    (``oracles.advance`` and ``oracles.kahan_add``): the poses, y and the
+    compensations carried to the next step."""
+
+    @pytest.mark.parametrize("width", [0, 6, 14, 18])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    def test_equals_interpreted(self, group, n, width):
+        rng = np.random.default_rng(100 * n + width)
+        frames = [(p.R.tolist(), p.r.tolist()) for p in (random_pose(rng) for _ in range(n))]
+        y = rng.uniform(-1e3, 1e3, width).tolist()
+        # nonzero compensations from the start; increments far below x, so
+        # every addition rounds and the compensation order shows
+        comp = (rng.uniform(-1.0, 1.0, 3 * n + width) * 1e-13).tolist()
+        ref = (frames, y, comp)
+        for _ in range(10):
+            phi = (rng.uniform(-0.5, 0.5, 6 * n) * np.tile([1.0] * 3 + [1e-6] * 3, n)).tolist()
+            dy = (rng.uniform(-1.0, 1.0, width) * 1e-7).tolist()
+            end = integrate_module._step_end(n, width)
+            frames, y, comp = end(group, frames, phi, y, dy, comp)
+            ref = oracles.close_step(group, ref[0], phi, ref[1], dy, ref[2])
+            assert _bits([rot for rot, _ in frames]) == _bits([rot for rot, _ in ref[0]])
+            assert _bits([r for _, r in frames]) == _bits([r for _, r in ref[0]])
+            assert _bits(y) == _bits(ref[1]) and _bits(comp) == _bits(ref[2])
+            assert any(comp)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_zero_compensation_is_a_plain_add(self, n):
+        # mk_step's end: advance_parts per body, the increment added plainly
+        rng = np.random.default_rng(7)
+        frames = [(p.R.tolist(), p.r.tolist()) for p in (random_pose(rng) for _ in range(n))]
+        phi = rng.uniform(-0.5, 0.5, 6 * n).tolist()
+        out, y, comp = integrate_module._step_end(n, 0)(SE3, frames, phi, [], [], [0.0] * (3 * n))
+        assert y == []
+        for i, ((rot, r), (rot0, r0)) in enumerate(zip(out, frames)):
+            rot1, delta = SE3.advance_parts(rot0, phi[6 * i:6 * i + 6])
+            assert _bits(rot) == _bits(rot1)
+            assert _bits(r) == _bits([a + d for a, d in zip(r0, delta)])
+
+    def test_compiled_once_per_shape(self):
+        end = integrate_module._step_end
+        assert end(2, 12) is end(2, 12)
+        assert end(2, 12) is not end(2, 13)
 
 
 class TestIntegrateQuaternion:

@@ -10,7 +10,10 @@ own checkout.  Each step cell is the smallest process time per step over
 REPEATS runs of ``integrate`` (cells ``<model>.<group>``) or
 ``integrate_quaternion`` (cells ``<model>.<group>.quaternion``) with STEPS
 steps and one sample at each end; the free body steps at dt = 1e-4, the
-jointed models at dt = 1e-3.  Each kernel cell is the smallest time per call
+jointed models at dt = 1e-3.  The cells are timed round-robin, every cell
+once per round, so a slow spell of a shared host slows one run of every
+cell rather than every run of a few, and each cell's minimum discards it.
+Each kernel cell is the smallest time per call
 over KERNEL_REPEATS ``timeit`` runs of KERNEL_CALLS calls, with
 float-sequence arguments as the step loop passes them; ``dexpinv_apply`` is
 timed on its closed form (|xi| = 0.5) and on its series branch (|xi| = 5e-5,
@@ -36,21 +39,28 @@ MODELS = ("free-body-offset", "heavy-top", "double-pendulum", "cardan", "rp-chai
           "four-bar")
 GROUPS = ("se3", "so3xr3")
 STEPS = 300
-REPEATS = 3
+REPEATS = 25
 KERNEL_CALLS = 20000
 KERNEL_REPEATS = 5
 
 
-def us_per_step(model: str, group: str, run=integrate) -> float:
-    spec = build(model, group)
-    dt = 1e-4 if not spec.model.joints else 1e-3
-    best = float("inf")
+def step_table() -> dict[str, float]:
+    """Microseconds per step of every cell, by name, timed round-robin."""
+    cells = {}
+    for model in MODELS:
+        for group in GROUPS:
+            spec = build(model, group)
+            dt = 1e-4 if not spec.model.joints else 1e-3
+            cells[f"{model}.{group}"] = (integrate, spec, dt)
+            cells[f"{model}.{group}.quaternion"] = (integrate_quaternion, spec, dt)
+    best = dict.fromkeys(cells, float("inf"))
     for _ in range(REPEATS):
-        start = time.process_time()
-        run(spec.model, spec.group, spec.state0, dt, STEPS * dt, tableau_rk4(),
-            stride=STEPS)
-        best = min(best, time.process_time() - start)
-    return 1e6 * best / STEPS
+        for name, (run, spec, dt) in cells.items():
+            start = time.process_time()
+            run(spec.model, spec.group, spec.state0, dt, STEPS * dt, tableau_rk4(),
+                stride=STEPS)
+            best[name] = min(best[name], time.process_time() - start)
+    return {name: 1e6 * t / STEPS for name, t in best.items()}
 
 
 def kernel_table() -> dict[str, float]:
@@ -89,12 +99,7 @@ def main(argv=None) -> int:
             for name, us in table.items():
                 print(f"{name:28s} {us:8.2f}")
         return 0
-    table = {}
-    for model in MODELS:
-        for group in GROUPS:
-            table[f"{model}.{group}"] = us_per_step(model, group)
-            table[f"{model}.{group}.quaternion"] = us_per_step(model, group,
-                                                               integrate_quaternion)
+    table = step_table()
     if args.json:
         print(json.dumps(table))
         return 0
