@@ -60,7 +60,7 @@ def csv_columns(spec: ExperimentSpec) -> list[str]:
             raise ValueError(f"duplicate joint label {joint.label!r}: the CSV "
                              "columns of the two joints would collide")
         cols.append(pos)
-        if joint.dim > 3:
+        if joint.has_orientation:
             cols.append(f"{joint.label}_ori_residual")
     if spec.reference is not None:
         for i in range(spec.model.n_bodies):
@@ -76,7 +76,9 @@ def csv_columns(spec: ExperimentSpec) -> list[str]:
 def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, list[float]]:
     """The CSV columns of a run, by name in ``csv_columns`` order, in one
     pass over the samples: each joint residual is evaluated and split once,
-    and so is the kinetic energy, which the total reuses."""
+    from the sample's poses converted once, and so is the kinetic energy,
+    which the total reuses."""
+    columns = csv_columns(spec)  # a label clash raises before the pass
     model = spec.model
     offsets = [b.com_offset for b in model.bodies]
     rows = []
@@ -84,8 +86,9 @@ def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, lis
         t = float(record.times[k])
         state = record.state_at(k)
         row = [t]
+        poses = list(zip(record.rotations[k].tolist(), record.positions[k].tolist()))
         for joint in model.joints:
-            pos, ori = joint.split_residual(joint_geometry(joint, state.poses, model))
+            pos, ori = joint.split_residual(joint_geometry(joint, poses, model))
             row.append(float(np.linalg.norm(pos)))
             if len(ori):
                 row.append(float(np.linalg.norm(ori)))
@@ -106,7 +109,7 @@ def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, lis
         row.append(ke)
         row.append(ke + potential_energy(model, state) + spec.energy_datum)
         rows.append(row)
-    return dict(zip(csv_columns(spec), map(list, zip(*rows))))
+    return dict(zip(columns, map(list, zip(*rows))))
 
 
 def write_run_csv(path, spec: ExperimentSpec, record: TrajectoryRecord) -> dict:

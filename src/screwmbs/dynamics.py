@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import Pose, _Emitter, _names, add3, cross3, dot3, hat3, mtv3, mv3, sub3
+from .liealg import Pose, _Emitter, _names, cross3, hat3
 
 BODY_FIXED = "body"
 MIXED = "mixed"
 # the velocity representation each configuration-space group integrates
 REPRESENTATION = {"se3": BODY_FIXED, "so3xr3": MIXED}
 
-_JOINT_DIMS = {"spherical": 3, "revolute": 5, "prismatic": 5, "universal": 4}
 TOL_POS, TOL_VEL = 1e-12, 1e-9  # initial-state bounds on |h| per joint and |J V|
 
 
@@ -119,23 +118,27 @@ class Joint:
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in _JOINT_DIMS:
-            raise ValueError(f"unknown joint kind {self.kind!r}")
+        rows = self._build_rows()
         object.__setattr__(self, "anchor_a", np.asarray(self.anchor_a, dtype=float))
         object.__setattr__(self, "anchor_b", np.asarray(self.anchor_b, dtype=float))
-        if self.kind != "spherical":
-            if self.axis_a is None or self.axis_b is None:
-                raise ValueError(f"{self.kind} joint needs axis_a and axis_b")
-            object.__setattr__(self, "axis_a", _unit(self.axis_a, "axis_a"))
-            object.__setattr__(self, "axis_b", _unit(self.axis_b, "axis_b"))
         # per-row constants of the step loop, as plain floats
-        object.__setattr__(self, "_rows", self._build_rows())
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_anchors", (_float_tuple(self.anchor_a),
                                               _float_tuple(self.anchor_b)))
+        # the residual has one entry per row, three per anchor row: anchor
+        # and offset-dot entries measure position, axis-dot ones orientation
+        ori = np.array([row[0] == "axisdot" for row in rows
+                        for _ in range(3 if row[0] == "anchor" else 1)])
+        object.__setattr__(self, "_split", (np.flatnonzero(~ori), np.flatnonzero(ori)))
 
     @property
     def dim(self) -> int:
-        return _JOINT_DIMS[self.kind]
+        return sum(map(len, self._split))
+
+    @property
+    def has_orientation(self) -> bool:
+        """Whether the residual has orientation entries (axis-dot rows)."""
+        return len(self._split[1]) > 0
 
     @property
     def label(self) -> str:
@@ -144,18 +147,22 @@ class Joint:
 
     def split_residual(self, h):
         """(position, orientation) parts of a residual ``joint_geometry``
-        returned: the anchor rows of a point joint come first, while the
-        prismatic joint lists its three rotation-lock rows before its two
-        offset rows."""
-        if self.kind == "prismatic":
-            return h[3:], h[:3]
-        return h[:3], h[3:]
+        returned, each in row order."""
+        pos, ori = self._split
+        return h[pos], h[ori]
 
     def _build_rows(self):
         """Row descriptors: ('anchor',), ('axisdot', na, mb), ('offsetdot', n),
-        with the body-frame directions as float tuples (built once)."""
+        with the body-frame directions as float tuples (built once); the
+        axes are checked and normalised here."""
         if self.kind == "spherical":
             return (("anchor",),)
+        if self.kind not in ("universal", "revolute", "prismatic"):
+            raise ValueError(f"unknown joint kind {self.kind!r}")
+        if self.axis_a is None or self.axis_b is None:
+            raise ValueError(f"{self.kind} joint needs axis_a and axis_b")
+        object.__setattr__(self, "axis_a", _unit(self.axis_a, "axis_a"))
+        object.__setattr__(self, "axis_b", _unit(self.axis_b, "axis_b"))
         alpha, beta = _float_tuple(self.axis_a), _float_tuple(self.axis_b)
         if self.kind == "universal":
             return (("anchor",), ("axisdot", alpha, beta))
@@ -261,7 +268,10 @@ class MbsModel:
             k += joint.dim
         self._kkt0 = kkt
         self._jac_at = np.array(at + at_t, dtype=np.intp)
-        self._row_kernels = [_bind_rows(j, self._mixed) for j in self.joints]
+        kernels = [_bind_rows(j, self._mixed) for j in self.joints]
+        self._row_kernels = [rows for rows, _ in kernels]
+        # joint_geometry finds a joint's residual kernel by the joint
+        self._residual_kernels = {id(j): k for j, (_, k) in zip(self.joints, kernels)}
         bodies = range(self.n_bodies)
         self._rhs_kernels = [_bind_body(self, i, "rhs") for i in bodies]
         self._acc_kernels = [] if self.joints else [_bind_body(self, i, "acc") for i in bodies]
@@ -329,16 +339,21 @@ def _put_mixed_coupling(m, at: int, mass: float, r0, rot) -> None:
     m[at:at + 3, at + 3:at + 6] = coup.T
 
 
+def _pose_rows(poses) -> list:
+    """Poses as the compiled kernels read them: (R rows, r) float pairs.
+    The stage loop's form passes as it is; a ``Pose`` list is converted."""
+    if poses and isinstance(poses[0], Pose):
+        return [(p.R.tolist(), p.r.tolist()) for p in poses]
+    return poses
+
+
 def _frames(poses, velocities) -> tuple:
-    """(poses, velocities) as the compiled kernels read them: (R rows, r)
-    float pairs and 6n flat floats.  The stage loop's forms pass as they
-    are; ``Pose`` lists and (n, 6) array-likes are converted."""
+    """(poses, velocities) as the compiled kernels read them: ``_pose_rows``
+    and 6n flat floats; (n, 6) array-likes are converted."""
     if not (isinstance(velocities, list) and velocities
             and isinstance(velocities[0], float)):
         velocities = np.asarray(velocities, dtype=float).reshape(-1).tolist()
-    if poses and isinstance(poses[0], Pose):
-        poses = [(p.R.tolist(), p.r.tolist()) for p in poses]
-    return poses, velocities
+    return _pose_rows(poses), velocities
 
 
 def _body_terms(kernels, poses, velocities) -> list[float]:
@@ -389,30 +404,13 @@ _I3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _Z3 = (0.0, 0.0, 0.0)
 
 
-def _pose_floats(poses, index):
-    if index is None:
-        return _I3, _Z3
-    return poses[index].R.tolist(), poses[index].r.tolist()
-
-
-def joint_geometry(joint: Joint, poses, model: MbsModel | None = None) -> np.ndarray:
-    """Constraint residual h(g); zero on the constraint manifold."""
-    mixed = model is not None and model.representation == MIXED
-    ra, pa = _pose_floats(poses, joint.body_a)
-    rb, pb = _pose_floats(poses, joint.body_b)
-    aa, ab = joint._anchors
-    pa = add3(pa, mv3(ra, aa))
-    pb = add3(pb, mv3(rb, ab))
-    out = []
-    for row in joint._rows:
-        if row[0] == "anchor":
-            w = sub3(pa, pb)
-            out.extend(w if mixed else mtv3(rb, w))
-        elif row[0] == "axisdot":
-            out.append(dot3(mv3(ra, row[1]), mv3(rb, row[2])))
-        else:  # offsetdot
-            out.append(dot3(mv3(ra, row[1]), sub3(pb, pa)))
-    return np.array(out)
+def joint_geometry(joint: Joint, poses, model: MbsModel) -> np.ndarray:
+    """Constraint residual h(g) of one of the model's joints; zero on the
+    constraint manifold.  Takes ``Pose`` lists or ``_frames``' float poses."""
+    kernel = model._residual_kernels.get(id(joint))
+    if kernel is None:
+        raise ValueError(f"joint {joint.label!r} is not one of the model's joints")
+    return np.array(kernel(_pose_rows(poses)))
 
 
 def _frame(s: str) -> tuple:
@@ -420,10 +418,12 @@ def _frame(s: str) -> tuple:
     return (tuple(_names(f"r{s}{i}") for i in range(3)), *(_names(q + s) for q in "pwv"))
 
 
-def _read_frame(s: str, i: str) -> list[str]:
-    """Kernel lines binding ``_frame(s)`` to body ``i`` of ``_frames``' forms."""
+def _read_frame(s: str, i: str, velocities: bool = True) -> list[str]:
+    """Kernel lines binding ``_frame(s)`` (or its pose alone) to body ``i``
+    of ``_frames``' forms."""
     rot, p, w, v = _frame(s)
-    return [f"{rot, p} = poses[{i}]", f"{(*w, *v)} = velocities[6 * {i}:6 * {i} + 6]"]
+    return [f"{rot, p} = poses[{i}]",
+            *([f"{(*w, *v)} = velocities[6 * {i}:6 * {i} + 6]"] if velocities else [])]
 
 
 _neg = "-{}".format
@@ -442,26 +442,32 @@ def _anchor_motion(e: _Emitter, mixed, rot, omega, vel, anchor):
 
 
 def _emit_rows(e: _Emitter, rows, grounded: bool, mixed: bool):
-    """One joint's J entries in KKT scatter order (per row body a's six,
-    then body b's six) and eta entries, from row descriptors with direction
-    names.  Every row is the exact derivative of joint_geometry for any Ra,
-    Rb with Rdot = R hat(omega): the integrated R leave SO(3) by roundoff,
-    and rows that assume R^T R = I turn that defect into constraint drift."""
+    """One joint's residual h, J entries in KKT scatter order (per row body
+    a's six, then body b's six) and eta entries, from row descriptors with
+    direction names.  Every row of J is the exact derivative of h for any
+    Ra, Rb with Rdot = R hat(omega): the integrated R leave SO(3) by
+    roundoff, and rows that assume R^T R = I turn that defect into
+    constraint drift."""
     ra, pa, wa, va = _GROUND if grounded else _frame("a")
     rb, pb, wb, vb = _frame("b")
     aa, ab = _names("aa"), _names("ab")
+    # h's anchor point of body a: ground keeps its identity and zero
+    # operands, so that signed zeros come out as with a body's pose
+    ha = e.add(pa, e.mv(ra, aa))
     if grounded:
         rab, pa, pa_dot, pa_dd = rb, aa, _ZERO, _ZERO
     else:
         rab = tuple(e.mtv(rb, col) for col in zip(*ra))
-        pa = e.add(pa, e.mv(ra, aa))
+        pa = ha
         pa_dot, pa_dd = _anchor_motion(e, mixed, ra, wa, va, aa)
     pb = e.add(pb, e.mv(rb, ab))
     pb_dot, pb_dd = _anchor_motion(e, mixed, rb, wb, vb, ab)
 
-    jac, eta = [], []
+    h, jac, eta = [], [], []
     for row in rows:
         if row[0] == "anchor":
+            w = e.sub(ha, pb)
+            h += w if mixed else e.mtv(rb, w)
             if mixed:
                 # h = pa - pb, spatial
                 for i in range(3):
@@ -489,6 +495,7 @@ def _emit_rows(e: _Emitter, rows, grounded: bool, mixed: bool):
             # h = alpha . b', b' = Rab beta, with the second rate
             # Rab'' = wa^2 Rab - 2 wa Rab wb + Rab wb^2 (hats)
             alpha, beta = row[1], row[2]
+            h.append(e.dot(e.mv(ra, alpha), e.mv(rb, beta)))
             b_a = e.mv(rab, beta)
             wb_beta = e.cross(wb, beta)
             t = e.cross(wa, e.sub(e.cross(wa, b_a), e.twice(e.mv(rab, wb_beta))))
@@ -500,6 +507,7 @@ def _emit_rows(e: _Emitter, rows, grounded: bool, mixed: bool):
         else:  # offsetdot: h = (Ra n) . (pb - pa)
             n = row[1]
             n_s = e.mv(ra, n)
+            h.append(e.dot(n_s, e.sub(pb, ha)))
             d = e.sub(pb, pa)
             if not grounded:
                 n_a = e.mtv(ra, n_s)
@@ -511,35 +519,42 @@ def _emit_rows(e: _Emitter, rows, grounded: bool, mixed: bool):
             n_dd = e.mv(ra, e.cross(wa, e.cross(wa, n)))
             x, y = e.dot(n_dd, d), e.dot(n_dot, e.sub(pb_dot, pa_dot))
             eta.append(_neg(e.scalar(f"{x} + 2.0 * {y} + {e.dot(n_s, e.sub(pb_dd, pa_dd))}")))
-    return jac, eta
+    return h, jac, eta
 
 
 @functools.cache
 def _row_template(shape, grounded: bool, mixed: bool):
     """The kernel factory of one row structure (rows with indices into the
     joint's directions), compiled once per process.  It binds a joint's body
-    indices, anchors and directions as closure values and returns
-    ``kernel(poses, velocities, values, eta)`` appending J and eta entries."""
+    indices, anchors and directions as closure values and returns the pair
+    ``rows(poses, velocities, values, eta)``, appending J and eta entries,
+    and ``residual(poses)``, returning h as a list."""
     e = _Emitter()
-    jac, eta = _emit_rows(e, [(row[0], *(_names(f"k{i}_") for i in row[1:]))
-                              for row in shape], grounded, mixed)
+    h, jac, eta = _emit_rows(e, [(row[0], *(_names(f"k{i}_") for i in row[1:]))
+                                 for row in shape], grounded, mixed)
     consts = ["aa", "ab", *(f"k{i}_" for i in sorted({i for r in shape for i in r[1:]}))]
     src = [f"def factory(ia, ib, {', '.join(consts)}):",
            *(f"    {_names(c)} = {c}" for c in consts),
-           "    def kernel(poses, velocities, values, eta):",
+           "    def rows(poses, velocities, values, eta):",
            *(f"        {line}" for s in "ab"[grounded:] for line in _read_frame(s, f"i{s}")),
            *(f"        {line}" for line in e.live(jac + eta)),
            f"        values.extend(({', '.join(jac)},))",
            f"        eta.extend(({', '.join(eta)},))",
-           "    return kernel"]
+           "    def residual(poses):",
+           *(f"        {line}" for s in "ab"[grounded:]
+             for line in _read_frame(s, f"i{s}", velocities=False)),
+           *(f"        {line}" for line in e.live(h)),
+           f"        return [{', '.join(h)}]",
+           "    return rows, residual"]
     namespace = {}  # str() of a name tuple, unquoted, is an unpacking target
     exec(compile("\n".join(src).replace("'", ""), f"<rows {shape}>", "exec"), namespace)
     return namespace["factory"]
 
 
 def _bind_rows(joint: Joint, mixed: bool):
-    """The compiled row kernel of one joint in one representation; rows
-    share a direction by identity, as the joint's descriptors do."""
+    """The compiled (rows, residual) kernels of one joint in one
+    representation; rows share a direction by identity, as the joint's
+    descriptors do."""
     dirs = list({id(v): v for row in joint._rows for v in row[1:]}.values())
     index = {id(v): k for k, v in enumerate(dirs)}
     shape = tuple((row[0], *(index[id(v)] for v in row[1:])) for row in joint._rows)
@@ -552,7 +567,7 @@ def joint_rows(joint: Joint, poses, velocities, model: MbsModel):
     differentials of joint_geometry and second-derivative remainders, valid
     off the manifold."""
     values, eta = [], []
-    _bind_rows(joint, model._mixed)(*_frames(poses, velocities), values, eta)
+    _bind_rows(joint, model._mixed)[0](*_frames(poses, velocities), values, eta)
     rows = np.array(values).reshape(joint.dim, -1)
     if joint.body_a is None:
         return {joint.body_b: rows}, np.array(eta)

@@ -133,9 +133,9 @@ def hat3(v) -> np.ndarray:
     return np.array(((0.0, -c, b), (c, 0.0, -a), (-b, a, 0.0)))
 
 
-# Plain-float 3-vector kernels.  On 3-vectors a numpy call costs ten times
-# the arithmetic it performs, so the step loop works on float tuples (and
-# nested row lists for 3x3 matrices) and converts to arrays once per stage.
+# Plain floats: on 3-vectors a numpy call costs ten times the arithmetic it
+# performs, so the step loop works on float tuples (and nested row lists for
+# 3x3 matrices), in kernels generated by ``_Emitter`` below.
 
 def _floats(x):
     """A vector argument as a plain-float sequence (ndarrays are converted,
@@ -150,36 +150,6 @@ def cross3(a, b) -> tuple:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def dot3(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def add3(a, b) -> tuple:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def sub3(a, b) -> tuple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def mv3(m, x) -> tuple:
-    """m @ x for a 3x3 matrix given as three row sequences."""
-    x0, x1, x2 = x
-    r0, r1, r2 = m
-    return (r0[0] * x0 + r0[1] * x1 + r0[2] * x2,
-            r1[0] * x0 + r1[1] * x1 + r1[2] * x2,
-            r2[0] * x0 + r2[1] * x1 + r2[2] * x2)
-
-
-def mtv3(m, x) -> tuple:
-    """m.T @ x for a 3x3 matrix given as three row sequences."""
-    x0, x1, x2 = x
-    r0, r1, r2 = m
-    return (r0[0] * x0 + r1[0] * x1 + r2[0] * x2,
-            r0[1] * x0 + r1[1] * x1 + r2[1] * x2,
-            r0[2] * x0 + r1[2] * x1 + r2[2] * x2)
-
-
 # ---------------------------------------------------------------------------
 # straight-line kernels
 # ---------------------------------------------------------------------------
@@ -187,9 +157,10 @@ def mtv3(m, x) -> tuple:
 class _Emitter:
     """Straight-line float code from vector-level formulas.  A vector is a
     3-tuple of expressions (local names or literals); each op writes one
-    ``name = expr`` line per component in the operation order of the 3-vector
-    kernel of the same name (``cross`` is ``cross3``, ``mv`` is ``mv3``, ...).
-    A repeated op reuses its name; nothing is folded or reordered."""
+    ``name = expr`` line per component in a fixed operation order: ``cross``
+    is ``cross3``'s, ``dot`` sums its three products left to right, ``mv``
+    and ``mtv`` are dots of the rows and of the columns.  A repeated op
+    reuses its name; nothing is folded or reordered."""
 
     def __init__(self):
         self.lines, self._names = [], {}

@@ -14,8 +14,8 @@ from scipy.linalg import expm
 from screwmbs.dynamics import (
     _float_tuple,
     _frames,
+    MIXED,
     _put_mixed_coupling,
-    joint_geometry,
     joint_rows,
     kinetic_energy,
     spatial_inertia,
@@ -34,17 +34,44 @@ from screwmbs.liealg import (
     _q3,
     _sinc,
     _xs3,
-    add3,
     cross3,
-    dot3,
     hat3,
-    mtv3,
-    mv3,
     rotation_error,
     se3_ad,
     se3_hat,
-    sub3,
 )
+
+# plain-float 3-vector kernels: the operation order of liealg._Emitter's ops
+
+def dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def add3(a, b) -> tuple:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def sub3(a, b) -> tuple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def mv3(m, x) -> tuple:
+    """m @ x for a 3x3 matrix given as three row sequences."""
+    x0, x1, x2 = x
+    r0, r1, r2 = m
+    return (r0[0] * x0 + r0[1] * x1 + r0[2] * x2,
+            r1[0] * x0 + r1[1] * x1 + r1[2] * x2,
+            r2[0] * x0 + r2[1] * x1 + r2[2] * x2)
+
+
+def mtv3(m, x) -> tuple:
+    """m.T @ x for a 3x3 matrix given as three row sequences."""
+    x0, x1, x2 = x
+    r0, r1, r2 = m
+    return (r0[0] * x0 + r1[0] * x1 + r2[0] * x2,
+            r0[1] * x0 + r1[1] * x1 + r2[1] * x2,
+            r0[2] * x0 + r1[2] * x1 + r2[2] * x2)
+
 
 # Bernoulli numbers B_0..B_12 with the B_1 = -1/2 convention.
 BERNOULLI = [1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0,
@@ -357,6 +384,46 @@ def newton_euler_mixed(body, rotation, v, wrench) -> tuple[np.ndarray, np.ndarra
 _GROUND = (_I3, _Z3, _Z3, _Z3)
 
 
+def _pose_floats(poses, index):
+    if index is None:
+        return _I3, _Z3
+    return poses[index].R.tolist(), poses[index].r.tolist()
+
+
+def reference_joint_geometry(joint, poses, model) -> np.ndarray:
+    """The interpreted residual h(g) the compiled one replaced, kept as its
+    bitwise reference, from a ``Pose`` list."""
+    mixed = model.representation == MIXED
+    ra, pa = _pose_floats(poses, joint.body_a)
+    rb, pb = _pose_floats(poses, joint.body_b)
+    aa, ab = joint._anchors
+    pa = add3(pa, mv3(ra, aa))
+    pb = add3(pb, mv3(rb, ab))
+    out = []
+    for row in joint._rows:
+        if row[0] == "anchor":
+            w = sub3(pa, pb)
+            out.extend(w if mixed else mtv3(rb, w))
+        elif row[0] == "axisdot":
+            out.append(dot3(mv3(ra, row[1]), mv3(rb, row[2])))
+        else:  # offsetdot
+            out.append(dot3(mv3(ra, row[1]), sub3(pb, pa)))
+    return np.array(out)
+
+
+# residual entries per joint kind, tabulated by hand
+JOINT_DIMS = {"spherical": 3, "revolute": 5, "prismatic": 5, "universal": 4}
+
+
+def reference_split_residual(joint, h):
+    """(position, orientation) parts of a residual by joint kind: the anchor
+    rows of a point joint come first, while the prismatic joint lists its
+    three rotation-lock rows before its two offset rows."""
+    if joint.kind == "prismatic":
+        return h[3:], h[:3]
+    return h[:3], h[3:]
+
+
 def reference_joint_rows(joint, frame_a, frame_b, mixed: bool):
     """The interpreted kernel the compiled rows replaced, kept as their
     bitwise reference: joint_rows on (R rows, r, omega, v) frames: per-row
@@ -571,7 +638,8 @@ def reference_constraint_violation(record, model, joint_index: int) -> np.ndarra
     joint = model.joints[joint_index]
     vals = np.empty(record.n_samples)
     for k in range(record.n_samples):
-        vals[k] = np.linalg.norm(joint_geometry(joint, record.state_at(k).poses, model))
+        vals[k] = np.linalg.norm(
+            reference_joint_geometry(joint, record.state_at(k).poses, model))
     return vals
 
 
@@ -581,8 +649,8 @@ def reference_joint_residuals(record, model, joint_index: int):
     pos = np.empty(record.n_samples)
     ori = np.empty(record.n_samples)
     for k in range(record.n_samples):
-        p, o = joint.split_residual(
-            joint_geometry(joint, record.state_at(k).poses, model))
+        p, o = reference_split_residual(
+            joint, reference_joint_geometry(joint, record.state_at(k).poses, model))
         pos[k] = np.linalg.norm(p)
         ori[k] = np.linalg.norm(o)
     return pos, ori

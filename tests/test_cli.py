@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from oracles import (
+    JOINT_DIMS,
     reference_com_drift,
     reference_energy,
     reference_joint_residuals,
@@ -298,6 +299,19 @@ class TestRunMetrics:
         kin, tot = reference_energy(record, model, spec.energy_datum)
         assert cols["kinetic_energy_j"] == kin.tolist()
         assert cols["total_energy_j"] == tot.tolist()
+
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_residual_columns_follow_the_kind_table(self, group):
+        """Each joint has a position column and, when its kind has more
+        than three residual entries, an orientation column."""
+        for name in bench.BUILDERS:
+            spec = bench.build(name, group)
+            expect = []
+            for joint in spec.model.joints:
+                expect.append(f"{joint.label}_pos_residual_m")
+                if JOINT_DIMS[joint.kind] > 3:
+                    expect.append(f"{joint.label}_ori_residual")
+            assert [c for c in cli.csv_columns(spec) if "_residual" in c] == expect
 
 
 class TestDuplicateJointLabels:

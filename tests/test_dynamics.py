@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -10,6 +11,7 @@ from screwmbs.bench import BUILDERS, build
 from screwmbs.dynamics import (
     BODY_FIXED,
     MIXED,
+    REPRESENTATION,
     Gravity,
     InfeasibleStateError,
     Joint,
@@ -36,6 +38,7 @@ from screwmbs.dynamics import (
 from screwmbs.liealg import Pose, hat3, mixed_twist_matrix, se3_dexp, se3_exp
 from screwmbs.modelfile import load_model_file, write_model_file
 from oracles import (
+    JOINT_DIMS,
     body_frames,
     central_diff,
     joint_acc_rhs,
@@ -46,8 +49,10 @@ from oracles import (
     reference_body_rhs,
     reference_constraint_jacobian,
     reference_free_accelerations,
+    reference_joint_geometry,
     reference_joint_rows,
     reference_project_velocities,
+    reference_split_residual,
     reference_wrenches,
     world_frame_joint_rows,
 )
@@ -515,6 +520,76 @@ def test_split_residual_anchors_coincide(joint, representation):
         assert np.abs(ori).max() > 1e-3
 
 
+def _signed_zeros(rng, poses) -> list[Pose]:
+    """The poses with about a third of the rotation and half of the
+    translation entries set to -0.0."""
+    out = []
+    for p in poses:
+        rot, r = p.R.copy(), p.r.copy()
+        rot[rng.random((3, 3)) < 0.3] = -0.0
+        r[rng.random(3) < 0.5] = -0.0
+        out.append(Pose(rot, r))
+    return out
+
+
+@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("joint", JOINTS, ids=lambda j: f"{j.kind}-{'g' if j.body_a is None else 'bb'}")
+def test_residual_kernel_bitwise(joint, representation):
+    """The compiled residual equals the interpreted reference as IEEE bytes,
+    from Pose lists and from float poses, off the manifold: non-orthonormal
+    R, -0.0 entries, random anchors and axes, and -0.0 anchors, whose signs
+    ground's identity and zero operands decide."""
+    rng = np.random.default_rng(61)
+    axes = [v / np.linalg.norm(v) for v in rng.normal(size=(2, 3))]
+    variants = [joint,
+                dataclasses.replace(joint, anchor_a=rng.normal(size=3), anchor_b=rng.normal(size=3),
+                                    axis_a=axes[0], axis_b=axes[1]),
+                dataclasses.replace(joint, anchor_a=-np.zeros(3), anchor_b=-np.zeros(3))]
+    for j in variants:
+        n = j.body_b + 1
+        model = _dummy_model(representation, n, j)
+        cases = [_off_manifold_poses(rng, n) for _ in range(10)]
+        cases += [_signed_zeros(rng, _off_manifold_poses(rng, n)) for _ in range(10)]
+        cases.append([Pose(np.where(np.eye(3) == 1.0, 1.0, -0.0), -np.zeros(3))] * n)
+        for poses in cases:
+            ref = _bits(reference_joint_geometry(j, poses, model))
+            assert _bits(joint_geometry(j, poses, model)) == ref
+            assert _bits(joint_geometry(j, dynamics._pose_rows(poses), model)) == ref
+
+
+def test_joint_geometry_binds_nothing_per_call(monkeypatch):
+    """joint_geometry calls the kernel bound with the model; a joint the
+    model does not hold is refused."""
+    spec = build("four-bar", "so3xr3")
+    monkeypatch.setattr(dynamics, "_bind_rows", None)
+    for joint in spec.model.joints:
+        joint_geometry(joint, spec.state0.poses, spec.model)
+    stranger = dataclasses.replace(spec.model.joints[0])
+    with pytest.raises(ValueError, match="not one of the model's joints"):
+        joint_geometry(stranger, spec.state0.poses, spec.model)
+
+
+@pytest.mark.parametrize("group", ["se3", "so3xr3"])
+def test_dim_and_split_follow_the_kind_table(group):
+    """dim and the (position, orientation) split, derived from the row
+    descriptors, equal the per-kind rule for every joint of the built-ins
+    and of JOINTS."""
+    joints = [j for name in BUILDERS for j in build(name, group).model.joints]
+    for joint in joints + JOINTS:
+        assert joint.dim == JOINT_DIMS[joint.kind]
+        h = np.arange(1.0, joint.dim + 1.0)
+        pos, ori = joint.split_residual(h)
+        ref_pos, ref_ori = reference_split_residual(joint, h)
+        assert (pos.tolist(), ori.tolist()) == (ref_pos.tolist(), ref_ori.tolist())
+        assert joint.has_orientation == (len(ref_ori) > 0)
+
+
+@pytest.mark.parametrize("axes", [{}, {"axis_a": [0, 0, 1.0], "axis_b": [0, 0, 1.0]}])
+def test_unknown_joint_kind(axes):
+    with pytest.raises(ValueError, match="unknown joint kind 'helical'"):
+        Joint("helical", None, 0, **axes)
+
+
 class TestPaperJacobianForms:
     def test_heavy_top_body_fixed(self):
         model = heavy_top_model(BODY_FIXED)
@@ -724,20 +799,27 @@ class TestJointlessAccelerations:
 
     @pytest.mark.parametrize("group", ["se3", "so3xr3"])
     def test_matches_dense_kkt_solve(self, group):
-        from screwmbs.bench import BUILDERS, build
-
         names = [n for n in BUILDERS if not build(n, group).model.joints]
         assert len(names) == 4
         rng = np.random.default_rng(99)
+        cases = []
         for name in names:
             spec = build(name, group)
-            states = [(spec.state0.poses, spec.state0.velocities),
-                      ([se3_exp(rng.normal(size=6))], rng.normal(size=(1, 6)))]
-            for poses, vel in states:
-                kkt, rhs = assemble_index1(spec.model, poses, vel)
-                dense, _ = solve_index1(spec.model, kkt, rhs)
-                vdot = accelerations(spec.model, poses, vel)
-                assert np.abs(vdot - dense).max() <= 1e-12 * np.abs(dense).max()
+            cases += [(spec.model, spec.state0.poses, spec.state0.velocities),
+                      (spec.model, [se3_exp(rng.normal(size=6))], rng.normal(size=(1, 6)))]
+        # two bodies, one off its COM: the (n, 6) shapes cannot broadcast
+        # past a mismatch
+        pair = MbsModel([BOX_FREE, RigidBody("offset", 2.0, np.diag([0.1, 0.2, 0.3]),
+                                             com_offset=[0.1, -0.2, 0.05])],
+                        [], [Gravity([0, 0, -GRAV])], representation=REPRESENTATION[group])
+        cases.append((pair, [se3_exp(rng.normal(size=6)) for _ in range(2)],
+                      rng.normal(size=(2, 6))))
+        for model, poses, vel in cases:
+            kkt, rhs = assemble_index1(model, poses, vel)
+            dense, _ = solve_index1(model, kkt, rhs)
+            vdot = np.reshape(accelerations(model, poses, vel), (-1, 6))
+            assert vdot.shape == dense.shape == (len(poses), 6)
+            assert np.abs(vdot - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 class TestDoublePendulumAssembly:

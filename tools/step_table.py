@@ -1,7 +1,7 @@
 """Microseconds per RK4 step of the step loop, per built-in model,
-configuration-space group and chart (matrix and quaternion); with
-``--kernels``, microseconds per call of the Lie-group kernels the step loop
-and the public API call.
+configuration-space group and chart (matrix and quaternion), and per sample
+of the CSV metrics; with ``--kernels``, microseconds per call of the
+Lie-group kernels the step loop and the public API call.
 
     python tools/step_table.py [--kernels] [--json]
 
@@ -10,7 +10,10 @@ own checkout.  Each step cell is the smallest process time per step over
 REPEATS runs of ``integrate`` (cells ``<model>.<group>``) or
 ``integrate_quaternion`` (cells ``<model>.<group>.quaternion``) with STEPS
 steps and one sample at each end; the free body steps at dt = 1e-4, the
-jointed models at dt = 1e-3.  The cells are timed round-robin, every cell
+jointed models at dt = 1e-3.  Each metrics cell (``<model>.<group>.metrics``)
+is the smallest process time per sample over REPEATS runs of
+``cli.run_metrics`` on a run of STEPS steps recorded at every step, at the
+same dt.  The cells are timed round-robin, every cell
 once per round, so a slow spell of a shared host slows one run of every
 cell rather than every run of a few, and each cell's minimum discards it.
 Each kernel cell is the smallest time per call
@@ -27,11 +30,13 @@ import json
 import sys
 import time
 import timeit
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from screwmbs.bench import build  # noqa: E402
+from screwmbs.cli import run_metrics  # noqa: E402
 from screwmbs.integrate import integrate, integrate_quaternion, tableau_rk4  # noqa: E402
 from screwmbs.liealg import GROUPS as GROUP_OBJECTS, se3_exp, so3_exp  # noqa: E402
 
@@ -44,23 +49,32 @@ KERNEL_CALLS = 20000
 KERNEL_REPEATS = 5
 
 
+def _run(integrator, spec, dt: float, stride: int):
+    return integrator(spec.model, spec.group, spec.state0, dt, STEPS * dt, tableau_rk4(),
+                      stride=stride)
+
+
 def step_table() -> dict[str, float]:
-    """Microseconds per step of every cell, by name, timed round-robin."""
-    cells = {}
+    """Microseconds per step of every step cell and per sample of every
+    metrics cell, by name, timed round-robin."""
+    cells = {}  # name: (timed call, steps or samples it covers)
     for model in MODELS:
         for group in GROUPS:
             spec = build(model, group)
             dt = 1e-4 if not spec.model.joints else 1e-3
-            cells[f"{model}.{group}"] = (integrate, spec, dt)
-            cells[f"{model}.{group}.quaternion"] = (integrate_quaternion, spec, dt)
+            record = _run(integrate, spec, dt, 1)
+            for name, integrator in ((f"{model}.{group}", integrate),
+                                     (f"{model}.{group}.quaternion", integrate_quaternion)):
+                cells[name] = (partial(_run, integrator, spec, dt, STEPS), STEPS)
+            cells[f"{model}.{group}.metrics"] = (partial(run_metrics, spec, record),
+                                                 record.n_samples)
     best = dict.fromkeys(cells, float("inf"))
     for _ in range(REPEATS):
-        for name, (run, spec, dt) in cells.items():
+        for name, (call, _) in cells.items():
             start = time.process_time()
-            run(spec.model, spec.group, spec.state0, dt, STEPS * dt, tableau_rk4(),
-                stride=STEPS)
+            call()
             best[name] = min(best[name], time.process_time() - start)
-    return {name: 1e6 * t / STEPS for name, t in best.items()}
+    return {name: 1e6 * t / cells[name][1] for name, t in best.items()}
 
 
 def kernel_table() -> dict[str, float]:
@@ -103,8 +117,9 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(table))
         return 0
-    cells = [f"{group}{chart}" for chart in ("", ".quaternion") for group in GROUPS]
-    print(f"{'model':18s}" + "".join(f" {c:>18s}" for c in cells) + "  (us/step)")
+    cells = [f"{group}{chart}" for chart in ("", ".quaternion", ".metrics") for group in GROUPS]
+    print(f"{'model':18s}" + "".join(f" {c:>18s}" for c in cells)
+          + "  (us/step; .metrics us/sample)")
     for model in MODELS:
         print(f"{model:18s}" + "".join(f" {table[f'{model}.{c}']:18.1f}" for c in cells))
     return 0
