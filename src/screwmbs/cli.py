@@ -86,7 +86,8 @@ def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, lis
         t = float(record.times[k])
         state = record.state_at(k)
         row = [t]
-        poses = list(zip(record.rotations[k].tolist(), record.positions[k].tolist()))
+        if model.joints:
+            poses = list(zip(record.rotations[k].tolist(), record.positions[k].tolist()))
         for joint in model.joints:
             pos, ori = joint.split_residual(joint_geometry(joint, poses, model))
             row.append(float(np.linalg.norm(pos)))
