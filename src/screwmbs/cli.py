@@ -27,6 +27,7 @@ from .dynamics import (  # noqa: F401
     kinetic_energy,
     potential_energy,
     project_velocities,
+    stacked_dot,
     total_energy,
 )
 from .integrate import (
@@ -73,51 +74,67 @@ def csv_columns(spec: ExperimentSpec) -> list[str]:
     return cols
 
 
+def _norms(x) -> np.ndarray:
+    """Euclidean norms of the (N, k) rows of x, each with the bits of
+    ``np.linalg.norm`` on the row: the sqrt of one BLAS dot per row."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt(stacked_dot(x, x))
+
+
 def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, list[float]]:
-    """The CSV columns of a run, by name in ``csv_columns`` order, in one
-    pass over the samples: each joint residual is evaluated and split once,
-    from the sample's poses converted once, and so is the kinetic energy,
-    which the total reuses."""
+    """The CSV columns of a run, by name in ``csv_columns`` order, each
+    computed once over the whole sample axis.  Every entry has the bits of
+    the per-sample evaluation (``tests/oracles.py``): the residual kernels
+    run on sample columns with the scalar operations elementwise, and each
+    dot product is one BLAS call per sample (``stacked_dot``).  Only the
+    analytic references are called per sample."""
     columns = csv_columns(spec)  # a label clash raises before the pass
     model = spec.model
-    offsets = [b.com_offset for b in model.bodies]
-    rows = []
-    for k in range(record.n_samples):
-        t = float(record.times[k])
-        state = record.state_at(k)
-        row = [t]
-        if model.joints:
-            poses = list(zip(record.rotations[k].tolist(), record.positions[k].tolist()))
-        for joint in model.joints:
-            pos, ori = joint.split_residual(joint_geometry(joint, poses, model))
-            row.append(float(np.linalg.norm(pos)))
-            if len(ori):
-                row.append(float(np.linalg.norm(ori)))
-        if spec.reference is not None:
-            refs = spec.reference(t)
-            for i in range(model.n_bodies):
-                row.append(rotation_error(refs[i].R, record.rotations[k, i]))
-                row.append(float(np.linalg.norm(record.positions[k, i] - refs[i].r)))
-        if spec.com_reference is not None:
-            ref = np.atleast_2d(spec.com_reference(t))
-            worst = 0.0
-            for i, r0 in enumerate(offsets):
-                com = record.positions[k, i] + record.rotations[k, i] @ r0
-                worst = max(worst, float(np.linalg.norm(com - ref[i])))
-            row.append(worst)
-        # total_energy(model, state) is this same sum
-        ke = kinetic_energy(model, state)
-        row.append(ke)
-        row.append(ke + potential_energy(model, state) + spec.energy_datum)
-        rows.append(row)
-    return dict(zip(columns, map(list, zip(*rows))))
+    rotations, positions = record.rotations, record.positions
+    times = record.times.tolist()
+    values = [record.times]
+    if model.joints:
+        # the kernels' (R rows, r) poses with (N,) sample columns as entries
+        poses = list(zip(np.moveaxis(rotations, 0, -1).copy(),
+                         np.moveaxis(positions, 0, -1).copy()))
+    for joint in model.joints:
+        pos, ori = joint.split_residual(joint_geometry(joint, poses, model).T)
+        values.append(_norms(pos))
+        if joint.has_orientation:
+            values.append(_norms(ori))
+    if spec.reference is not None:
+        refs = [spec.reference(t) for t in times]
+        for i in range(model.n_bodies):
+            values.append([rotation_error(ref[i].R, rot)
+                           for ref, rot in zip(refs, rotations[:, i])])
+            values.append(_norms(positions[:, i] - np.array([ref[i].r for ref in refs])))
+    if spec.com_reference is not None:
+        refs = np.array([np.atleast_2d(spec.com_reference(t)) for t in times])
+        worst = 0.0
+        for i, body in enumerate(model.bodies):
+            com = positions[:, i] + np.matmul(rotations[:, i], body.com_offset)
+            dist = _norms(com - refs[:, i])
+            worst = np.where(dist > worst, dist, worst)  # max(worst, dist), as a NaN leaves it
+        values.append(worst)
+    # total_energy(model, record) is this same sum
+    ke = kinetic_energy(model, record)
+    values.append(ke)
+    values.append(ke + potential_energy(model, record) + spec.energy_datum)
+    return {name: np.asarray(col, dtype=float).tolist() for name, col in zip(columns, values)}
+
+
+def _row_format(width: int) -> str:
+    """The %-format of one CSV row of ``width`` floats, each as ``_fmt``
+    writes it."""
+    return ",".join(["%.17g"] * width)
 
 
 def write_run_csv(path, spec: ExperimentSpec, record: TrajectoryRecord) -> dict:
     """Write the run's CSV; returns its columns (``run_metrics``)."""
     columns = run_metrics(spec, record)
+    row = _row_format(len(columns))
     lines = [",".join(columns)]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns.values()))
+    lines.extend(row % values for values in zip(*columns.values()))
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
     return columns

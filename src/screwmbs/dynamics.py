@@ -104,9 +104,11 @@ class RigidBody:
             raise ValueError(f"body {self.name!r}: unknown c-space tag {self.cspace!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Joint:
-    """Lower kinematic pair between body_a (or ground, None) and body_b."""
+    """Lower kinematic pair between body_a (or ground, None) and body_b.
+    Joints compare and hash by identity: a model keys its compiled kernels
+    by the joint object."""
 
     kind: str
     body_a: int | None
@@ -147,9 +149,10 @@ class Joint:
 
     def split_residual(self, h):
         """(position, orientation) parts of a residual ``joint_geometry``
-        returned, each in row order."""
+        returned, each in row order, split along the last axis: an (N, k)
+        stack of samples splits into (N, k_pos) and (N, k_ori)."""
         pos, ori = self._split
-        return h[pos], h[ori]
+        return h[..., pos], h[..., ori]
 
     def _build_rows(self):
         """Row descriptors: ('anchor',), ('axisdot', na, mb), ('offsetdot', n),
@@ -207,12 +210,17 @@ class LinearSpring:
 
 @dataclass
 class MbsModel:
-    bodies: list[RigidBody]
-    joints: list[Joint]
-    forces: list
+    """Bodies, joints and force elements, held as tuples: ``_compile`` reads
+    them once, so a model is rebuilt (``dataclasses.replace``), not edited."""
+
+    bodies: tuple[RigidBody, ...]
+    joints: tuple[Joint, ...]
+    forces: tuple
     representation: str = BODY_FIXED
 
     def __post_init__(self):
+        self.bodies, self.joints, self.forces = (
+            tuple(self.bodies), tuple(self.joints), tuple(self.forces))
         if self.representation not in (BODY_FIXED, MIXED):
             raise ValueError(f"unknown representation {self.representation!r}")
         for j in self.joints:
@@ -284,17 +292,27 @@ class MbsModel:
     def n_constraints(self) -> int:
         return sum(j.dim for j in self.joints)
 
-    def spatial_inertia_blocks(self, rotations=None) -> list[np.ndarray]:
-        """Per-body 6x6 mass blocks; configuration-dependent in the mixed
-        representation when the reference frame is off the COM."""
+    def spatial_inertia_blocks(self, rotations) -> list[np.ndarray]:
+        """Per-body 6x6 mass blocks for (..., n, 3, 3) rotations, one sample's
+        or a stack of samples'.  In the mixed representation a block whose
+        reference frame is off the COM depends on R: it is a (..., 6, 6)
+        stack with the coupling -m R hat(r0) and its transpose, the entries
+        ``_put_mixed_coupling`` writes; every other block is constant."""
         if self.representation == BODY_FIXED:
             return self._spatial_inertias
+        rotations = np.asarray(rotations, dtype=float)
         blocks = []
-        for block, mass, r0, r in zip(self._spatial_inertias, self._masses,
-                                      self._offsets, rotations):
+        for i, (block, mass, r0) in enumerate(zip(self._spatial_inertias, self._masses,
+                                                  self._offsets)):
             if r0 is not None:
-                block = block.copy()
-                _put_mixed_coupling(block, 0, mass, r0, np.asarray(r).tolist())
+                rot = rotations[..., i, :, :]
+                r0 = np.array(r0)
+                # row by row: (R hat(r0))[i] = R[i] x r0, cross3's operations
+                coup = -mass * (rot[..., [1, 2, 0]] * r0[[2, 0, 1]]
+                                - rot[..., [2, 0, 1]] * r0[[1, 2, 0]])
+                block = np.broadcast_to(block, rot.shape[:-2] + (6, 6)).copy()
+                block[..., 3:, :3] = coup
+                block[..., :3, 3:] = np.swapaxes(coup, -1, -2)
             blocks.append(block)
         return blocks
 
@@ -372,27 +390,58 @@ def force_assembly(model: MbsModel, poses, t: float = 0.0) -> np.ndarray:
     return np.array(_body_terms(kernels, *_frames(poses, np.zeros((len(poses), 6))))).reshape(-1, 6)
 
 
-def kinetic_energy(model: MbsModel, state: MbsState) -> float:
-    blocks = model.spatial_inertia_blocks([p.R for p in state.poses])
-    return 0.5 * sum(float(v @ (m @ v)) for m, v in zip(blocks, state.velocities))
+def stacked_dot(a, b) -> np.ndarray:
+    """Dot products of the last axes of a and b, broadcast over the leading
+    ones: one BLAS dot per item of a stacked ``np.matmul``, the same call
+    ``a_k @ b_k`` makes per sample, so each entry has its bits.  (A 2-D
+    ``X @ g``, ``einsum`` or a sum along an axis reorder the products.)"""
+    return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
 
 
-def potential_energy(model: MbsModel, state: MbsState) -> float:
-    u = 0.0
+def _samples(state) -> tuple:
+    """(rotations, positions, velocities) as (N, n, 3, 3), (N, n, 3) and
+    (N, n, 6) sample stacks: a record's, or one ``MbsState`` as N = 1."""
+    if isinstance(state, MbsState):
+        return (np.array([[p.R for p in state.poses]], dtype=float),
+                np.array([[p.r for p in state.poses]], dtype=float),
+                state.velocities[None])
+    return state.rotations, state.positions, state.velocities
+
+
+def _per_sample(state, series: np.ndarray):
+    return float(series[0]) if isinstance(state, MbsState) else series
+
+
+def kinetic_energy(model: MbsModel, state):
+    """1/2 sum_i V_i . M_i V_i over the bodies in order: a float for an
+    ``MbsState``, the (N,) series of a record's samples (``TrajectoryRecord``
+    or anything with its rotations, positions and velocities stacks)."""
+    rotations, _, velocities = _samples(state)
+    blocks = model.spatial_inertia_blocks(rotations)
+    ke = 0.5 * sum(stacked_dot(v, np.matmul(m, v[..., None])[..., 0])
+                   for m, v in zip(blocks, np.moveaxis(velocities, 1, 0)))
+    return _per_sample(state, ke)
+
+
+def potential_energy(model: MbsModel, state):
+    """Gravity at each COM and each spring at its attachment point, in
+    force-list order; a float or a series as ``kinetic_energy``."""
+    rotations, positions, _ = _samples(state)
+    u = np.zeros(len(positions))
     for element in model.forces:
         if isinstance(element, Gravity):
-            for body, pose in zip(model.bodies, state.poses):
-                com = pose.r + pose.R @ body.com_offset
-                u -= body.mass * float(element.g @ com)
+            for i, body in enumerate(model.bodies):
+                com = positions[:, i] + np.matmul(rotations[:, i], body.com_offset)
+                u -= body.mass * stacked_dot(element.g, com)
         elif isinstance(element, LinearSpring):
-            pose = state.poses[element.body]
-            att = pose.r + pose.R @ element.attach
+            i = element.body
+            att = positions[:, i] + np.matmul(rotations[:, i], element.attach)
             d = element.ground_point - att
-            u += 0.5 * element.stiffness * float(d @ d)
-    return u
+            u += 0.5 * element.stiffness * stacked_dot(d, d)
+    return _per_sample(state, u)
 
 
-def total_energy(model: MbsModel, state: MbsState) -> float:
+def total_energy(model: MbsModel, state):
     return kinetic_energy(model, state) + potential_energy(model, state)
 
 

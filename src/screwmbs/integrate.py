@@ -231,11 +231,13 @@ class TrajectoryRecord:
 
 
 def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
-    """Sampled step indices (the last is the step count) and the empty
-    record of a run.
+    """Sampled step indices (the last is the step count), the empty record
+    of a run and its writer.
 
     Every ``stride``-th step is sampled; the initial and final states
-    always are.
+    always are.  The record's fields are views of one (N, 1 + 18n) array,
+    so ``write(slot, t, frames, v)`` stores a sample, t with the (R rows, r)
+    ``frames`` and the 6n floats ``v``, in one row assignment.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -247,15 +249,27 @@ def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
     sample_idx = list(range(0, n_steps + 1, stride))
     if sample_idx[-1] != n_steps:
         sample_idx.append(n_steps)
-    n_samples = len(sample_idx)
+    n_samples, n = len(sample_idx), n_bodies
+    rows = np.empty((n_samples, 1 + 18 * n))
     rec = TrajectoryRecord(
-        times=np.empty(n_samples),
-        rotations=np.empty((n_samples, n_bodies, 3, 3)),
-        positions=np.empty((n_samples, n_bodies, 3)),
-        velocities=np.empty((n_samples, n_bodies, 6)),
+        times=rows[:, 0],
+        rotations=rows[:, 1:1 + 9 * n].reshape(n_samples, n, 3, 3),
+        positions=rows[:, 1 + 9 * n:1 + 12 * n].reshape(n_samples, n, 3),
+        velocities=rows[:, 1 + 12 * n:].reshape(n_samples, n, 6),
         dt=dt,
     )
-    return sample_idx, rec
+
+    def write(slot, t, frames, v):
+        row = [t]
+        for rot, _ in frames:
+            for rot_row in rot:
+                row += rot_row
+        for _, r in frames:
+            row += r
+        row += v
+        rows[slot] = row
+
+    return sample_idx, rec, write
 
 
 def _run(group: CSpaceGroup, frames, y, t0: float, dt: float, sample_idx,
@@ -290,21 +304,14 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     """Fixed-step loop from state0.t to t_final, sampling every ``stride``
     steps (the initial and final states are always recorded).  The vector
     part of the step is the 6n velocities."""
-    n = model.n_bodies
-    sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
+    sample_idx, rec, write = _sampling(model.n_bodies, state0.t, dt, t_final, stride)
 
     def rhs(j, tj, stage, v):
         return v, accelerations(model, stage, v, tj)
 
-    def record(slot, t, frames, v):
-        rec.times[slot] = t
-        rec.rotations[slot] = [rot for rot, _ in frames]
-        rec.positions[slot] = [r for _, r in frames]
-        rec.velocities[slot] = np.reshape(v, (n, 6))
-
     _run(group, [(p.R.tolist(), p.r.tolist()) for p in state0.poses],
          state0.velocities.reshape(-1).tolist(), state0.t, dt, sample_idx, tableau,
-         rhs, record)
+         rhs, write)
     return rec
 
 
@@ -365,8 +372,8 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     width, pack, unpack, chart_rates, chart_defects = _quat_chart(group.name)
     n = model.n_bodies
     nq = width * n
-    sample_idx, rec = _sampling(n, state0.t, dt, t_final, stride)
-    rec.quat_defects = np.zeros((rec.n_samples, 2))
+    sample_idx, rec, write = _sampling(n, state0.t, dt, t_final, stride)
+    rec.quat_defects = np.empty((rec.n_samples, 2))
 
     def rhs(j, tj, stage, y):
         charts = [y[width * i:width * (i + 1)] for i in range(n)]
@@ -376,13 +383,12 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
                     for x in chart_rates(q, vel[6 * i:6 * i + 6])] + vdot
 
     def record(slot, t, frames, y):
-        rec.times[slot] = t
-        for i in range(n):
-            q = y[width * i:width * (i + 1)]
-            rec.rotations[slot, i], rec.positions[slot, i] = unpack(q)
-            rec.quat_defects[slot] = [max(a, b) for a, b in
-                                      zip(rec.quat_defects[slot], chart_defects(q))]
-        rec.velocities[slot] = np.reshape(y[nq:], (n, 6))
+        charts = [y[width * i:width * (i + 1)] for i in range(n)]
+        write(slot, t, [unpack(q) for q in charts], y[nq:])
+        worst = (0.0, 0.0)
+        for q in charts:
+            worst = [max(a, b) for a, b in zip(worst, chart_defects(q))]
+        rec.quat_defects[slot] = worst
 
     y = [x for pose in state0.poses for x in pack(pose)] + state0.velocities.reshape(-1).tolist()
     _run(group, [], y, state0.t, dt, sample_idx, tableau, rhs, record)

@@ -8,6 +8,7 @@ import textwrap
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -21,8 +22,10 @@ from oracles import (
 )
 from screwmbs import acceptance, bench, cli
 from screwmbs.acceptance import CheckResult
-from screwmbs.dynamics import Gravity, MbsModel
-from screwmbs.integrate import integrate
+from screwmbs.dynamics import REPRESENTATION, Gravity, MbsModel, MbsState, parallel_axis
+from screwmbs.integrate import integrate, integrate_quaternion
+from screwmbs.liealg import GROUPS, Pose
+from screwmbs.modelfile import load_model_file
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -270,35 +273,118 @@ class TestSimulateCsv:
             assert len(fh.read().splitlines()) == 1 + 6   # t = 0, 4e-3, ..., 0.02
 
 
+def _same_bytes(values, reference):
+    """Equal IEEE bytes: -0.0 differs from 0.0 and NaN matches NaN."""
+    assert np.asarray(values, dtype=float).tobytes() == np.asarray(reference, dtype=float).tobytes()
+
+
+# records of a 20-step RK4 run: the matrix and quaternion charts, every
+# third step (plus the last), and the initial state alone
+RECORDS = {
+    "matrix": lambda spec: integrate(spec.model, spec.group, spec.state0, 1e-3, 0.02,
+                                     spec.tableau),
+    "quaternion": lambda spec: integrate_quaternion(spec.model, spec.group, spec.state0,
+                                                    1e-3, 0.02, spec.tableau),
+    "stride-3": lambda spec: integrate(spec.model, spec.group, spec.state0, 1e-3, 0.02,
+                                       spec.tableau, stride=3),
+    "one-sample": lambda spec: integrate(spec.model, spec.group, spec.state0, 1e-3,
+                                         spec.state0.t, spec.tableau),
+}
+
+# two chained bodies, both off their COM, on a spring and under gravity
+OFF_COM_SPRING_DOC = {
+    "name": "off-com-spring",
+    "bodies": [{"name": "arm", "mass_kg": 2.0, "inertia_kgm2": [0.3, 0.2, 0.25],
+                "com_offset_m": [0.25, 0.0, 0.01]},
+               {"name": "tip", "mass_kg": 0.7, "inertia_kgm2": [0.05, 0.04, 0.03],
+                "com_offset_m": [0.1, 0.02, 0.0]}],
+    "joints": [{"kind": "spherical", "name": "root", "body_a": "ground", "body_b": "arm"},
+               {"kind": "spherical", "name": "elbow", "body_a": "arm", "body_b": "tip",
+                "anchor_a_m": [0.5, 0.0, 0.0]}],
+    "forces": [{"kind": "gravity", "g_mps2": [0.0, 0.0, -9.81]},
+               {"kind": "linear_spring", "body": "tip", "attach_m": [0.1, 0.0, 0.05],
+                "ground_point_m": [1.0, 0.0, 0.0], "stiffness_n_per_m": 50.0}],
+    "initial_state": [{"body": "arm", "angular_velocity_radps": [0.3, -1.2, 2.0]},
+                      {"body": "tip", "position_m": [0.5, 0.0, 0.0],
+                       "angular_velocity_radps": [-1.0, 0.5, 3.0]}],
+}
+
+
+def _at_rest_spec(group: str) -> bench.ExperimentSpec:
+    """Three free bodies under a zero gravity vector with a -0.0 entry; the
+    first, off its COM, rests with -0.0 velocities, so its energy terms are
+    signed zeros."""
+    box = bench.aluminium_box("box", 0.8, 0.4, 0.1)
+    off = replace(box, name="box_p", com_offset=np.array([0.4, 0.0, 0.0]),
+                  inertia_ref=parallel_axis(box.inertia_ref, box.mass, [0.4, 0.0, 0.0]))
+    model = MbsModel([off, box, box], [], [Gravity([0.0, 0.0, -0.0])],
+                     representation=REPRESENTATION[group])
+    velocities = np.array([[-0.0] * 6, [1.0, -2.0, 0.5, 0.0, 0.0, 0.0],
+                           [0.0, 0.0, 0.0, 3.0, -1.0, 0.25]])
+    state = MbsState([Pose.identity()] * 3, velocities)
+    return bench.ExperimentSpec("at-rest", GROUPS[group], model, state, 0.02)
+
+
+def _metrics_spec(name: str, group: str, tmp_path) -> bench.ExperimentSpec:
+    if name == "at-rest":
+        return _at_rest_spec(group)
+    if name == "off-com-spring":
+        path = tmp_path / "off-com-spring.yaml"
+        path.write_text(yaml.safe_dump(OFF_COM_SPRING_DOC))
+        model, state, _ = load_model_file(str(path), group, project=True)
+        return bench.ExperimentSpec(name, GROUPS[group], model, state, 0.02)
+    return bench.build(name, group)
+
+
 class TestRunMetrics:
-    """The one-pass CSV columns equal the per-series reference loops."""
+    """The column pass equals the per-sample reference loops, as IEEE bytes."""
+
+    @staticmethod
+    def check_columns(spec, record):
+        model = spec.model
+        cols = cli.run_metrics(spec, record)
+        assert list(cols) == cli.csv_columns(spec)
+        _same_bytes(cols["t_s"], record.times)
+        for j, joint in enumerate(model.joints):
+            pos, ori = reference_joint_residuals(record, model, j)
+            _same_bytes(cols[f"{joint.label}_pos_residual_m"], pos)
+            _same_bytes(cols.get(f"{joint.label}_ori_residual", [0.0] * len(ori)), ori)
+        if spec.reference is not None:
+            for i in range(model.n_bodies):
+                _same_bytes(cols[f"body{i}_rot_err_rad"],
+                            reference_rotation_error(record, spec.reference, i))
+                _same_bytes(cols[f"body{i}_pos_err_m"],
+                            reference_position_error(record, spec.reference, i))
+        if spec.com_reference is not None:
+            _same_bytes(cols["com_drift_m"],
+                        reference_com_drift(record, model, spec.com_reference))
+        kin, tot = reference_energy(record, model, spec.energy_datum)
+        _same_bytes(cols["kinetic_energy_j"], kin)
+        _same_bytes(cols["total_energy_j"], tot)
 
     @pytest.mark.parametrize("name", sorted(bench.BUILDERS))
     @pytest.mark.parametrize("group", ["se3", "so3xr3"])
     def test_columns_match_metric_functions(self, name, group):
         spec = bench.build(name, group)
-        model = spec.model
-        record = integrate(model, spec.group, spec.state0, 1e-3, 0.02, spec.tableau)
-        cols = cli.run_metrics(spec, record)
-        assert list(cols) == cli.csv_columns(spec)
-        assert cols["t_s"] == record.times.tolist()
-        for j, joint in enumerate(model.joints):
-            pos, ori = reference_joint_residuals(record, model, j)
-            assert cols[f"{joint.label}_pos_residual_m"] == pos.tolist()
-            assert cols.get(f"{joint.label}_ori_residual", [0.0] * len(ori)) \
-                == ori.tolist()
-        if spec.reference is not None:
-            for i in range(model.n_bodies):
-                assert cols[f"body{i}_rot_err_rad"] == reference_rotation_error(
-                    record, spec.reference, i).tolist()
-                assert cols[f"body{i}_pos_err_m"] == reference_position_error(
-                    record, spec.reference, i).tolist()
-        if spec.com_reference is not None:
-            assert cols["com_drift_m"] == reference_com_drift(
-                record, model, spec.com_reference).tolist()
-        kin, tot = reference_energy(record, model, spec.energy_datum)
-        assert cols["kinetic_energy_j"] == kin.tolist()
-        assert cols["total_energy_j"] == tot.tolist()
+        self.check_columns(spec, RECORDS["matrix"](spec))
+
+    @pytest.mark.parametrize("name, kind", [
+        *((name, kind) for name in sorted(bench.BUILDERS) for kind in list(RECORDS)[1:]),
+        *((name, kind) for name in ("off-com-spring", "at-rest") for kind in RECORDS)])
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_columns_match_on_every_record(self, tmp_path, group, name, kind):
+        """Quaternion-chart, strided and one-sample records, and two models
+        no built-in covers: off-COM bodies on a spring in the mixed
+        representation, and a body at rest."""
+        spec = _metrics_spec(name, group, tmp_path)
+        self.check_columns(spec, RECORDS[kind](spec))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan,
+                                       5e-324, -2.2250738585072e-308, float(2**53 + 1),
+                                       2**53 + 1, 0.1, -1 / 3, 1e300, 12345.0])
+    def test_row_format_writes_fmt(self, value):
+        row = [value, 1.5, value]
+        assert cli._row_format(len(row)) % tuple(row) == ",".join(map(cli._fmt, row))
 
     @pytest.mark.parametrize("group", ["se3", "so3xr3"])
     def test_residual_columns_follow_the_kind_table(self, group):
@@ -345,8 +431,8 @@ class TestDuplicateJointLabels:
     def test_csv_columns_names_the_label(self, tmp_path, names, label):
         # an unnamed joint is labelled by its kind
         spec = bench.build("double-pendulum", "se3")
-        spec.model.joints[:] = [replace(j, name=n)
-                                for j, n in zip(spec.model.joints, names)]
+        spec.model = replace(spec.model, joints=[replace(j, name=n) for j, n
+                                                 in zip(spec.model.joints, names)])
         with pytest.raises(ValueError, match=f"duplicate joint label '{label}'"):
             cli.csv_columns(spec)
         record = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.002,

@@ -29,6 +29,7 @@ from screwmbs.dynamics import (
     joint_rows,
     kinetic_energy,
     parallel_axis,
+    potential_energy,
     project_velocities,
     solve_index1,
     spatial_inertia,
@@ -51,6 +52,8 @@ from oracles import (
     reference_free_accelerations,
     reference_joint_geometry,
     reference_joint_rows,
+    reference_kinetic_energy,
+    reference_potential_energy,
     reference_project_velocities,
     reference_split_residual,
     reference_wrenches,
@@ -584,6 +587,34 @@ def test_dim_and_split_follow_the_kind_table(group):
         assert joint.has_orientation == (len(ref_ori) > 0)
 
 
+def test_joints_compare_by_identity():
+    """Two joints with equal fields are two joints: comparing and hashing
+    them does not raise, and a model finds its own joint by membership."""
+    a = Joint("spherical", None, 0, anchor_b=[1.0, 0.0, 0.0])
+    b = Joint("spherical", None, 0, anchor_b=[1.0, 0.0, 0.0])
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    model = MbsModel([BOX_FREE], [a], [])
+    assert a in model.joints and b not in model.joints
+
+
+def test_model_parts_cannot_be_edited_in_place():
+    """The compiled layout and kernels describe the bodies, joints and forces
+    the model was built with: they are tuples, and a changed model is a new
+    one (dataclasses.replace), compiled for its own joints."""
+    model = build("double-pendulum", "se3").model
+    for part in (model.bodies, model.joints, model.forces):
+        assert isinstance(part, tuple)
+    with pytest.raises(TypeError):
+        model.joints[0] = model.joints[1]
+    renamed = dataclasses.replace(model, joints=[dataclasses.replace(j, name=f"j{i}")
+                                                 for i, j in enumerate(model.joints)])
+    poses = build("double-pendulum", "se3").state0.poses
+    for old, new in zip(model.joints, renamed.joints):
+        assert _bits(joint_geometry(new, poses, renamed)) == _bits(
+            joint_geometry(old, poses, model))
+
+
 @pytest.mark.parametrize("axes", [{}, {"axis_a": [0, 0, 1.0], "axis_b": [0, 0, 1.0]}])
 def test_unknown_joint_kind(axes):
     with pytest.raises(ValueError, match="unknown joint kind 'helical'"):
@@ -865,6 +896,25 @@ class TestVelocityProjection:
 
 
 class TestEnergy:
+    @pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+    def test_state_is_the_one_sample_case(self, representation):
+        """For one MbsState the energies are floats with the bits of the
+        per-state reference loops: the built-ins' initial states, and
+        off-COM bodies on springs at random poses off SO(3)."""
+        group = "se3" if representation == BODY_FIXED else "so3xr3"
+        cases = [(spec.model, spec.state0) for spec in (build(n, group) for n in BUILDERS)]
+        rng = np.random.default_rng(7)
+        model = _sprung_off_com_body(representation)
+        for _ in range(20):
+            cases.append((model, MbsState(_off_manifold_poses(rng, 2),
+                                          rng.uniform(-3, 3, (2, 6)))))
+        for model, state in cases:
+            ke, pe = reference_kinetic_energy(model, state), reference_potential_energy(model, state)
+            got = (kinetic_energy(model, state), potential_energy(model, state),
+                   total_energy(model, state))
+            assert all(type(x) is float for x in got)
+            assert _bits(got) == _bits([ke, pe, ke + pe])
+
     def test_heavy_top_kinetic(self):
         model = heavy_top_model(BODY_FIXED)
         state = heavy_top_state(BODY_FIXED)

@@ -122,8 +122,8 @@ class TestRoundtrip:
 
     def test_dump_rejects_duplicate_body_names(self):
         spec = bench.build("double-pendulum", "se3")
-        model = spec.model
-        model.bodies[1] = replace(model.bodies[1], name=model.bodies[0].name)
+        first, second = spec.model.bodies
+        model = replace(spec.model, bodies=[first, replace(second, name=first.name)])
         with pytest.raises(ModelFileError, match="duplicate body names"):
             dump_model(model, spec.state0)
 

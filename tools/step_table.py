@@ -1,7 +1,8 @@
 """Microseconds per RK4 step of the step loop, per built-in model,
 configuration-space group and chart (matrix and quaternion), and per sample
-of the CSV metrics; with ``--kernels``, microseconds per call of the
-Lie-group kernels the step loop and the public API call.
+of the CSV metrics and of the whole CSV output; with ``--kernels``,
+microseconds per call of the Lie-group kernels the step loop and the public
+API call.
 
     python tools/step_table.py [--kernels] [--json]
 
@@ -13,7 +14,9 @@ steps and one sample at each end; the free body steps at dt = 1e-4, the
 jointed models at dt = 1e-3.  Each metrics cell (``<model>.<group>.metrics``)
 is the smallest process time per sample over REPEATS runs of
 ``cli.run_metrics`` on a run of STEPS steps recorded at every step, at the
-same dt.  The cells are timed round-robin, every cell
+same dt; each CSV cell (``<model>.<group>.csv``) is the same for
+``cli.write_run_csv`` on that run (metrics, formatting and the file write,
+into a temporary directory).  The cells are timed round-robin, every cell
 once per round, so a slow spell of a shared host slows one run of every
 cell rather than every run of a few, and each cell's minimum discards it.
 Each kernel cell is the smallest time per call
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 import timeit
 from functools import partial
@@ -36,7 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from screwmbs.bench import build  # noqa: E402
-from screwmbs.cli import run_metrics  # noqa: E402
+from screwmbs.cli import run_metrics, write_run_csv  # noqa: E402
 from screwmbs.integrate import integrate, integrate_quaternion, tableau_rk4  # noqa: E402
 from screwmbs.liealg import GROUPS as GROUP_OBJECTS, se3_exp, so3_exp  # noqa: E402
 
@@ -56,24 +60,28 @@ def _run(integrator, spec, dt: float, stride: int):
 
 def step_table() -> dict[str, float]:
     """Microseconds per step of every step cell and per sample of every
-    metrics cell, by name, timed round-robin."""
+    metrics and CSV cell, by name, timed round-robin."""
     cells = {}  # name: (timed call, steps or samples it covers)
-    for model in MODELS:
-        for group in GROUPS:
-            spec = build(model, group)
-            dt = 1e-4 if not spec.model.joints else 1e-3
-            record = _run(integrate, spec, dt, 1)
-            for name, integrator in ((f"{model}.{group}", integrate),
-                                     (f"{model}.{group}.quaternion", integrate_quaternion)):
-                cells[name] = (partial(_run, integrator, spec, dt, STEPS), STEPS)
-            cells[f"{model}.{group}.metrics"] = (partial(run_metrics, spec, record),
-                                                 record.n_samples)
-    best = dict.fromkeys(cells, float("inf"))
-    for _ in range(REPEATS):
-        for name, (call, _) in cells.items():
-            start = time.process_time()
-            call()
-            best[name] = min(best[name], time.process_time() - start)
+    with tempfile.TemporaryDirectory() as tmp:
+        for model in MODELS:
+            for group in GROUPS:
+                spec = build(model, group)
+                dt = 1e-4 if not spec.model.joints else 1e-3
+                record = _run(integrate, spec, dt, 1)
+                for name, integrator in ((f"{model}.{group}", integrate),
+                                         (f"{model}.{group}.quaternion", integrate_quaternion)):
+                    cells[name] = (partial(_run, integrator, spec, dt, STEPS), STEPS)
+                cells[f"{model}.{group}.metrics"] = (partial(run_metrics, spec, record),
+                                                     record.n_samples)
+                cells[f"{model}.{group}.csv"] = (
+                    partial(write_run_csv, Path(tmp, f"{model}-{group}.csv"), spec, record),
+                    record.n_samples)
+        best = dict.fromkeys(cells, float("inf"))
+        for _ in range(REPEATS):
+            for name, (call, _) in cells.items():
+                start = time.process_time()
+                call()
+                best[name] = min(best[name], time.process_time() - start)
     return {name: 1e6 * t / cells[name][1] for name, t in best.items()}
 
 
@@ -117,9 +125,10 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(table))
         return 0
-    cells = [f"{group}{chart}" for chart in ("", ".quaternion", ".metrics") for group in GROUPS]
+    cells = [f"{group}{chart}" for chart in ("", ".quaternion", ".metrics", ".csv")
+             for group in GROUPS]
     print(f"{'model':18s}" + "".join(f" {c:>18s}" for c in cells)
-          + "  (us/step; .metrics us/sample)")
+          + "  (us/step; .metrics and .csv us/sample)")
     for model in MODELS:
         print(f"{model:18s}" + "".join(f" {table[f'{model}.{c}']:18.1f}" for c in cells))
     return 0
