@@ -305,11 +305,10 @@ class MbsModel:
         for i, (block, mass, r0) in enumerate(zip(self._spatial_inertias, self._masses,
                                                   self._offsets)):
             if r0 is not None:
-                rot = rotations[..., i, :, :]
-                r0 = np.array(r0)
-                # row by row: (R hat(r0))[i] = R[i] x r0, cross3's operations
-                coup = -mass * (rot[..., [1, 2, 0]] * r0[[2, 0, 1]]
-                                - rot[..., [2, 0, 1]] * r0[[1, 2, 0]])
+                rot, c = rotations[..., i, :, :], np.array(r0)
+                # row by row: (R hat(r0))[k] = R[k] x r0, cross3's operations
+                coup = -mass * (rot[..., [1, 2, 0]] * c[[2, 0, 1]]
+                                - rot[..., [2, 0, 1]] * c[[1, 2, 0]])
                 block = np.broadcast_to(block, rot.shape[:-2] + (6, 6)).copy()
                 block[..., 3:, :3] = coup
                 block[..., :3, 3:] = np.swapaxes(coup, -1, -2)

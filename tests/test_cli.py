@@ -291,7 +291,8 @@ RECORDS = {
                                          spec.state0.t, spec.tableau),
 }
 
-# two chained bodies, both off their COM, on a spring and under gravity
+# two chained bodies, both off their COM, on a spring and under a gravity
+# vector with three nonzero entries, so that the order of g . com shows
 OFF_COM_SPRING_DOC = {
     "name": "off-com-spring",
     "bodies": [{"name": "arm", "mass_kg": 2.0, "inertia_kgm2": [0.3, 0.2, 0.25],
@@ -301,7 +302,7 @@ OFF_COM_SPRING_DOC = {
     "joints": [{"kind": "spherical", "name": "root", "body_a": "ground", "body_b": "arm"},
                {"kind": "spherical", "name": "elbow", "body_a": "arm", "body_b": "tip",
                 "anchor_a_m": [0.5, 0.0, 0.0]}],
-    "forces": [{"kind": "gravity", "g_mps2": [0.0, 0.0, -9.81]},
+    "forces": [{"kind": "gravity", "g_mps2": [0.7, -0.4, -9.78]},
                {"kind": "linear_spring", "body": "tip", "attach_m": [0.1, 0.0, 0.05],
                 "ground_point_m": [1.0, 0.0, 0.0], "stiffness_n_per_m": 50.0}],
     "initial_state": [{"body": "arm", "angular_velocity_radps": [0.3, -1.2, 2.0]},

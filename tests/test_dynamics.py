@@ -36,6 +36,7 @@ from screwmbs.dynamics import (
     total_energy,
     velocity_residual,
 )
+from screwmbs.integrate import TrajectoryRecord
 from screwmbs.liealg import Pose, hat3, mixed_twist_matrix, se3_dexp, se3_exp
 from screwmbs.modelfile import load_model_file, write_model_file
 from oracles import (
@@ -914,6 +915,30 @@ class TestEnergy:
                    total_energy(model, state))
             assert all(type(x) is float for x in got)
             assert _bits(got) == _bits([ke, pe, ke + pe])
+
+    @pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+    def test_record_series_match_per_state(self, representation):
+        """Over a record the energies are (N,) series whose entries have the
+        bits of the per-state references, on random poses off SO(3) of
+        off-COM bodies on springs and under a gravity vector with three
+        nonzero entries, alone (a 2-D ``com @ g`` changes bits here) and
+        after the springs."""
+        rng = np.random.default_rng(11)
+        model = _sprung_off_com_body(representation)
+        tilted = Gravity([0.7, -0.4, -9.78])
+        n = 200
+        poses = [_off_manifold_poses(rng, 2) for _ in range(n)]
+        record = TrajectoryRecord(np.linspace(0.0, 1.0, n),
+                                  np.array([[p.R for p in sample] for sample in poses]),
+                                  np.array([[p.r for p in sample] for sample in poses]),
+                                  rng.uniform(-3, 3, (n, 2, 6)))
+        states = [record.state_at(k) for k in range(n)]
+        assert _bits(kinetic_energy(model, record)) == _bits(
+            [reference_kinetic_energy(model, state) for state in states])
+        for forces in ([tilted], [*model.forces, tilted]):
+            model = dataclasses.replace(model, forces=forces)
+            assert _bits(potential_energy(model, record)) == _bits(
+                [reference_potential_energy(model, state) for state in states])
 
     def test_heavy_top_kinetic(self):
         model = heavy_top_model(BODY_FIXED)
