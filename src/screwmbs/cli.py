@@ -114,7 +114,7 @@ def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, lis
         for i, body in enumerate(model.bodies):
             com = positions[:, i] + np.matmul(rotations[:, i], body.com_offset)
             dist = _norms(com - refs[:, i])
-            worst = np.where(dist > worst, dist, worst)  # max(worst, dist), as a NaN leaves it
+            worst = np.where(dist > worst, dist, worst)  # max(worst, dist): a NaN keeps worst
         values.append(worst)
     # total_energy(model, record) is this same sum
     ke = kinetic_energy(model, record)
