@@ -15,8 +15,8 @@ jointed models at dt = 1e-3.  Each metrics cell (``<model>.<group>.metrics``)
 is the smallest process time per sample over REPEATS runs of
 ``cli.run_metrics`` on a run of STEPS steps recorded at every step, at the
 same dt; each CSV cell (``<model>.<group>.csv``) is the same for
-``cli.write_run_csv`` on that run (metrics, formatting and the file write,
-into a temporary directory).  The cells are timed round-robin, every cell
+``cli.write_run_csv`` on that run (metrics, formatting and the write, to
+``os.devnull``).  The cells are timed round-robin, every cell
 once per round, so a slow spell of a shared host slows one run of every
 cell rather than every run of a few, and each cell's minimum discards it.
 Each kernel cell is the smallest time per call
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-import tempfile
 import time
 import timeit
 from functools import partial
@@ -62,26 +62,24 @@ def step_table() -> dict[str, float]:
     """Microseconds per step of every step cell and per sample of every
     metrics and CSV cell, by name, timed round-robin."""
     cells = {}  # name: (timed call, steps or samples it covers)
-    with tempfile.TemporaryDirectory() as tmp:
-        for model in MODELS:
-            for group in GROUPS:
-                spec = build(model, group)
-                dt = 1e-4 if not spec.model.joints else 1e-3
-                record = _run(integrate, spec, dt, 1)
-                for name, integrator in ((f"{model}.{group}", integrate),
-                                         (f"{model}.{group}.quaternion", integrate_quaternion)):
-                    cells[name] = (partial(_run, integrator, spec, dt, STEPS), STEPS)
-                cells[f"{model}.{group}.metrics"] = (partial(run_metrics, spec, record),
-                                                     record.n_samples)
-                cells[f"{model}.{group}.csv"] = (
-                    partial(write_run_csv, Path(tmp, f"{model}-{group}.csv"), spec, record),
-                    record.n_samples)
-        best = dict.fromkeys(cells, float("inf"))
-        for _ in range(REPEATS):
-            for name, (call, _) in cells.items():
-                start = time.process_time()
-                call()
-                best[name] = min(best[name], time.process_time() - start)
+    for model in MODELS:
+        for group in GROUPS:
+            spec = build(model, group)
+            dt = 1e-4 if not spec.model.joints else 1e-3
+            record = _run(integrate, spec, dt, 1)
+            for name, integrator in ((f"{model}.{group}", integrate),
+                                     (f"{model}.{group}.quaternion", integrate_quaternion)):
+                cells[name] = (partial(_run, integrator, spec, dt, STEPS), STEPS)
+            cells[f"{model}.{group}.metrics"] = (partial(run_metrics, spec, record),
+                                                 record.n_samples)
+            cells[f"{model}.{group}.csv"] = (partial(write_run_csv, os.devnull, spec, record),
+                                             record.n_samples)
+    best = dict.fromkeys(cells, float("inf"))
+    for _ in range(REPEATS):
+        for name, (call, _) in cells.items():
+            start = time.process_time()
+            call()
+            best[name] = min(best[name], time.process_time() - start)
     return {name: 1e6 * t / cells[name][1] for name, t in best.items()}
 
 
