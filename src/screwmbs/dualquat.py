@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import Pose, _floats, hat3
-
-
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
+from .liealg import Pose, _floats
 
 
 def quat_mul(q, p) -> np.ndarray:
@@ -37,46 +33,6 @@ def quat_mul(q, p) -> np.ndarray:
         [q[0] * p[0] - qv @ pv],
         q[0] * pv + p[0] * qv + np.cross(qv, pv),
     ])
-
-
-def hamilton_plus(q) -> np.ndarray:
-    """Left-multiplication matrix: quat_mul(q, p) == hamilton_plus(q) @ p."""
-    q = np.asarray(q, dtype=float)
-    m = np.empty((4, 4))
-    m[0, 0] = q[0]
-    m[0, 1:] = -q[1:]
-    m[1:, 0] = q[1:]
-    m[1:, 1:] = q[0] * np.eye(3) + hat3(q[1:])
-    return m
-
-
-def hamilton_minus(q) -> np.ndarray:
-    """Right-multiplication matrix: quat_mul(p, q) == hamilton_minus(q) @ p."""
-    q = np.asarray(q, dtype=float)
-    m = np.empty((4, 4))
-    m[0, 0] = q[0]
-    m[0, 1:] = -q[1:]
-    m[1:, 0] = q[1:]
-    m[1:, 1:] = q[0] * np.eye(3) - hat3(q[1:])
-    return m
-
-
-def dmat(q) -> np.ndarray:
-    """3x4 matrix D(Q) = [-q | q0 I + q^]."""
-    q = np.asarray(q, dtype=float)
-    m = np.empty((3, 4))
-    m[:, 0] = -q[1:]
-    m[:, 1:] = q[0] * np.eye(3) + hat3(q[1:])
-    return m
-
-
-def emat(q) -> np.ndarray:
-    """3x4 matrix E(Q) = [-q | q0 I - q^]."""
-    q = np.asarray(q, dtype=float)
-    m = np.empty((3, 4))
-    m[:, 0] = -q[1:]
-    m[:, 1:] = q[0] * np.eye(3) - hat3(q[1:])
-    return m
 
 
 def quat_from_rotation(r) -> np.ndarray:
@@ -108,26 +64,8 @@ class DualQuaternion:
     q: np.ndarray
     qe: np.ndarray
 
-    @staticmethod
-    def identity() -> "DualQuaternion":
-        return DualQuaternion(quat_identity(), np.zeros(4))
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.q, self.qe])
-
-    @staticmethod
-    def from_vector(v) -> "DualQuaternion":
-        v = np.asarray(v, dtype=float)
-        return DualQuaternion(v[:4].copy(), v[4:].copy())
-
-    def norm_defect(self) -> float:
-        return abs(float(np.linalg.norm(self.q)) - 1.0)
-
-    def plucker_defect(self) -> float:
-        return abs(float(self.q @ self.qe))
-
-    def negated(self) -> "DualQuaternion":
-        return DualQuaternion(-self.q, -self.qe)
 
 
 def dq_from_pose(c: Pose) -> DualQuaternion:
@@ -166,35 +104,6 @@ def pose_from_dq(a: DualQuaternion) -> tuple:
 # ---------------------------------------------------------------------------
 # kinematic reconstruction maps
 # ---------------------------------------------------------------------------
-
-def h_body(a: DualQuaternion) -> np.ndarray:
-    """6x8 map with V_body = h_body(A) @ d(A)/dt along invariant-preserving
-    trajectories."""
-    e = emat(a.q)
-    h = np.zeros((6, 8))
-    h[:3, :4] = 2.0 * e
-    h[3:, :4] = -2.0 * (e @ dmat(a.q).T @ dmat(a.qe))
-    h[3:, 4:] = 2.0 * e
-    return h
-
-
-def h_mixed(a: DualQuaternion) -> np.ndarray:
-    """6x8 map giving the mixed velocity (body omega, spatial rdot)."""
-    h = np.zeros((6, 8))
-    h[:3, :4] = 2.0 * emat(a.q)
-    h[3:, :4] = -2.0 * dmat(a.qe)
-    h[3:, 4:] = 2.0 * dmat(a.q)
-    return h
-
-
-def h_euler_params(q) -> np.ndarray:
-    """6x7 map for the Euler-parameter chart of SO(3)xR3; the translation
-    block is the identity (decoupled)."""
-    h = np.zeros((6, 7))
-    h[:3, :4] = 2.0 * emat(q)
-    h[3:, 4:] = np.eye(3)
-    return h
-
 
 def _omega_rates(q0, q1, q2, q3, w0, w1, w2) -> tuple:
     """(h, Qdot) with h = 1 / (2 |Q|^2) and Qdot = h E(Q)^T omega, the

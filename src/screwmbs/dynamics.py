@@ -278,8 +278,8 @@ class MbsModel:
         self._jac_at = np.array(at + at_t, dtype=np.intp)
         kernels = [_bind_rows(j, self._mixed) for j in self.joints]
         self._row_kernels = [rows for rows, _ in kernels]
-        # joint_geometry finds a joint's residual kernel by the joint
-        self._residual_kernels = {id(j): k for j, (_, k) in zip(self.joints, kernels)}
+        # joint_geometry and joint_rows find a joint's kernels by the joint
+        self._joint_kernels = {id(j): k for j, k in zip(self.joints, kernels)}
         bodies = range(self.n_bodies)
         self._rhs_kernels = [_bind_body(self, i, "rhs") for i in bodies]
         self._acc_kernels = [] if self.joints else [_bind_body(self, i, "acc") for i in bodies]
@@ -452,13 +452,18 @@ _I3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _Z3 = (0.0, 0.0, 0.0)
 
 
+def _joint_kernels(joint: Joint, model: MbsModel):
+    """The (rows, residual) kernels the model compiled for one of its joints."""
+    kernels = model._joint_kernels.get(id(joint))
+    if kernels is None:
+        raise ValueError(f"joint {joint.label!r} is not one of the model's joints")
+    return kernels
+
+
 def joint_geometry(joint: Joint, poses, model: MbsModel) -> np.ndarray:
     """Constraint residual h(g) of one of the model's joints; zero on the
     constraint manifold.  Takes ``Pose`` lists or ``_frames``' float poses."""
-    kernel = model._residual_kernels.get(id(joint))
-    if kernel is None:
-        raise ValueError(f"joint {joint.label!r} is not one of the model's joints")
-    return np.array(kernel(_pose_rows(poses)))
+    return np.array(_joint_kernels(joint, model)[1](_pose_rows(poses)))
 
 
 def _frame(s: str) -> tuple:
@@ -611,11 +616,11 @@ def _bind_rows(joint: Joint, mixed: bool):
 
 
 def joint_rows(joint: Joint, poses, velocities, model: MbsModel):
-    """Jacobian blocks per body and eta = -Jdot @ V in one pass: the exact
-    differentials of joint_geometry and second-derivative remainders, valid
-    off the manifold."""
+    """Jacobian blocks per body and eta = -Jdot @ V of one of the model's
+    joints in one pass: the exact differentials of joint_geometry and
+    second-derivative remainders, valid off the manifold."""
     values, eta = [], []
-    _bind_rows(joint, model._mixed)[0](*_frames(poses, velocities), values, eta)
+    _joint_kernels(joint, model)[0](*_frames(poses, velocities), values, eta)
     rows = np.array(values).reshape(joint.dim, -1)
     if joint.body_a is None:
         return {joint.body_b: rows}, np.array(eta)
@@ -782,16 +787,16 @@ def velocity_residual(model: MbsModel, state: MbsState) -> float:
 
 def project_velocities(model: MbsModel, state: MbsState) -> MbsState:
     """Minimum-norm (spatial-inertia metric) correction onto J V = 0: the
-    KKT matrix solved for the right-hand side (0, -J V)."""
+    KKT matrix solved for the right-hand side (0, -J V) by solve_index1."""
     if not model.joints:
         return state.copy()
     nv = 6 * model.n_bodies
     kkt, _ = _kkt(model, *_frames(state.poses, np.zeros_like(state.velocities)), [])
     rhs = np.zeros(len(kkt))
     rhs[nv:] = -kkt[nv:, :nv] @ state.velocities.reshape(-1)
-    sol = np.linalg.solve(kkt, rhs)
+    dv, _ = solve_index1(model, kkt, rhs)
     out = state.copy()
-    out.velocities = state.velocities + sol[:nv].reshape(-1, 6)
+    out.velocities = state.velocities + dv
     return out
 
 

@@ -225,10 +225,6 @@ class TrajectoryRecord:
     def n_samples(self) -> int:
         return len(self.times)
 
-    def state_at(self, k: int) -> MbsState:
-        poses = [Pose(rot, pos) for rot, pos in zip(self.rotations[k], self.positions[k])]
-        return MbsState(poses, self.velocities[k].copy(), float(self.times[k]))
-
 
 def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
     """Sampled step indices (the last is the step count), the empty record

@@ -250,7 +250,8 @@ def _emit_so3_exp_rows(e: _Emitter, x):
 
 
 def _emit_so3_dexpinv_apply(e: _Emitter, xi, y, c):
-    """so3_dexpinv(xi) @ y = y - xi x y / 2 + c xi x (xi x y), c = _dinv(|xi|)."""
+    """The so(3) dexpinv at xi applied to y: y - xi x y / 2 + c xi x (xi x y),
+    c = _dinv(|xi|)."""
     p = e.cross(xi, y)
     pp = e.cross(xi, p)
     return tuple(e.scalar(f"{a} - 0.5 * {b} + {c} * {d}") for a, b, d in zip(y, p, pp))
@@ -290,12 +291,6 @@ def so3_dexp(xi) -> np.ndarray:
     return _EYE3 + _cos1(x) * h + _xs3(x) * (h @ h)
 
 
-def so3_dexpinv(xi) -> np.ndarray:
-    """Matrix inverse of so3_dexp, the rotation block of dp_dexpinv; pole at
-    |xi| = 2*pi."""
-    return dp_dexpinv(xi)[:3, :3]
-
-
 def rotation_error(r_ref, r) -> float:
     """Relative rotation angle |log(R_ref^T R)|."""
     return float(np.linalg.norm(so3_log(np.asarray(r_ref).T @ np.asarray(r))))
@@ -333,22 +328,6 @@ class Pose:
         m[:3, 3] = self.r
         return m
 
-    def orthonormality_defect(self) -> float:
-        return float(np.abs(self.R.T @ self.R - _EYE3).max())
-
-    def renormalize(self) -> "Pose":
-        """Project R back onto SO(3) (explicit; never done silently)."""
-        u, _, vt = np.linalg.svd(self.R)
-        d = np.sign(np.linalg.det(u @ vt))
-        return Pose(u @ np.diag([1.0, 1.0, d]) @ vt, self.r.copy())
-
-    def validate(self, tol: float = 1e-12) -> None:
-        if not (np.isfinite(self.R).all() and np.isfinite(self.r).all()):
-            raise ValueError("pose has non-finite entries")
-        if not is_rotation(self.R, tol):
-            raise ValueError("R is not a rotation matrix within tolerance")
-
-
 def se3_hat(x) -> np.ndarray:
     """4x4 matrix representative of a screw coordinate vector."""
     x = np.asarray(x, dtype=float)
@@ -362,10 +341,6 @@ def se3_compose(c1: Pose, c2: Pose) -> Pose:
     """Frame transformation product C1*C2 = (R1 R2, r1 + R1 r2), the
     homogeneous matrix product in argument order (c2 acts first)."""
     return Pose(c1.R @ c2.R, c1.r + c1.R @ c2.r)
-
-
-def se3_inverse(c: Pose) -> Pose:
-    return Pose(c.R.T, -(c.R.T @ c.r))
 
 
 def _emit_se3_exp_parts(e: _Emitter, x):
@@ -389,25 +364,9 @@ def se3_exp(x) -> Pose:
     return Pose(*map(np.array, _se3_exp_parts(_floats(x))))
 
 
-def se3_log(c: Pose) -> np.ndarray:
-    """Inverse of se3_exp (same branch restrictions as so3_log)."""
-    xi = so3_log(c.R)
-    eta = so3_dexpinv(xi) @ c.r
-    return np.concatenate([xi, eta])
-
-
-def se3_bracket(x1, x2) -> np.ndarray:
-    """Screw product [X1, X2] = (xi1 x xi2, xi1 x eta2 - xi2 x eta1)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return np.concatenate([
-        np.cross(x1[:3], x2[:3]),
-        np.cross(x1[:3], x2[3:]) - np.cross(x2[:3], x1[3:]),
-    ])
-
-
 def se3_ad(x) -> np.ndarray:
-    """Matrix of the se(3) bracket: se3_ad(X1) @ X2 == se3_bracket(X1, X2)."""
+    """Matrix of the se(3) bracket: se3_ad(X1) @ X2 = [X1, X2]
+    = (xi1 x xi2, xi1 x eta2 - xi2 x eta1)."""
     x = np.asarray(x, dtype=float)
     m = np.zeros((6, 6))
     hx = hat3(x[:3])
@@ -532,21 +491,13 @@ def dp_compose(c1: Pose, c2: Pose) -> Pose:
     return Pose(c1.R @ c2.R, c1.r + c2.r)
 
 
-def dp_inverse(c: Pose) -> Pose:
-    return Pose(c.R.T, -c.r)
-
-
 def dp_exp(x) -> Pose:
     x = _floats(x)
     return Pose(so3_exp(x[:3]), np.array(x[3:], dtype=float))
 
 
-def dp_log(c: Pose) -> np.ndarray:
-    return np.concatenate([so3_log(c.R), c.r])
-
-
 def dp_dexpinv(x) -> np.ndarray:
-    """Block-diagonal (so3_dexpinv, I), the columns of the stage loop's kernel
+    """Block-diagonal (so(3) dexpinv, I), the columns of the stage loop's kernel
     ``DirectProductGroup.dexpinv_apply``: rotation and translation decouple."""
     return np.array([DirectProductGroup.dexpinv_apply(x, e) for e in _EYE6.tolist()]).T
 
@@ -557,32 +508,8 @@ dp_dexpinv_apply = _define(
      *_block(lambda e: (*_emit_so3_dexpinv_apply(e, _X[:3], _V[:3], e.scalar("_dinv(xn)")),
                         *_V[3:]))],
     """dp_dexpinv(x) @ v as a float tuple: the rotation part through
-    so3_dexpinv, the translation part unchanged; x may be the rotation part
+    the so(3) dexpinv, the translation part unchanged; x may be the rotation part
     alone.""")
-
-
-# ---------------------------------------------------------------------------
-# mixed velocity and 3-angle parameterizations
-# ---------------------------------------------------------------------------
-
-def mixed_twist_matrix(x) -> np.ndarray:
-    """A(X) = blockdiag(I, exp(xi)) @ se3_dexp(-X), mapping screw coordinate
-    rates to the mixed velocity (omega, rdot)."""
-    x = np.asarray(x, dtype=float)
-    a = se3_dexp(-x)
-    r = so3_exp(x[:3])
-    a[3:, :] = r @ a[3:, :]
-    return a
-
-
-def three_angle_rates_matrix(axes, angles) -> np.ndarray:
-    """Kinematic matrix B with omega = B @ thetadot for successive rotations
-    about constant body axes (Euler for i=k, Bryant for distinct axes)."""
-    e_i, e_j, e_k = (np.asarray(a, dtype=float) for a in axes)
-    th = np.asarray(angles, dtype=float)
-    rj = so3_exp(e_j * th[1])
-    rk = so3_exp(e_k * th[2])
-    return np.column_stack([rk.T @ (rj.T @ e_i), rk.T @ e_j, e_k])
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +547,7 @@ class SE3Group(CSpaceGroup):
 
     name = "se3"
     compose = staticmethod(se3_compose)
-    inverse = staticmethod(se3_inverse)
     exp = staticmethod(se3_exp)
-    log = staticmethod(se3_log)
     dexpinv = staticmethod(se3_dexpinv)
     dexpinv_apply = staticmethod(se3_dexpinv_apply)
 
@@ -637,9 +562,7 @@ class DirectProductGroup(CSpaceGroup):
 
     name = "so3xr3"
     compose = staticmethod(dp_compose)
-    inverse = staticmethod(dp_inverse)
     exp = staticmethod(dp_exp)
-    log = staticmethod(dp_log)
     dexpinv = staticmethod(dp_dexpinv)
     dexpinv_apply = staticmethod(dp_dexpinv_apply)
 

@@ -17,11 +17,12 @@ from screwmbs.dynamics import (
     MIXED,
     Gravity,
     LinearSpring,
+    MbsState,
     _put_mixed_coupling,
     joint_rows,
     spatial_inertia,
 )
-from screwmbs.dualquat import DualQuaternion, dmat, emat, quat_mul, quat_rotation_rows
+from screwmbs.dualquat import DualQuaternion, quat_mul, quat_rotation_rows
 from screwmbs.integrate import integrate
 from screwmbs.liealg import (
     SMALL_ANGLE,
@@ -38,7 +39,9 @@ from screwmbs.liealg import (
     hat3,
     rotation_error,
     se3_ad,
+    se3_dexp,
     se3_hat,
+    so3_exp,
 )
 
 # plain-float 3-vector kernels: the operation order of liealg._Emitter's ops
@@ -153,6 +156,30 @@ def random_rotation(rng, angle_hi=3.0):
 
 def random_pose(rng, angle_hi=3.0, r_scale=2.0) -> Pose:
     return Pose(random_rotation(rng, angle_hi), rng.uniform(-r_scale, r_scale, 3))
+
+
+# ---------------------------------------------------------------------------
+# the screw-coordinate and three-angle rate maps, in closed form
+# ---------------------------------------------------------------------------
+
+def mixed_twist_matrix(x) -> np.ndarray:
+    """A(X) = blockdiag(I, exp(xi)) @ se3_dexp(-X), mapping screw coordinate
+    rates to the mixed velocity (omega, rdot)."""
+    x = np.asarray(x, dtype=float)
+    a = se3_dexp(-x)
+    r = so3_exp(x[:3])
+    a[3:, :] = r @ a[3:, :]
+    return a
+
+
+def three_angle_rates_matrix(axes, angles) -> np.ndarray:
+    """Kinematic matrix B with omega = B @ thetadot for successive rotations
+    about constant body axes (Euler for i=k, Bryant for distinct axes)."""
+    e_i, e_j, e_k = (np.asarray(a, dtype=float) for a in axes)
+    th = np.asarray(angles, dtype=float)
+    rj = so3_exp(e_j * th[1])
+    rk = so3_exp(e_k * th[2])
+    return np.column_stack([rk.T @ (rj.T @ e_i), rk.T @ e_j, e_k])
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +613,53 @@ def joint_acc_rhs(joint, poses, velocities, model) -> np.ndarray:
 # quaternion and dual-quaternion algebra the closed-form chart does without
 # ---------------------------------------------------------------------------
 
+def dmat(q) -> np.ndarray:
+    """3x4 matrix D(Q) = [-q | q0 I + q^]."""
+    q = np.asarray(q, dtype=float)
+    m = np.empty((3, 4))
+    m[:, 0] = -q[1:]
+    m[:, 1:] = q[0] * np.eye(3) + hat3(q[1:])
+    return m
+
+
+def emat(q) -> np.ndarray:
+    """3x4 matrix E(Q) = [-q | q0 I - q^]."""
+    q = np.asarray(q, dtype=float)
+    m = np.empty((3, 4))
+    m[:, 0] = -q[1:]
+    m[:, 1:] = q[0] * np.eye(3) - hat3(q[1:])
+    return m
+
+
+def h_body(a: DualQuaternion) -> np.ndarray:
+    """6x8 map with V_body = h_body(A) @ d(A)/dt along invariant-preserving
+    trajectories."""
+    e = emat(a.q)
+    h = np.zeros((6, 8))
+    h[:3, :4] = 2.0 * e
+    h[3:, :4] = -2.0 * (e @ dmat(a.q).T @ dmat(a.qe))
+    h[3:, 4:] = 2.0 * e
+    return h
+
+
+def h_mixed(a: DualQuaternion) -> np.ndarray:
+    """6x8 map giving the mixed velocity (body omega, spatial rdot)."""
+    h = np.zeros((6, 8))
+    h[:3, :4] = 2.0 * emat(a.q)
+    h[3:, :4] = -2.0 * dmat(a.qe)
+    h[3:, 4:] = 2.0 * dmat(a.q)
+    return h
+
+
+def h_euler_params(q) -> np.ndarray:
+    """6x7 map for the Euler-parameter chart of SO(3)xR3; the translation
+    block is the identity (decoupled)."""
+    h = np.zeros((6, 7))
+    h[:3, :4] = 2.0 * emat(q)
+    h[3:, 4:] = np.eye(3)
+    return h
+
+
 def quat_conj(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     return np.array([q[0], -q[1], -q[2], -q[3]])
@@ -618,14 +692,24 @@ def reference_pose_from_dq(a: DualQuaternion) -> Pose:
     return Pose(np.array(quat_rotation_rows(q0, q1, q2, q3)), r)
 
 
+def dq_negated(a: DualQuaternion) -> DualQuaternion:
+    return DualQuaternion(-a.q, -a.qe)
+
+
 def dq_align(a: DualQuaternion, ref: DualQuaternion) -> DualQuaternion:
     """Pick the sign of the double cover closest to a reference."""
-    return a.negated() if float(a.q @ ref.q) < 0.0 else a
+    return dq_negated(a) if float(a.q @ ref.q) < 0.0 else a
+
+
+def state_at(record, k: int) -> MbsState:
+    """Sample k of a TrajectoryRecord as an MbsState."""
+    poses = [Pose(rot, pos) for rot, pos in zip(record.rotations[k], record.positions[k])]
+    return MbsState(poses, record.velocities[k].copy(), float(record.times[k]))
 
 
 def coupled_step(model, group, state, dt: float, tableau):
     """Advance poses and velocities by one step of ``integrate``."""
-    return integrate(model, group, state, dt, state.t + dt, tableau).state_at(-1)
+    return state_at(integrate(model, group, state, dt, state.t + dt, tableau), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +723,7 @@ def reference_constraint_violation(record, model, joint_index: int) -> np.ndarra
     vals = np.empty(record.n_samples)
     for k in range(record.n_samples):
         vals[k] = np.linalg.norm(
-            reference_joint_geometry(joint, record.state_at(k).poses, model))
+            reference_joint_geometry(joint, state_at(record, k).poses, model))
     return vals
 
 
@@ -650,7 +734,7 @@ def reference_joint_residuals(record, model, joint_index: int):
     ori = np.empty(record.n_samples)
     for k in range(record.n_samples):
         p, o = reference_split_residual(
-            joint, reference_joint_geometry(joint, record.state_at(k).poses, model))
+            joint, reference_joint_geometry(joint, state_at(record, k).poses, model))
         pos[k] = np.linalg.norm(p)
         ori[k] = np.linalg.norm(o)
     return pos, ori
@@ -729,7 +813,7 @@ def reference_energy(record, model, datum: float = 0.0):
     kin = np.empty(record.n_samples)
     tot = np.empty(record.n_samples)
     for k in range(record.n_samples):
-        state = record.state_at(k)
+        state = state_at(record, k)
         kin[k] = reference_kinetic_energy(model, state)
         tot[k] = kin[k] + reference_potential_energy(model, state) + datum
     return kin, tot

@@ -4,25 +4,23 @@ from numpy.testing import assert_allclose
 
 from screwmbs.dualquat import (
     DualQuaternion,
-    dmat,
     dq_from_pose,
-    emat,
     euler_reconstruct_rates,
-    h_body,
-    h_euler_params,
-    h_mixed,
-    hamilton_minus,
-    hamilton_plus,
     pose_from_dq,
     quat_from_rotation,
-    quat_identity,
     quat_mul,
     reconstruct_rates,
 )
 from screwmbs.liealg import Pose, se3_compose, se3_exp, so3_exp
 from oracles import (
+    dmat,
     dq_align,
     dq_mul,
+    dq_negated,
+    emat,
+    h_body,
+    h_euler_params,
+    h_mixed,
     quat_conj,
     random_pose,
     reference_pose_from_dq,
@@ -31,6 +29,8 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(99)
+QUAT_ONE = np.array([1.0, 0.0, 0.0, 0.0])
+DQ_ONE = DualQuaternion(QUAT_ONE, np.zeros(4))
 
 
 def random_unit_quat(rng):
@@ -45,25 +45,18 @@ def random_dq(rng) -> DualQuaternion:
 class TestQuaternionProduct:
     def test_identity(self):
         q = random_unit_quat(RNG)
-        assert_allclose(quat_mul(q, quat_identity()), q)
+        assert_allclose(quat_mul(q, QUAT_ONE), q)
 
     def test_basis_product(self):
         ex = np.array([0, 1.0, 0, 0])
         ey = np.array([0, 0, 1.0, 0])
         assert_allclose(quat_mul(ex, ey), [0, 0, 0, 1.0])
 
-    def test_hamilton_forms_agree(self):
-        for _ in range(20):
-            q, p = RNG.normal(size=4), RNG.normal(size=4)
-            prod = quat_mul(q, p)
-            assert_allclose(hamilton_plus(q) @ p, prod, atol=1e-14)
-            assert_allclose(hamilton_minus(p) @ q, prod, atol=1e-14)
-
 
 class TestDqProduct:
     def test_identity(self):
         a = random_dq(RNG)
-        out = dq_mul(a, DualQuaternion.identity())
+        out = dq_mul(a, DQ_ONE)
         assert_allclose(out.q, a.q)
         assert_allclose(out.qe, a.qe)
 
@@ -86,13 +79,13 @@ class TestDqProduct:
     def test_preserves_invariants(self):
         a, b = random_dq(RNG), random_dq(RNG)
         out = dq_mul(a, b)
-        assert out.norm_defect() < 1e-10
-        assert out.plucker_defect() < 1e-10
+        assert abs(np.linalg.norm(out.q) - 1.0) < 1e-10
+        assert abs(out.q @ out.qe) < 1e-10
 
 
 class TestRotationFromQuat:
     def test_identity(self):
-        assert_allclose(rotation_from_quat(quat_identity()), np.eye(3))
+        assert_allclose(rotation_from_quat(QUAT_ONE), np.eye(3))
 
     def test_axis_angle_correspondence(self):
         theta = 0.8741
@@ -138,13 +131,13 @@ class TestPoseConversion:
 
     def test_double_cover_same_pose(self):
         a = random_dq(RNG)
-        p1, p2 = (Pose(*map(np.array, pose_from_dq(b))) for b in (a, a.negated()))
+        p1, p2 = (Pose(*map(np.array, pose_from_dq(b))) for b in (a, dq_negated(a)))
         assert_allclose(p1.R, p2.R, atol=0)
         assert_allclose(p1.r, p2.r, atol=0)
 
     def test_align_picks_nearest_sign(self):
         a = random_dq(RNG)
-        assert dq_align(a.negated(), a).q @ a.q > 0
+        assert dq_align(dq_negated(a), a).q @ a.q > 0
 
 
 def _fd_rates(pose_of_t, t0, h=1e-6):
@@ -159,7 +152,7 @@ class TestHMatrices:
     def test_body_twist_at_identity(self):
         omega = np.array([0.3, -1.1, 0.7])
         rates = np.concatenate([[0.0], omega / 2, np.zeros(4)])
-        v = h_body(DualQuaternion.identity()) @ rates
+        v = h_body(DQ_ONE) @ rates
         assert_allclose(v, np.concatenate([omega, np.zeros(3)]), atol=1e-15)
 
     def test_euler_params_translation_block(self):
@@ -191,9 +184,9 @@ class TestReconstructRates:
 
     def test_identity_configuration(self):
         v = np.array([0.4, -0.2, 0.9, 1.0, 2.0, -0.5])
-        rates = reconstruct_rates(DualQuaternion.identity(), v)
+        rates = reconstruct_rates(DQ_ONE, v)
         assert_allclose(rates[:4], np.concatenate([[0.0], v[:3] / 2]), atol=1e-14)
-        assert_allclose(h_body(DualQuaternion.identity()) @ rates, v, atol=1e-14)
+        assert_allclose(h_body(DQ_ONE) @ rates, v, atol=1e-14)
 
     def test_residual_and_tangency(self):
         for _ in range(10):
@@ -318,11 +311,11 @@ class TestInvariantPreservation:
     def test_rk4_constant_twist_keeps_invariants(self):
         # integrate dA/dt = reconstruct_rates(A, V) for 1 s at dt = 1e-3
         v = random_screw(RNG, angle_hi=1.5)
-        y = DualQuaternion.identity().as_vector()
+        y = DQ_ONE.as_vector()
         dt = 1e-3
 
         def f(yv):
-            return np.asarray(reconstruct_rates(DualQuaternion.from_vector(yv), v))
+            return np.asarray(reconstruct_rates(DualQuaternion(yv[:4], yv[4:]), v))
 
         for _ in range(1000):
             k1 = f(y)
@@ -330,9 +323,9 @@ class TestInvariantPreservation:
             k3 = f(y + dt / 2 * k2)
             k4 = f(y + dt * k3)
             y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        a = DualQuaternion.from_vector(y)
-        assert a.norm_defect() < 1e-8
-        assert a.plucker_defect() < 1e-8
+        a = DualQuaternion(y[:4], y[4:])
+        assert abs(np.linalg.norm(a.q) - 1.0) < 1e-8
+        assert abs(a.q @ a.qe) < 1e-8
         # the reconstructed motion is the constant-twist screw motion
         ref = se3_exp(1.0 * v)
         out = Pose(*map(np.array, pose_from_dq(a)))

@@ -37,13 +37,14 @@ from screwmbs.dynamics import (
     velocity_residual,
 )
 from screwmbs.integrate import TrajectoryRecord
-from screwmbs.liealg import Pose, hat3, mixed_twist_matrix, se3_dexp, se3_exp
+from screwmbs.liealg import Pose, hat3, se3_dexp, se3_exp
 from screwmbs.modelfile import load_model_file, write_model_file
 from oracles import (
     JOINT_DIMS,
     body_frames,
     central_diff,
     joint_acc_rhs,
+    mixed_twist_matrix,
     newton_euler_body,
     newton_euler_mixed,
     random_rotation,
@@ -58,6 +59,7 @@ from oracles import (
     reference_project_velocities,
     reference_split_residual,
     reference_wrenches,
+    state_at,
     world_frame_joint_rows,
 )
 
@@ -562,15 +564,19 @@ def test_residual_kernel_bitwise(joint, representation):
 
 
 def test_joint_geometry_binds_nothing_per_call(monkeypatch):
-    """joint_geometry calls the kernel bound with the model; a joint the
-    model does not hold is refused."""
+    """joint_geometry and joint_rows call the kernels bound with the model;
+    a joint the model does not hold is refused."""
     spec = build("four-bar", "so3xr3")
+    poses, velocities = spec.state0.poses, spec.state0.velocities
     monkeypatch.setattr(dynamics, "_bind_rows", None)
     for joint in spec.model.joints:
-        joint_geometry(joint, spec.state0.poses, spec.model)
+        joint_geometry(joint, poses, spec.model)
+        joint_rows(joint, poses, velocities, spec.model)
     stranger = dataclasses.replace(spec.model.joints[0])
     with pytest.raises(ValueError, match="not one of the model's joints"):
-        joint_geometry(stranger, spec.state0.poses, spec.model)
+        joint_geometry(stranger, poses, spec.model)
+    with pytest.raises(ValueError, match="not one of the model's joints"):
+        joint_rows(stranger, poses, velocities, spec.model)
 
 
 @pytest.mark.parametrize("group", ["se3", "so3xr3"])
@@ -880,6 +886,14 @@ class TestVelocityProjection:
         out = project_velocities(model, state)
         assert_allclose(out.velocities, state.velocities, atol=1e-12)
 
+    def test_redundant_joints_name_them(self):
+        # the projection solves through solve_index1, as the step does
+        j = Joint("spherical", None, 0, anchor_b=TOP_R0, name="pivot")
+        j2 = Joint("spherical", None, 0, anchor_b=TOP_R0, name="pivot-copy")
+        model = MbsModel([TOP_BODY], [j, j2], [], representation=BODY_FIXED)
+        with pytest.raises(RedundantConstraintError, match="pivot-copy"):
+            project_velocities(model, heavy_top_state(BODY_FIXED))
+
     def test_projection_restores_consistency(self):
         model = heavy_top_model(BODY_FIXED)
         state = heavy_top_state(BODY_FIXED)
@@ -932,7 +946,7 @@ class TestEnergy:
                                   np.array([[p.R for p in sample] for sample in poses]),
                                   np.array([[p.r for p in sample] for sample in poses]),
                                   rng.uniform(-3, 3, (n, 2, 6)))
-        states = [record.state_at(k) for k in range(n)]
+        states = [state_at(record, k) for k in range(n)]
         assert _bits(kinetic_energy(model, record)) == _bits(
             [reference_kinetic_energy(model, state) for state in states])
         for forces in ([tilted], [*model.forces, tilted]):

@@ -17,25 +17,18 @@ from screwmbs.liealg import (
     dp_compose,
     dp_dexpinv,
     dp_exp,
-    dp_inverse,
-    dp_log,
     hat3,
-    mixed_twist_matrix,
+    is_rotation,
     se3_ad,
-    se3_bracket,
     se3_compose,
     se3_dexp,
     se3_dexpinv,
     se3_dexpinv_adpoly,
     se3_exp,
     se3_hat,
-    se3_inverse,
-    se3_log,
     so3_dexp,
-    so3_dexpinv,
     so3_exp,
     so3_log,
-    three_angle_rates_matrix,
 )
 import oracles
 from oracles import (
@@ -43,10 +36,12 @@ from oracles import (
     dp_matrix,
     expm_se3,
     expm_so3,
+    mixed_twist_matrix,
     random_pose,
     random_screw,
     se3_dexp_series,
     so3_dexp_series,
+    three_angle_rates_matrix,
     vee3,
 )
 
@@ -144,13 +139,13 @@ class TestSo3Dexp:
 
 class TestSo3Dexpinv:
     def test_identity(self):
-        assert_allclose(so3_dexpinv([0, 0, 0]), np.eye(3))
+        assert_allclose(dp_dexpinv([0, 0, 0])[:3, :3], np.eye(3))
 
     def test_inverse_of_dexp(self):
         for _ in range(30):
             xi = RNG.normal(size=3)
             xi *= RNG.uniform(1e-3, math.pi) / np.linalg.norm(xi)
-            assert_allclose(so3_dexpinv(xi) @ so3_dexp(xi), np.eye(3), atol=1e-12)
+            assert_allclose(dp_dexpinv(xi)[:3, :3] @ so3_dexp(xi), np.eye(3), atol=1e-12)
 
     def test_second_order_approximation(self):
         # dexpinv(y) ~ y - ad y/2 + ad^2 y/12 up to O(|xi|^4)
@@ -158,11 +153,11 @@ class TestSo3Dexpinv:
             xi = np.array([0.3, -0.5, 0.8]) * scale
             h = hat3(xi)
             approx = np.eye(3) - h / 2 + (h @ h) / 12
-            assert np.abs(so3_dexpinv(xi) - approx).max() < np.linalg.norm(xi) ** 4
+            assert np.abs(dp_dexpinv(xi)[:3, :3] - approx).max() < np.linalg.norm(xi) ** 4
 
     def test_pole_error(self):
         with pytest.raises(PoleError):
-            so3_dexpinv([2 * math.pi, 0, 0])
+            dp_dexpinv([2 * math.pi, 0, 0])
 
 
 class TestSe3Exp:
@@ -194,20 +189,6 @@ class TestSe3Exp:
         assert_allclose(se3_exp(x).r, r, atol=1e-13)
 
 
-class TestSe3Log:
-    def test_identity(self):
-        assert_allclose(se3_log(Pose.identity()), np.zeros(6))
-
-    def test_roundtrip(self):
-        for _ in range(30):
-            x = random_screw(RNG, angle_hi=2.9)
-            assert_allclose(se3_log(se3_exp(x)), x, atol=1e-10)
-
-    def test_pure_translation(self):
-        assert_allclose(se3_log(Pose(np.eye(3), np.array([0.5, 0, 0]))),
-                        [0, 0, 0, 0.5, 0, 0])
-
-
 class TestSe3Ad:
     def test_zero(self):
         assert_allclose(se3_ad(np.zeros(6)), np.zeros((6, 6)))
@@ -226,9 +207,9 @@ class TestSe3Ad:
     def test_jacobi_identity(self):
         for _ in range(20):
             a, b, c = (random_screw(RNG) for _ in range(3))
-            s = (se3_bracket(a, se3_bracket(b, c))
-                 + se3_bracket(b, se3_bracket(c, a))
-                 + se3_bracket(c, se3_bracket(a, b)))
+            s = (se3_ad(a) @ (se3_ad(b) @ c)
+                 + se3_ad(b) @ (se3_ad(c) @ a)
+                 + se3_ad(c) @ (se3_ad(a) @ b))
             assert np.abs(s).max() < 1e-12
 
 
@@ -423,12 +404,6 @@ class TestComposition:
         assert_allclose(out.R, c.R)
         assert_allclose(out.r, c.r)
 
-    def test_se3_inverse(self):
-        c = random_pose(RNG)
-        out = se3_compose(c, se3_inverse(c))
-        assert_allclose(out.R, np.eye(3), atol=1e-13)
-        assert_allclose(out.r, np.zeros(3), atol=1e-13)
-
     def test_se3_matches_homogeneous_product(self):
         for _ in range(20):
             c1, c2 = random_pose(RNG), random_pose(RNG)
@@ -461,12 +436,6 @@ class TestComposition:
             assert_allclose(dp_matrix(dp_compose(c1, c2)),
                             dp_matrix(c1) @ dp_matrix(c2), atol=1e-13)
 
-    def test_dp_inverse(self):
-        c = random_pose(RNG)
-        out = dp_compose(c, dp_inverse(c))
-        assert_allclose(out.R, np.eye(3), atol=1e-13)
-        assert_allclose(out.r, np.zeros(3), atol=0)
-
 
 class TestDirectProductMaps:
     def test_exp_zero(self):
@@ -480,9 +449,11 @@ class TestDirectProductMaps:
         assert_allclose(c.r, [1, 2, 3])
 
     def test_log_roundtrip(self):
+        # the direct product's log is (so3_log(R), r)
         for _ in range(10):
             x = random_screw(RNG, angle_hi=2.9)
-            assert_allclose(dp_log(dp_exp(x)), x, atol=1e-10)
+            c = dp_exp(x)
+            assert_allclose(np.concatenate([so3_log(c.R), c.r]), x, atol=1e-10)
 
     def test_dexpinv_identity(self):
         assert_allclose(dp_dexpinv(np.zeros(6)), np.eye(6))
@@ -561,23 +532,9 @@ class TestGroupObjects:
         a_bc = group.compose(a, group.compose(b, c))
         assert_allclose(ab_c.R, a_bc.R, atol=1e-13)
         assert_allclose(ab_c.r, a_bc.r, atol=1e-13)
-        ident = group.compose(a, group.inverse(a))
-        assert_allclose(ident.R, np.eye(3), atol=1e-13)
-        assert_allclose(ident.r, np.zeros(3), atol=1e-12)
-
-    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
-    def test_exp_log_roundtrip(self, group):
-        x = random_screw(RNG, angle_hi=2.5)
-        assert_allclose(group.log(group.exp(x)), x, atol=1e-10)
 
 
-class TestPose:
-    def test_validate_rejects_nonrotation(self):
-        with pytest.raises(ValueError):
-            Pose(np.eye(3) * 1.01, np.zeros(3)).validate()
-
-    def test_renormalize(self):
-        c = random_pose(RNG)
-        drifted = Pose(c.R + 1e-8 * RNG.normal(size=(3, 3)), c.r)
-        fixed = drifted.renormalize()
-        assert fixed.orthonormality_defect() < 1e-14
+class TestIsRotation:
+    def test_rejects_nonrotation(self):
+        assert not is_rotation(np.eye(3) * 1.01)
+        assert is_rotation(random_pose(RNG).R)
