@@ -36,12 +36,14 @@ from screwmbs.liealg import (
     _sinc,
     _xs3,
     cross3,
+    dp_dexpinv,
     hat3,
     rotation_error,
     se3_ad,
     se3_dexp,
     se3_hat,
     so3_exp,
+    so3_log,
 )
 
 # plain-float 3-vector kernels: the operation order of liealg._Emitter's ops
@@ -156,6 +158,33 @@ def random_rotation(rng, angle_hi=3.0):
 
 def random_pose(rng, angle_hi=3.0, r_scale=2.0) -> Pose:
     return Pose(random_rotation(rng, angle_hi), rng.uniform(-r_scale, r_scale, 3))
+
+
+# ---------------------------------------------------------------------------
+# group inverses and logarithms, in closed form
+# ---------------------------------------------------------------------------
+
+def se3_inverse(c: Pose) -> Pose:
+    return Pose(c.R.T, -(c.R.T @ c.r))
+
+
+def se3_log(c: Pose) -> np.ndarray:
+    """Inverse of se3_exp (same branch restrictions as so3_log)."""
+    xi = so3_log(c.R)
+    eta = dp_dexpinv(xi)[:3, :3] @ c.r
+    return np.concatenate([xi, eta])
+
+
+def dp_inverse(c: Pose) -> Pose:
+    return Pose(c.R.T, -c.r)
+
+
+def dp_log(c: Pose) -> np.ndarray:
+    return np.concatenate([so3_log(c.R), c.r])
+
+
+GROUP_INVERSE = {"se3": se3_inverse, "so3xr3": dp_inverse}
+GROUP_LOG = {"se3": se3_log, "so3xr3": dp_log}
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +687,28 @@ def h_euler_params(q) -> np.ndarray:
     h[:3, :4] = 2.0 * emat(q)
     h[3:, 4:] = np.eye(3)
     return h
+
+
+def hamilton_plus(q) -> np.ndarray:
+    """Left-multiplication matrix: quat_mul(q, p) == hamilton_plus(q) @ p."""
+    q = np.asarray(q, dtype=float)
+    m = np.empty((4, 4))
+    m[0, 0] = q[0]
+    m[0, 1:] = -q[1:]
+    m[1:, 0] = q[1:]
+    m[1:, 1:] = q[0] * np.eye(3) + hat3(q[1:])
+    return m
+
+
+def hamilton_minus(q) -> np.ndarray:
+    """Right-multiplication matrix: quat_mul(p, q) == hamilton_minus(q) @ p."""
+    q = np.asarray(q, dtype=float)
+    m = np.empty((4, 4))
+    m[0, 0] = q[0]
+    m[0, 1:] = -q[1:]
+    m[1:, 0] = q[1:]
+    m[1:, 1:] = q[0] * np.eye(3) - hat3(q[1:])
+    return m
 
 
 def quat_conj(q) -> np.ndarray:

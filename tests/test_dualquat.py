@@ -21,6 +21,8 @@ from oracles import (
     h_body,
     h_euler_params,
     h_mixed,
+    hamilton_minus,
+    hamilton_plus,
     quat_conj,
     random_pose,
     reference_pose_from_dq,
@@ -51,6 +53,13 @@ class TestQuaternionProduct:
         ex = np.array([0, 1.0, 0, 0])
         ey = np.array([0, 0, 1.0, 0])
         assert_allclose(quat_mul(ex, ey), [0, 0, 0, 1.0])
+
+    def test_hamilton_forms_agree(self):
+        for _ in range(20):
+            q, p = RNG.normal(size=4), RNG.normal(size=4)
+            prod = quat_mul(q, p)
+            assert_allclose(hamilton_plus(q) @ p, prod, atol=1e-14)
+            assert_allclose(hamilton_minus(p) @ q, prod, atol=1e-14)
 
 
 class TestDqProduct:

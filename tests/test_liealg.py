@@ -32,7 +32,11 @@ from screwmbs.liealg import (
 )
 import oracles
 from oracles import (
+    GROUP_INVERSE,
+    GROUP_LOG,
     central_diff,
+    dp_inverse,
+    dp_log,
     dp_matrix,
     expm_se3,
     expm_so3,
@@ -40,6 +44,8 @@ from oracles import (
     random_pose,
     random_screw,
     se3_dexp_series,
+    se3_inverse,
+    se3_log,
     so3_dexp_series,
     three_angle_rates_matrix,
     vee3,
@@ -187,6 +193,24 @@ class TestSe3Exp:
         h = xi @ eta / n2
         r = (np.eye(3) - so3_exp(xi)) @ np.cross(xi, eta) / n2 + h * xi
         assert_allclose(se3_exp(x).r, r, atol=1e-13)
+
+
+class TestSe3Log:
+    # se3_log is the closed-form reference in oracles; these check
+    # se3_exp against it
+    def test_identity(self):
+        assert_allclose(se3_exp(np.zeros(6)).matrix(), np.eye(4), atol=0)
+        assert_allclose(se3_log(Pose.identity()), np.zeros(6))
+
+    def test_roundtrip(self):
+        for _ in range(30):
+            x = random_screw(RNG, angle_hi=2.9)
+            assert_allclose(se3_log(se3_exp(x)), x, atol=1e-10)
+
+    def test_pure_translation(self):
+        x = np.array([0, 0, 0, 0.5, 0, 0])
+        assert_allclose(se3_exp(x).matrix(), Pose(np.eye(3), x[3:]).matrix(), atol=0)
+        assert_allclose(se3_log(Pose(np.eye(3), np.array([0.5, 0, 0]))), x)
 
 
 class TestSe3Ad:
@@ -404,6 +428,12 @@ class TestComposition:
         assert_allclose(out.R, c.R)
         assert_allclose(out.r, c.r)
 
+    def test_se3_inverse(self):
+        c = random_pose(RNG)
+        out = se3_compose(c, se3_inverse(c))
+        assert_allclose(out.R, np.eye(3), atol=1e-13)
+        assert_allclose(out.r, np.zeros(3), atol=1e-13)
+
     def test_se3_matches_homogeneous_product(self):
         for _ in range(20):
             c1, c2 = random_pose(RNG), random_pose(RNG)
@@ -436,6 +466,12 @@ class TestComposition:
             assert_allclose(dp_matrix(dp_compose(c1, c2)),
                             dp_matrix(c1) @ dp_matrix(c2), atol=1e-13)
 
+    def test_dp_inverse(self):
+        c = random_pose(RNG)
+        out = dp_compose(c, dp_inverse(c))
+        assert_allclose(out.R, np.eye(3), atol=1e-13)
+        assert_allclose(out.r, np.zeros(3), atol=0)
+
 
 class TestDirectProductMaps:
     def test_exp_zero(self):
@@ -454,6 +490,7 @@ class TestDirectProductMaps:
             x = random_screw(RNG, angle_hi=2.9)
             c = dp_exp(x)
             assert_allclose(np.concatenate([so3_log(c.R), c.r]), x, atol=1e-10)
+            assert_allclose(dp_log(c), x, atol=1e-10)
 
     def test_dexpinv_identity(self):
         assert_allclose(dp_dexpinv(np.zeros(6)), np.eye(6))
@@ -532,6 +569,14 @@ class TestGroupObjects:
         a_bc = group.compose(a, group.compose(b, c))
         assert_allclose(ab_c.R, a_bc.R, atol=1e-13)
         assert_allclose(ab_c.r, a_bc.r, atol=1e-13)
+        ident = group.compose(a, GROUP_INVERSE[group.name](a))
+        assert_allclose(ident.R, np.eye(3), atol=1e-13)
+        assert_allclose(ident.r, np.zeros(3), atol=1e-12)
+
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    def test_exp_log_roundtrip(self, group):
+        x = random_screw(RNG, angle_hi=2.5)
+        assert_allclose(GROUP_LOG[group.name](group.exp(x)), x, atol=1e-10)
 
 
 class TestIsRotation:
