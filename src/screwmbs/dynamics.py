@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import Pose, _Emitter, _names, cross3, hat3
+from .liealg import Pose, _Emitter, _names, hat3
 
 BODY_FIXED = "body"
 MIXED = "mixed"
@@ -54,7 +54,7 @@ def _float_tuple(v) -> tuple:
 def _unit(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-12:
+    if not abs(n - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError(f"{what} must be a unit vector (norm {n:.12g})")
     return v / n
 
@@ -78,17 +78,12 @@ def parallel_axis(theta_com, mass: float, r0) -> np.ndarray:
 @dataclass(frozen=True)
 class RigidBody:
     """Body described in its reference frame: inertia_ref is taken about
-    that frame (equal to the COM inertia when com_offset is zero).
-
-    ``cspace`` optionally pins the body to one configuration-space group
-    ("se3" or "so3xr3"); the assembly requires it to agree with the
-    model's velocity representation."""
+    that frame (equal to the COM inertia when com_offset is zero)."""
 
     name: str
     mass: float
     inertia_ref: np.ndarray
     com_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    cspace: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "inertia_ref", np.asarray(self.inertia_ref, dtype=float))
@@ -100,8 +95,6 @@ class RigidBody:
             raise ValueError(f"body {self.name!r}: inertia must be symmetric")
         if np.linalg.eigvalsh(theta).min() <= 0:
             raise ValueError(f"body {self.name!r}: inertia must be positive definite")
-        if self.cspace not in (None, *REPRESENTATION):
-            raise ValueError(f"body {self.name!r}: unknown c-space tag {self.cspace!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +220,6 @@ class MbsModel:
             for idx in (j.body_a, j.body_b):
                 if idx is not None and not 0 <= idx < len(self.bodies):
                     raise ValueError(f"joint {j.name!r}: body index {idx} out of range")
-        for b in self.bodies:
-            if b.cspace is not None and REPRESENTATION[b.cspace] != self.representation:
-                raise ValueError(
-                    f"body {b.name!r} is tagged for c-space {b.cspace!r} but the "
-                    f"model uses the {self.representation!r} representation")
         for f in self.forces:
             if not isinstance(f, (Gravity, LinearSpring)):
                 raise TypeError(f"unknown force element {f!r}")
@@ -296,8 +284,8 @@ class MbsModel:
         """Per-body 6x6 mass blocks for (..., n, 3, 3) rotations, one sample's
         or a stack of samples'.  In the mixed representation a block whose
         reference frame is off the COM depends on R: it is a (..., 6, 6)
-        stack with the coupling -m R hat(r0) and its transpose, the entries
-        ``_put_mixed_coupling`` writes; every other block is constant."""
+        stack with the coupling -m R hat(r0) and its transpose
+        (``_mixed_coupling``); every other block is constant."""
         if self.representation == BODY_FIXED:
             return self._spatial_inertias
         rotations = np.asarray(rotations, dtype=float)
@@ -305,11 +293,11 @@ class MbsModel:
         for i, (block, mass, r0) in enumerate(zip(self._spatial_inertias, self._masses,
                                                   self._offsets)):
             if r0 is not None:
-                rot, c = rotations[..., i, :, :], np.array(r0)
-                # row by row: (R hat(r0))[k] = R[k] x r0, cross3's operations
-                coup = -mass * (rot[..., [1, 2, 0]] * c[[2, 0, 1]]
-                                - rot[..., [2, 0, 1]] * c[[1, 2, 0]])
-                block = np.broadcast_to(block, rot.shape[:-2] + (6, 6)).copy()
+                # R's three rows side by side: a_m is R's column m, so the one
+                # row returned holds the coupling's columns
+                (coup,) = _mixed_coupling(mass, r0, [np.moveaxis(rotations[..., i, :, :], -1, 0)])
+                coup = np.stack(coup, axis=-1)
+                block = np.broadcast_to(block, coup.shape[:-2] + (6, 6)).copy()
                 block[..., 3:, :3] = coup
                 block[..., :3, 3:] = np.swapaxes(coup, -1, -2)
             blocks.append(block)
@@ -347,13 +335,14 @@ def spatial_inertia(body: RigidBody) -> np.ndarray:
     return m
 
 
-def _put_mixed_coupling(m, at: int, mass: float, r0, rot) -> None:
-    """Write the mixed-representation coupling of an off-COM body, -m R hat(r0)
-    and its transpose, into the 6x6 block of m that starts at (at, at)."""
-    # row by row: (R hat(r0))[i] = R[i] x r0
-    coup = np.array([[-mass * c for c in cross3(row, r0)] for row in rot])
-    m[at + 3:at + 6, at:at + 3] = coup
-    m[at:at + 3, at + 3:at + 6] = coup.T
+def _mixed_coupling(mass: float, r0, rows) -> list:
+    """The mixed-representation coupling -m R hat(r0) of a body whose
+    reference frame is off the COM, as 3 rows of 3 entries, row k being
+    -m R[k] x r0.  R's ``rows`` hold floats (one pose) or sample arrays (a
+    stack); only ``*`` and ``-`` act on them, so both give one pose's bits."""
+    c0, c1, c2 = r0
+    return [[-mass * (a1 * c2 - a2 * c1), -mass * (a2 * c0 - a0 * c2), -mass * (a0 * c1 - a1 * c0)]
+            for a0, a1, a2 in rows]
 
 
 def _pose_rows(poses) -> list:
@@ -383,7 +372,7 @@ def _body_terms(kernels, poses, velocities) -> list[float]:
     return out
 
 
-def force_assembly(model: MbsModel, poses, t: float = 0.0) -> np.ndarray:
+def force_assembly(model: MbsModel, poses) -> np.ndarray:
     """Applied wrenches per body in the model's velocity representation."""
     kernels = [_bind_body(model, i, "wrench") for i in range(model.n_bodies)]
     return np.array(_body_terms(kernels, *_frames(poses, np.zeros((len(poses), 6))))).reshape(-1, 6)
@@ -721,7 +710,9 @@ def _kkt(model: MbsModel, poses, velocities, rhs: list):
     if model._mixed:
         for i, r0 in enumerate(model._offsets):
             if r0 is not None:
-                _put_mixed_coupling(kkt, 6 * i, model._masses[i], r0, poses[i][0])
+                coup = np.array(_mixed_coupling(model._masses[i], r0, poses[i][0]))
+                kkt[6 * i + 3:6 * i + 6, 6 * i:6 * i + 3] = coup
+                kkt[6 * i:6 * i + 3, 6 * i + 3:6 * i + 6] = coup.T
     values = []
     for kernel in model._row_kernels:
         kernel(poses, velocities, values, rhs)
@@ -730,7 +721,7 @@ def _kkt(model: MbsModel, poses, velocities, rhs: list):
     return kkt, np.array(rhs)
 
 
-def assemble_index1(model: MbsModel, poses, velocities, t: float = 0.0):
+def assemble_index1(model: MbsModel, poses, velocities):
     """KKT system [[M, J^T], [J, 0]] (Vdot, lambda) = (Q, eta)."""
     poses, velocities = _frames(poses, velocities)
     return _kkt(model, poses, velocities, _body_terms(model._rhs_kernels, poses, velocities))
@@ -756,7 +747,7 @@ def solve_index1(model: MbsModel, kkt, rhs):
     return sol[:nv].reshape(-1, 6), sol[nv:]
 
 
-def accelerations(model: MbsModel, poses, velocities, t: float = 0.0) -> list[float]:
+def accelerations(model: MbsModel, poses, velocities) -> list[float]:
     """Explicit ODE right-hand side Vdot = F(g, V) from the index-1 system.
 
     A model without joints has a block-diagonal system and skips the KKT
@@ -764,7 +755,7 @@ def accelerations(model: MbsModel, poses, velocities, t: float = 0.0) -> list[fl
     """
     if not model.joints:
         return _body_terms(model._acc_kernels, *_frames(poses, velocities))
-    kkt, rhs = assemble_index1(model, poses, velocities, t)
+    kkt, rhs = assemble_index1(model, poses, velocities)
     vdot, _ = solve_index1(model, kkt, rhs)
     return vdot.reshape(-1).tolist()
 

@@ -103,10 +103,11 @@ def _unpack(names, value) -> list[str]:
 
 
 @functools.cache
-def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int, width: int):
+def _step(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int, width: int):
     """One shared-stage step of a Lie part and a vector part, compiled once
     per process for each tableau's coefficients (by value), body count and
-    vector width: ``loop(group, frames, y, t, dt, rhs)`` gives (phi, dy).
+    vector width: ``step(group, frames, y, comp, t, dt, rhs)`` gives the next
+    (frames, y, comp).
 
     The Lie part is the (R rows, r) float poses ``frames``: slopes
     k_j = dexpinv(-Psi_j) V_j, with Psi_j = dt sum_l a_jl k_l and the stage
@@ -115,8 +116,14 @@ def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int, width:
     dy = dt sum_j b_j F_j, which is the Lie part on R^N (exp is +, dexpinv
     the identity).  ``rhs(j, t_j, stage poses, y_j)`` gives (V_j, F_j), 6n
     and ``width`` floats.  A stage with Psi_j = 0 sits at ``frames`` and ``y``
-    and needs no dexpinv evaluation.  The group's kernels are read when the
-    loop runs, so a patched ``advance_parts`` or ``dexpinv_apply`` reaches it."""
+    and needs no dexpinv evaluation.
+
+    A non-finite ``sum(dy, sum(phi))`` raises FloatingPointError before any
+    pose moves.  Otherwise each pose becomes g exp(phi_i); its translation
+    increment and dy are added with Kahan compensation ``comp``, three
+    entries per body, then y's (zero ``comp``: a plain add).  The group's
+    kernels are read when the step runs, so a patched ``advance_parts`` or
+    ``dexpinv_apply`` reaches it."""
     m = 6 * n_bodies
 
     def combine(terms, row, slope, size, base="0.0"):
@@ -124,7 +131,7 @@ def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int, width:
         return [" + ".join([base.format(i), *(f"c{row}_{l} * {slope}{l}_{i}" for l, _ in terms)])
                 for i in range(size)]
 
-    src = ["def loop(group, frames, y, t, dt, rhs):",
+    src = ["def step(group, frames, y, comp, t, dt, rhs):",
            "    advance, dexpinv = group.advance_parts, group.dexpinv_apply",
            *(f"    rot{i}, (r{i}_0, r{i}_1, r{i}_2) = frames[{i}]" for i in range(n_bodies)),
            *_unpack([f"y_{i}" for i in range(width)], "y")]
@@ -150,45 +157,27 @@ def _stage_loop(deps: tuple, weights: tuple, nodes: tuple, n_bodies: int, width:
         src += fj
     s = len(deps)
     src += [f"    c{s}_{l} = dt * {w!r}" for l, w in weights]
-    src.append(f"    return ([{', '.join(combine(weights, s, 'k', m))}], "
-               f"[{', '.join(combine(weights, s, 'f', width))}])")
-    namespace = {}
-    exec(compile("\n".join(src), f"<stage loop {deps, weights, nodes, n_bodies, width}>",
-                 "exec"), namespace)
-    return namespace["loop"]
-
-
-def _shared_step(group: CSpaceGroup, frames, y, t: float, dt: float,
-                 tableau: ButcherTableau, rhs):
-    """(phi, dy) of one shared-stage step through the compiled ``_stage_loop``."""
-    return _stage_loop(tableau._deps, tableau._weights, tableau._nodes, len(frames),
-                       len(y))(group, frames, y, t, dt, rhs)
-
-
-@functools.cache
-def _step_end(n_bodies: int, width: int):
-    """A step's end, compiled once per process for each body count and vector
-    width: ``end(group, frames, phi, y, dy, comp)`` gives the next (frames, y,
-    comp).  Each pose becomes g exp(phi_i) (``advance_parts``, read when it
-    runs); its translation increment and dy are added with Kahan compensation
-    ``comp``, three entries per body, then y's.  Zero ``comp``: a plain add."""
-    m, size = 3 * n_bodies, 3 * n_bodies + width
-    src = ["def end(group, frames, phi, y, dy, comp):",
-           "    advance = group.advance_parts",
-           *_unpack([f"c{k}" for k in range(size)], "comp"),
-           *_unpack([f"x{k}" for k in range(m, size)], "y"),
-           *_unpack([f"d{k}" for k in range(m, size)], "dy")]
-    for b, k in enumerate(range(0, m, 3)):
-        src += [f"    rot{b}, (x{k}, x{k + 1}, x{k + 2}) = frames[{b}]",
-                f"    rot{b}, (d{k}, d{k + 1}, d{k + 2}) = advance(rot{b}, phi[{2 * k}:{2 * k + 6}])"]
-    for k in range(size):  # Kahan's operation order: the bits depend on it
-        src += [f"    u{k} = d{k} - c{k}", f"    s{k} = x{k} + u{k}", f"    c{k} = (s{k} - x{k}) - u{k}"]
-    poses = ", ".join(f"(rot{b}, (s{k}, s{k + 1}, s{k + 2}))" for b, k in enumerate(range(0, m, 3)))
-    src.append(f"    return [{poses}], [{', '.join(f's{k}' for k in range(m, size))}], "
-               f"[{', '.join(f'c{k}' for k in range(size))}]")
-    namespace = {}
-    exec(compile("\n".join(src), f"<step end {n_bodies, width}>", "exec"), namespace)
-    return namespace["end"]
+    src += [f"    phi = [{', '.join(combine(weights, s, 'k', m))}]",
+            f"    dy = [{', '.join(combine(weights, s, 'f', width))}]",
+            "    if not isfinite(sum(dy, sum(phi))):",
+            "        raise FloatingPointError('non-finite velocity or chart increment')",
+            *_unpack([f"dy_{i}" for i in range(width)], "dy")]
+    # the step end: (x, increment) of each compensated sum, translations first
+    sums = [(f"r{b}_{i}", f"g{b}_{i}") for b in range(n_bodies) for i in range(3)]
+    sums += [(f"y_{i}", f"dy_{i}") for i in range(width)]
+    src += [f"    rot{b}, (g{b}_0, g{b}_1, g{b}_2) = advance(rot{b}, phi[{6 * b}:{6 * b + 6}])"
+            for b in range(n_bodies)]
+    src += _unpack([f"e{k}" for k in range(len(sums))], "comp")
+    for k, (x, d) in enumerate(sums):  # Kahan's operation order: the bits depend on it
+        src += [f"    u{k} = {d} - e{k}", f"    x{k} = {x} + u{k}",
+                f"    e{k} = (x{k} - {x}) - u{k}"]
+    poses = ", ".join(f"(rot{b}, (x{3 * b}, x{3 * b + 1}, x{3 * b + 2}))" for b in range(n_bodies))
+    ys = ", ".join(f"x{k}" for k in range(3 * n_bodies, len(sums)))
+    src.append(f"    return [{poses}], [{ys}], [{', '.join(f'e{k}' for k in range(len(sums)))}]")
+    namespace = {"isfinite": math.isfinite}
+    exec(compile("\n".join(src), f"<step {deps, weights, nodes, n_bodies, width}>", "exec"),
+         namespace)
+    return namespace["step"]
 
 
 def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
@@ -196,7 +185,8 @@ def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
     """One Munthe-Kaas step of gdot = g Vhat for a prescribed velocity field.
 
     ``v_field(t, poses)`` returns the (n, 6) stacked velocities in the
-    group's algebra coordinates.
+    group's algebra coordinates.  A non-finite chart increment raises
+    FloatingPointError.
     """
     def rhs(j, tj, stage, y):
         poses_j = (poses if stage is frames
@@ -204,8 +194,8 @@ def mk_step(group: CSpaceGroup, poses, v_field, t: float, dt: float,
         return np.asarray(v_field(tj, poses_j), dtype=float).reshape(-1).tolist(), ()
 
     frames = [(p.R.tolist(), p.r.tolist()) for p in poses]
-    phi, _ = _shared_step(group, frames, [], t, dt, tableau, rhs)
-    frames, _, _ = _step_end(len(frames), 0)(group, frames, phi, [], [], [0.0] * 3 * len(frames))
+    step = _step(tableau._deps, tableau._weights, tableau._nodes, len(frames), 0)
+    frames, _, _ = step(group, frames, [], [0.0] * 3 * len(frames), t, dt, rhs)
     return [Pose(np.array(rot), np.array(r)) for rot, r in frames]
 
 
@@ -270,24 +260,21 @@ def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
 
 def _run(group: CSpaceGroup, frames, y, t0: float, dt: float, sample_idx,
          tableau: ButcherTableau, rhs, record) -> None:
-    """The fixed-step loop of both charts: ``_shared_step`` from t0 up to
-    step ``sample_idx[-1]``, with ``record(slot, t, frames, y)`` at the
+    """The fixed-step loop of both charts: the compiled ``_step`` from t0 up
+    to step ``sample_idx[-1]``, with ``record(slot, t, frames, y)`` at the
     initial state and at each sampled step.  The translations of ``frames``
-    and ``y`` accumulate compensated (Kahan, ``_step_end``) so the roundoff
-    of 1e5-step runs stays far below the drift scales measured."""
+    and ``y`` accumulate compensated (Kahan) so the roundoff of 1e5-step
+    runs stays far below the drift scales measured."""
     record(0, t0, frames, y)
     slot = 1
-    end = _step_end(len(frames), len(y))
+    one_step = _step(tableau._deps, tableau._weights, tableau._nodes, len(frames), len(y))
     comp = [0.0] * (3 * len(frames) + len(y))
     t = t0
     for step in range(1, sample_idx[-1] + 1):
         try:
-            phi, dy = _shared_step(group, frames, y, t, dt, tableau, rhs)
+            frames, y, comp = one_step(group, frames, y, comp, t, dt, rhs)
         except Exception as exc:
             raise IntegrationError(str(exc), step, t) from exc
-        if not math.isfinite(sum(dy, sum(phi))):
-            raise IntegrationError("non-finite velocity or chart increment", step, t)
-        frames, y, comp = end(group, frames, phi, y, dy, comp)
         t = t0 + step * dt
         if slot < len(sample_idx) and step == sample_idx[slot]:
             record(slot, t, frames, y)
@@ -303,7 +290,7 @@ def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     sample_idx, rec, write = _sampling(model.n_bodies, state0.t, dt, t_final, stride)
 
     def rhs(j, tj, stage, v):
-        return v, accelerations(model, stage, v, tj)
+        return v, accelerations(model, stage, v)
 
     _run(group, [(p.R.tolist(), p.r.tolist()) for p in state0.poses],
          state0.velocities.reshape(-1).tolist(), state0.t, dt, sample_idx, tableau,
@@ -374,7 +361,7 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
     def rhs(j, tj, stage, y):
         charts = [y[width * i:width * (i + 1)] for i in range(n)]
         vel = y[nq:]
-        vdot = accelerations(model, [unpack(q) for q in charts], vel, tj)
+        vdot = accelerations(model, [unpack(q) for q in charts], vel)
         return (), [x for i, q in enumerate(charts)
                     for x in chart_rates(q, vel[6 * i:6 * i + 6])] + vdot
 

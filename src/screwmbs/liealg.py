@@ -143,13 +143,6 @@ def _floats(x):
     return x.tolist() if isinstance(x, np.ndarray) else x
 
 
-def cross3(a, b) -> tuple:
-    """3-vector cross product of two float sequences, as a float tuple."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
 # ---------------------------------------------------------------------------
 # straight-line kernels
 # ---------------------------------------------------------------------------
@@ -158,9 +151,10 @@ class _Emitter:
     """Straight-line float code from vector-level formulas.  A vector is a
     3-tuple of expressions (local names or literals); each op writes one
     ``name = expr`` line per component in a fixed operation order: ``cross``
-    is ``cross3``'s, ``dot`` sums its three products left to right, ``mv``
-    and ``mtv`` are dots of the rows and of the columns.  A repeated op
-    reuses its name; nothing is folded or reordered."""
+    is (a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0), ``dot`` sums its three
+    products left to right, ``mv`` and ``mtv`` are dots of the rows and of
+    the columns.  A repeated op reuses its name; nothing is folded or
+    reordered."""
 
     def __init__(self):
         self.lines, self._names = [], {}

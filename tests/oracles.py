@@ -18,7 +18,6 @@ from screwmbs.dynamics import (
     Gravity,
     LinearSpring,
     MbsState,
-    _put_mixed_coupling,
     joint_rows,
     spatial_inertia,
 )
@@ -35,7 +34,6 @@ from screwmbs.liealg import (
     _q3,
     _sinc,
     _xs3,
-    cross3,
     dp_dexpinv,
     hat3,
     rotation_error,
@@ -47,6 +45,13 @@ from screwmbs.liealg import (
 )
 
 # plain-float 3-vector kernels: the operation order of liealg._Emitter's ops
+
+def cross3(a, b) -> tuple:
+    """3-vector cross product of two float sequences, as a float tuple."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
 
 def dot3(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -411,6 +416,16 @@ def reference_free_accelerations(model, frames) -> np.ndarray:
 # Newton-Euler equations of one body, for checks against the stacked
 # right-hand side the step loop assembles
 # ---------------------------------------------------------------------------
+
+def _put_mixed_coupling(m, at: int, mass: float, r0, rot) -> None:
+    """Write the mixed-representation coupling of an off-COM body, -m R hat(r0)
+    and its transpose, into the 6x6 block of m that starts at (at, at): the
+    reference for ``dynamics._mixed_coupling``."""
+    # row by row: (R hat(r0))[i] = R[i] x r0
+    coup = np.array([[-mass * c for c in cross3(row, r0)] for row in rot])
+    m[at + 3:at + 6, at:at + 3] = coup
+    m[at:at + 3, at + 3:at + 6] = coup.T
+
 
 def newton_euler_body(body, v, wrench) -> tuple[np.ndarray, np.ndarray]:
     """Mass matrix and right-hand side of J V' - ad_V^T J V = W."""

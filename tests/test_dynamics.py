@@ -117,14 +117,6 @@ class TestSpatialInertia:
             RigidBody("bad", -1.0, np.eye(3))
         with pytest.raises(ValueError):
             RigidBody("bad", 1.0, -np.eye(3))
-        with pytest.raises(ValueError):
-            RigidBody("bad", 1.0, np.eye(3), cspace="nope")
-
-    def test_cspace_tag_must_match_representation(self):
-        tagged = RigidBody("box", 1.0, np.eye(3), cspace="so3xr3")
-        MbsModel([tagged], [], [], representation=MIXED)  # consistent
-        with pytest.raises(ValueError, match="c-space"):
-            MbsModel([tagged], [], [], representation=BODY_FIXED)
 
 
 class TestNewtonEuler:
@@ -626,6 +618,14 @@ def test_model_parts_cannot_be_edited_in_place():
 def test_unknown_joint_kind(axes):
     with pytest.raises(ValueError, match="unknown joint kind 'helical'"):
         Joint("helical", None, 0, **axes)
+
+
+@pytest.mark.parametrize("field", ["axis_a", "axis_b"])
+def test_nan_axis_is_rejected(field):
+    # a NaN norm passes no bound, so the unit check is written to fail it
+    axes = {"axis_a": [0.0, 0.0, 1.0], "axis_b": [0.0, 0.0, 1.0], field: [math.nan, 0.0, 0.0]}
+    with pytest.raises(ValueError, match=f"{field} must be a unit vector"):
+        Joint("revolute", None, 0, **axes)
 
 
 class TestPaperJacobianForms:

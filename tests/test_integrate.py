@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -329,11 +330,21 @@ INTERPRETED_KERNELS = {SE3: (oracles.se3_advance_parts, oracles.se3_dexpinv_appl
                        SO3R3: (oracles.dp_advance_parts, oracles.dp_dexpinv_apply)}
 
 
+def interpreted_step(deps, weights, nodes, n_bodies, width):
+    """The reference for ``integrate._step``: ``oracles.shared_step``, then
+    ``oracles.close_step``."""
+    tableau = types.SimpleNamespace(_deps=deps, _weights=weights, _nodes=nodes)
+
+    def step(group, frames, y, comp, t, dt, rhs):
+        phi, dy = oracles.shared_step(group, frames, y, t, dt, tableau, rhs)
+        return oracles.close_step(group, frames, phi, y, dy, comp)
+    return step
+
+
 def interpret(monkeypatch, group, kernels: bool):
     """Route the step through the interpreted stage loop and step end and,
     with ``kernels``, the group's interpreted Lie-group kernels."""
-    monkeypatch.setattr(integrate_module, "_shared_step", oracles.shared_step)
-    monkeypatch.setattr(integrate_module, "_step_end", lambda n, width: oracles.close_step)
+    monkeypatch.setattr(integrate_module, "_step", interpreted_step)
     if kernels:
         for name, fn in zip(("advance_parts", "dexpinv_apply"), INTERPRETED_KERNELS[group]):
             monkeypatch.setattr(type(group), name, staticmethod(fn))
@@ -399,20 +410,20 @@ class TestGeneratedStageLoop:
             assert a.R.tobytes() == b.R.tobytes() and a.r.tobytes() == b.r.tobytes()
 
     def test_compiled_once_per_coefficients(self, tmp_path, monkeypatch):
-        # fresh tableaux with equal coefficients share one loop, and repeated
+        # fresh tableaux with equal coefficients share one step, and repeated
         # simulate jobs on one model compile nothing new
-        loop = integrate_module._stage_loop
+        step = integrate_module._step
         a, b = tableau_rk4(), tableau_rk4()
-        assert (loop(a._deps, a._weights, a._nodes, 2, 12)
-                is loop(b._deps, b._weights, b._nodes, 2, 12))
+        assert (step(a._deps, a._weights, a._nodes, 2, 12)
+                is step(b._deps, b._weights, b._nodes, 2, 12))
         monkeypatch.chdir(tmp_path)
         args = ["simulate", "--model", "double-pendulum", "--group", "se3",
                 "--dt", "1e-3", "--tf", "0.005", "--out", "dp.csv"]
         assert cli.main(args) == 0
-        size = loop.cache_info().currsize
+        size = step.cache_info().currsize
         for _ in range(3):
             assert cli.main(args) == 0
-        assert loop.cache_info().currsize == size
+        assert step.cache_info().currsize == size
 
 
 def _bits(values) -> bytes:
@@ -420,10 +431,25 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+# explicit Euler at dt = 1: the step's increments are rhs's values bit for
+# bit (0.0 + 1.0 * x is x for x != 0), so the step end sees the given phi, dy
+EULER = ((),), ((0, 1.0),), (0.0,)
+
+
+def compiled_end(n: int, width: int):
+    """``end(group, frames, phi, y, dy, comp)``: the compiled step's end,
+    reached through ``_step`` on ``EULER``."""
+    step = integrate_module._step(*EULER, n, width)
+
+    def end(group, frames, phi, y, dy, comp):
+        return step(group, frames, y, comp, 0.0, 1.0, lambda j, tj, stage, yj: (phi, dy))
+    return end
+
+
 class TestGeneratedStepEnd:
-    """The generated step end gives the bits of the interpreted one
-    (``oracles.advance`` and ``oracles.kahan_add``): the poses, y and the
-    compensations carried to the next step."""
+    """The compiled step's end gives the bits of the interpreted one
+    (``oracles.close_step``): the poses, y and the compensations carried to
+    the next step."""
 
     @pytest.mark.parametrize("width", [0, 6, 14, 18])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -436,10 +462,10 @@ class TestGeneratedStepEnd:
         # every addition rounds and the compensation order shows
         comp = (rng.uniform(-1.0, 1.0, 3 * n + width) * 1e-13).tolist()
         ref = (frames, y, comp)
+        end = compiled_end(n, width)
         for _ in range(10):
             phi = (rng.uniform(-0.5, 0.5, 6 * n) * np.tile([1.0] * 3 + [1e-6] * 3, n)).tolist()
             dy = (rng.uniform(-1.0, 1.0, width) * 1e-7).tolist()
-            end = integrate_module._step_end(n, width)
             frames, y, comp = end(group, frames, phi, y, dy, comp)
             ref = oracles.close_step(group, ref[0], phi, ref[1], dy, ref[2])
             assert _bits([rot for rot, _ in frames]) == _bits([rot for rot, _ in ref[0]])
@@ -453,7 +479,7 @@ class TestGeneratedStepEnd:
         rng = np.random.default_rng(7)
         frames = [(p.R.tolist(), p.r.tolist()) for p in (random_pose(rng) for _ in range(n))]
         phi = rng.uniform(-0.5, 0.5, 6 * n).tolist()
-        out, y, comp = integrate_module._step_end(n, 0)(SE3, frames, phi, [], [], [0.0] * (3 * n))
+        out, y, comp = compiled_end(n, 0)(SE3, frames, phi, [], [], [0.0] * (3 * n))
         assert y == []
         for i, ((rot, r), (rot0, r0)) in enumerate(zip(out, frames)):
             rot1, delta = SE3.advance_parts(rot0, phi[6 * i:6 * i + 6])
@@ -461,9 +487,23 @@ class TestGeneratedStepEnd:
             assert _bits(r) == _bits([a + d for a, d in zip(r0, delta)])
 
     def test_compiled_once_per_shape(self):
-        end = integrate_module._step_end
-        assert end(2, 12) is end(2, 12)
-        assert end(2, 12) is not end(2, 13)
+        step = integrate_module._step
+        assert step(*EULER, 2, 12) is step(*EULER, 2, 12)
+        assert step(*EULER, 2, 12) is not step(*EULER, 2, 13)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_increment_raises_before_any_pose_moves(self, monkeypatch, value):
+        # mk_step runs the same step: a non-finite last-stage velocity (t = dt)
+        # leaves the three coupled stages' poses moved, the end's not
+        calls = []
+        advance = SE3.advance_parts
+        monkeypatch.setattr(type(SE3), "advance_parts", staticmethod(
+            lambda rot, phi: calls.append(phi) or advance(rot, phi)))
+        poses = [random_pose(RNG) for _ in range(2)]
+        field = lambda t, g: np.full((2, 6), value if t == 0.01 else 0.1)
+        with pytest.raises(FloatingPointError, match="non-finite velocity or chart increment"):
+            mk_step(SE3, poses, field, 0.0, 0.01, tableau_rk4())
+        assert len(calls) == 3 * 2
 
 
 class TestIntegrateQuaternion:

@@ -201,6 +201,17 @@ class TestErrors:
         with pytest.raises(ModelFileError, match=rf"{section}\[{index}\]: '{field}' must be finite"):
             load_model_file(str(path), "se3")
 
+    def test_nan_axis_names_field(self, tmp_path):
+        # rejected as an axis, not later at the feasibility gate
+        spec = bench.build("four-bar", "se3")
+        doc = yaml.safe_load(dump_model(spec.model, spec.state0))
+        i = next(i for i, joint in enumerate(doc["joints"]) if "axis_a" in joint)
+        doc["joints"][i]["axis_a"] = [math.nan, 0.0, 0.0]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError, match=rf"joints\[{i}\]: axis_a must be a unit vector"):
+            load_model_file(str(path), "se3")
+
     @pytest.mark.parametrize("part", ["poses", "velocities"])
     def test_nan_state_fails_feasibility_gate(self, part):
         spec = bench.build("heavy-top", "se3")
