@@ -53,6 +53,8 @@ def _float_tuple(v) -> tuple:
 
 def _unit(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{what} must be a 3-vector")
     n = np.linalg.norm(v)
     if not abs(n - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError(f"{what} must be a unit vector (norm {n:.12g})")

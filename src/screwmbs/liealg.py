@@ -29,8 +29,6 @@ import numpy as np
 
 TAU = 2.0 * math.pi
 
-# Closed forms are used above this rotation angle, truncated series below.
-SMALL_ANGLE = 1e-4
 # Scalar coefficient functions switch to their Taylor polynomials below this
 # angle; the closed-form expressions cancel catastrophically as x -> 0.
 _COEF_SERIES_ANGLE = 0.25
@@ -384,21 +382,11 @@ def _se3_q(xi, eta, x: float) -> np.ndarray:
             + _q3(x) * (hxhehx @ hx + hx @ hxhehx))
 
 
-def _se3_dexp_adseries(x) -> np.ndarray:
-    """Truncated dexp = sum ad^i/(i+1)!; exact to roundoff for tiny |xi|."""
-    a = se3_ad(x)
-    a2 = a @ a
-    a3 = a2 @ a
-    return _EYE6 + 0.5 * a + a2 / 6.0 + a3 / 24.0 + (a3 @ a) / 120.0
-
-
 def se3_dexp(x) -> np.ndarray:
     """6x6 right-translated dexp on SE(3): V = se3_dexp(-X) @ Xdot."""
     x = np.asarray(x, dtype=float)
     xi, eta = x[:3], x[3:]
     xn = math.sqrt(xi @ xi)
-    if xn < SMALL_ANGLE:
-        return _se3_dexp_adseries(x)
     m = np.zeros((6, 6))
     j = so3_dexp(xi)
     m[:3, :3] = j
@@ -451,29 +439,13 @@ def _emit_se3_dexpinv_apply(e: _Emitter, x, v):
     return (*top, *_emit_so3_dexpinv_apply(e, xi, rest, c))
 
 
-def _emit_se3_dexpinv_series(e: _Emitter, x, v):
-    """The truncated Bernoulli series I - ad/2 + ad^2/12 - ad^4/720 applied
-    term by term, with ad_X (w, u) = (xi x w, xi x u + eta x w)."""
-    xi, eta = x[:3], x[3:]
-
-    def ad(w):
-        return (*e.cross(xi, w[:3]), *e.add(e.cross(xi, w[3:]), e.cross(eta, w[:3])))
-
-    a1 = ad(v)
-    a2 = ad(a1)
-    a4 = ad(ad(a2))
-    return tuple(e.scalar(f"{p} - 0.5 * {a} + {b} / 12.0 - {c} / 720.0")
-                 for p, a, b, c in zip(v, a1, a2, a4))
-
-
 se3_dexpinv_apply = _define(
     "se3_dexpinv_apply(x, v)",
-    [f"{', '.join(_X)} = _floats(x)", _UNPACK_V, _NORM, "_check_pole(xn)", "if xn < SMALL_ANGLE:",
-     *(f"    {line}" for line in _block(lambda e: _emit_se3_dexpinv_series(e, _X, _V))),
+    [f"{', '.join(_X)} = _floats(x)", _UNPACK_V, _NORM, "_check_pole(xn)",
      *_block(lambda e: _emit_se3_dexpinv_apply(e, _X, _V))],
     """Inverse of se3_dexp(x) applied to v, as a float tuple: the closed form
-    (_emit_se3_dexpinv_apply), below SMALL_ANGLE the truncated Bernoulli
-    series; straight-line code, x and v as float sequences or ndarrays.""")
+    (_emit_se3_dexpinv_apply) at every angle; straight-line code, x and v as
+    float sequences or ndarrays.""")
 
 
 # ---------------------------------------------------------------------------

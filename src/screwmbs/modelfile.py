@@ -49,6 +49,15 @@ def _finite(value, field, where) -> np.ndarray:
     return arr
 
 
+def _number(section, field, where) -> float:
+    if field not in section:
+        raise ModelFileError(f"{where}: missing field {field!r}")
+    v = _finite(section[field], field, where)
+    if v.shape != ():
+        raise ModelFileError(f"{where}: {field!r} must be a number")
+    return float(v)
+
+
 def _vec3(section, field, where, default=None):
     if field not in section:
         if default is not None:
@@ -79,7 +88,7 @@ def _rotation(section, where):
     raw = section["rotation"]
     if isinstance(raw, dict) and "rotvec_rad" in raw:
         return so3_exp(_vec3(raw, "rotvec_rad", where))
-    arr = np.asarray(raw, dtype=float)
+    arr = _finite(raw, "rotation", where)
     if arr.shape != (3, 3) or not is_rotation(arr, tol=1e-9):
         raise ModelFileError(f"{where}: 'rotation' must be 'identity', "
                              "{rotvec_rad: [...]}, or a 3x3 rotation matrix")
@@ -114,9 +123,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         name = section.get("name", f"body{i}")
         if name in names:
             raise ModelFileError(f"{where}: duplicate body name {name!r}")
-        if "mass_kg" not in section:
-            raise ModelFileError(f"{where}: missing field 'mass_kg'")
-        mass = float(_finite(section["mass_kg"], "mass_kg", where))
+        mass = _number(section, "mass_kg", where)
         inertia = _inertia(section, where)
         com = _vec3(section, "com_offset_m", where, default=(0, 0, 0))
         try:
@@ -144,6 +151,8 @@ def load_model_file(path, group: str = "se3", project: bool = False):
     for i, section in enumerate(_sections(doc, "joints")):
         where = f"joints[{i}]"
         kind = section.get("kind")
+        axes = {f: _vec3(section, f, where) for f in ("axis_a", "axis_b")
+                if section.get(f) is not None}
         try:
             joint = Joint(
                 kind,
@@ -151,9 +160,8 @@ def load_model_file(path, group: str = "se3", project: bool = False):
                 body_ref(section, "body_b", where, allow_ground=False),
                 anchor_a=_vec3(section, "anchor_a_m", where, default=(0, 0, 0)),
                 anchor_b=_vec3(section, "anchor_b_m", where, default=(0, 0, 0)),
-                axis_a=section.get("axis_a"),
-                axis_b=section.get("axis_b"),
                 name=section.get("name", f"{kind}{i}"),
+                **axes,
             )
         except (TypeError, ValueError) as exc:
             raise ModelFileError(f"{where}: {exc}") from exc
@@ -169,14 +177,14 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         if kind == "gravity":
             forces.append(Gravity(_vec3(section, "g_mps2", where)))
         elif kind == "linear_spring":
-            if "stiffness_n_per_m" not in section:
-                raise ModelFileError(f"{where}: missing field 'stiffness_n_per_m'")
-            forces.append(LinearSpring(
-                body_ref(section, "body", where, allow_ground=False),
-                _vec3(section, "attach_m", where, default=(0, 0, 0)),
-                _vec3(section, "ground_point_m", where),
-                float(_finite(section["stiffness_n_per_m"], "stiffness_n_per_m", where)),
-            ))
+            spring = (body_ref(section, "body", where, allow_ground=False),
+                      _vec3(section, "attach_m", where, default=(0, 0, 0)),
+                      _vec3(section, "ground_point_m", where),
+                      _number(section, "stiffness_n_per_m", where))
+            try:
+                forces.append(LinearSpring(*spring))
+            except ValueError as exc:
+                raise ModelFileError(f"{where}: {exc}") from exc
         else:
             raise ModelFileError(f"{where}: unknown force kind {kind!r}")
 

@@ -24,7 +24,6 @@ from screwmbs.dynamics import (
 from screwmbs.dualquat import DualQuaternion, quat_mul, quat_rotation_rows
 from screwmbs.integrate import integrate
 from screwmbs.liealg import (
-    SMALL_ANGLE,
     Pose,
     _check_pole,
     _cos1,
@@ -945,30 +944,14 @@ def _so3_dexpinv_apply(xi, y, c: float) -> tuple:
             y[2] - 0.5 * p[2] + c * pp[2])
 
 
-def _se3_ad_apply(xi, eta, v) -> tuple:
-    """se3_ad(X) @ v = (xi x w, xi x u + eta x w) for v = (w, u)."""
-    w, u = v[:3], v[3:]
-    a = cross3(xi, w)
-    b = cross3(xi, u)
-    c = cross3(eta, w)
-    return (a[0], a[1], a[2], b[0] + c[0], b[1] + c[1], b[2] + c[2])
-
-
 def se3_dexpinv_apply(x, v) -> tuple:
     """Inverse of se3_dexp(x) applied to v: (J^-1 w, J^-1 (u - Q J^-1 w)) with
-    Q applied as nested cross products; the truncated Bernoulli series
-    I - ad/2 + ad^2/12 - ad^4/720 below SMALL_ANGLE."""
+    Q applied as nested cross products, at every angle."""
     x = _floats(x)
     v = _floats(v)
     xi, eta = x[:3], x[3:]
     xn = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
     _check_pole(xn)
-    if xn < SMALL_ANGLE:
-        a1 = _se3_ad_apply(xi, eta, v)
-        a2 = _se3_ad_apply(xi, eta, a1)
-        a4 = _se3_ad_apply(xi, eta, _se3_ad_apply(xi, eta, a2))
-        return tuple([v[i] - 0.5 * a1[i] + a2[i] / 12.0 - a4[i] / 720.0
-                      for i in range(6)])
     c = _dinv(xn)
     top = _so3_dexpinv_apply(xi, v[:3], c)
     e = cross3(eta, top)

@@ -118,7 +118,9 @@ class TestBadInput:
         ("bodies:\n", "'bodies'"),                 # empty section
         ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
          "initial_state: [b]\n", "'initial_state'"),
-    ], ids=["malformed", "non-mapping", "empty", "non-mapping-state"])
+        ("bodies: [{name: b, mass_kg: [1, 2], inertia_kgm2: [1, 1, 1]}]\n",
+         "bodies[0]: 'mass_kg' must be a number"),
+    ], ids=["malformed", "non-mapping", "empty", "non-mapping-state", "list-mass"])
     def test_model_file(self, tmp_path, monkeypatch, capsys, text, names):
         path = tmp_path / "bad.yaml"
         path.write_text(text)

@@ -628,6 +628,14 @@ def test_nan_axis_is_rejected(field):
         Joint("revolute", None, 0, **axes)
 
 
+@pytest.mark.parametrize("field", ["axis_a", "axis_b"])
+@pytest.mark.parametrize("axis", [[1.0, 0.0], [0.0, 0.0, 1.0, 0.0]], ids=["2-vector", "4-vector"])
+def test_axis_must_be_a_3_vector(field, axis):
+    axes = {"axis_a": [0.0, 0.0, 1.0], "axis_b": [0.0, 0.0, 1.0], field: axis}
+    with pytest.raises(ValueError, match=f"{field} must be a 3-vector"):
+        Joint("revolute", None, 0, **axes)
+
+
 class TestPaperJacobianForms:
     def test_heavy_top_body_fixed(self):
         model = heavy_top_model(BODY_FIXED)

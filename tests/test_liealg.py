@@ -291,7 +291,7 @@ class TestDexpinvApply:
         # the ad-polynomial form and the inverse of dexp on SE(3), the inverse
         # of so3_dexp beside I on SO(3)xR3; near the pole these references
         # are only accurate to about eps times their largest entry
-        for lo, hi in ((1e-7, liealg.SMALL_ANGLE), (liealg.SMALL_ANGLE, 0.25),
+        for lo, hi in ((1e-7, 1e-4), (1e-4, 0.25),
                        (0.25, 2 * math.pi - 0.1)):
             for _ in range(20):
                 x = random_screw(RNG, angle_lo=lo, angle_hi=hi)
@@ -327,11 +327,11 @@ class TestEmittedKernels:
 
     KERNELS = [(SE3.dexpinv_apply, oracles.se3_dexpinv_apply),
                (SO3R3.dexpinv_apply, oracles.dp_dexpinv_apply)]
-    # the series branch, either side of the coefficient switch, and up to the pole
-    BANDS = [(1e-9, liealg.SMALL_ANGLE), (0.2, liealg._COEF_SERIES_ANGLE),
+    # small angles, either side of the coefficient switch, and up to the pole
+    BANDS = [(1e-9, 1e-4), (0.2, liealg._COEF_SERIES_ANGLE),
              (liealg._COEF_SERIES_ANGLE, 0.3), (0.3, liealg.TAU - liealg._POLE_MARGIN)]
 
-    @pytest.mark.parametrize("band", BANDS, ids=["series", "below-switch", "above-switch",
+    @pytest.mark.parametrize("band", BANDS, ids=["small", "below-switch", "above-switch",
                                                   "to-pole"])
     @pytest.mark.parametrize("kernel, oracle", KERNELS, ids=["se3", "so3xr3"])
     def test_dexpinv_apply(self, kernel, oracle, band):
@@ -344,8 +344,7 @@ class TestEmittedKernels:
 
     @pytest.mark.parametrize("kernel, oracle", KERNELS, ids=["se3", "so3xr3"])
     def test_dexpinv_apply_at_band_edges(self, kernel, oracle):
-        for angle in (np.nextafter(liealg.SMALL_ANGLE, 0.0), liealg.SMALL_ANGLE,
-                      np.nextafter(liealg._COEF_SERIES_ANGLE, 0.0),
+        for angle in (np.nextafter(liealg._COEF_SERIES_ANGLE, 0.0),
                       liealg._COEF_SERIES_ANGLE, 0.0):
             x = np.array([angle, 0.0, 0.0, 0.3, -0.2, 0.1])
             v = RNG.normal(size=6)
@@ -375,7 +374,7 @@ class TestEmittedKernels:
                 ignored = arg == "x" and i >= 3 and kernel is SO3R3.dexpinv_apply
                 assert any(map(math.isnan, out)) != ignored
 
-    @pytest.mark.parametrize("band", BANDS, ids=["series", "below-switch", "above-switch",
+    @pytest.mark.parametrize("band", BANDS, ids=["small", "below-switch", "above-switch",
                                                   "to-pole"])
     @pytest.mark.parametrize("group, oracle", [(SE3, oracles.se3_advance_parts),
                                                (SO3R3, oracles.dp_advance_parts)],
@@ -397,18 +396,26 @@ class TestEmittedKernels:
 
 
 class TestSmallAngleContinuity:
-    def test_se3_branches_agree_in_overlap_band(self):
-        for _ in range(20):
-            x = random_screw(RNG, angle_lo=liealg.SMALL_ANGLE / 2,
-                             angle_hi=2 * liealg.SMALL_ANGLE, eta_scale=1.0)
-            assert np.abs(liealg._se3_dexp_adseries(x)
-                          - se3_dexp_series(x, 16)).max() < 1e-12
-            closed = np.zeros((6, 6))
-            j = so3_dexp(x[:3])
-            closed[:3, :3] = j
-            closed[3:, 3:] = j
-            closed[3:, :3] = liealg._se3_q(x[:3], x[3:], np.linalg.norm(x[:3]))
-            assert np.abs(closed - liealg._se3_dexp_adseries(x)).max() < 1e-12
+    """The closed forms serve every angle down to 0, where their coefficients
+    are Taylor polynomials: against the truncated operator series, which
+    converge to roundoff there, in the max norm relative to the series."""
+
+    @staticmethod
+    def small_screws():
+        for angle in (0.0, *10.0 ** RNG.uniform(-10, -4, size=40)):
+            yield random_screw(RNG, angle, angle)
+
+    def test_se3_dexp_matches_series(self):
+        for x in self.small_screws():
+            ref = se3_dexp_series(x, 16)
+            assert np.abs(se3_dexp(x) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_se3_dexpinv_apply_matches_series(self):
+        for x in self.small_screws():
+            v = RNG.normal(size=6)
+            ref = oracles.dexpinv_series(se3_ad(x)) @ v
+            out = np.array(SE3.dexpinv_apply(x, v))
+            assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_scalar_helpers_continuous_at_coefficient_switch(self):
         # one ulp below the switch uses the series, at the switch the closed

@@ -201,15 +201,52 @@ class TestErrors:
         with pytest.raises(ModelFileError, match=rf"{section}\[{index}\]: '{field}' must be finite"):
             load_model_file(str(path), "se3")
 
-    def test_nan_axis_names_field(self, tmp_path):
-        # rejected as an axis, not later at the feasibility gate
-        spec = bench.build("four-bar", "se3")
-        doc = yaml.safe_load(dump_model(spec.model, spec.state0))
-        i = next(i for i, joint in enumerate(doc["joints"]) if "axis_a" in joint)
-        doc["joints"][i]["axis_a"] = [math.nan, 0.0, 0.0]
+    @pytest.mark.parametrize("section, index, field, value", [
+        ("bodies", 0, "mass_kg", [1, 2]),
+        ("forces", 1, "stiffness_n_per_m", [1.0, 2.0]),
+    ])
+    def test_non_scalar_number_names_field(self, tmp_path, section, index, field, value):
+        doc = yaml.safe_load(HEAVY_TOP_YAML)
+        doc[section][index][field] = value
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ModelFileError, match=rf"joints\[{i}\]: axis_a must be a unit vector"):
+        with pytest.raises(ModelFileError, match=rf"{section}\[{index}\]: '{field}' must be a number"):
+            load_model_file(str(path), "se3")
+
+    def test_negative_stiffness_names_force(self, tmp_path):
+        doc = yaml.safe_load(HEAVY_TOP_YAML)
+        doc["forces"][1]["stiffness_n_per_m"] = -1.0
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError, match=r"forces\[1\]: spring stiffness must be nonnegative"):
+            load_model_file(str(path), "se3")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("axis_a", [math.nan, 0.0, 0.0], "must be finite"),
+        ("axis_a", ["x", 0.0, 1.0], "must be numeric"),
+        ("axis_b", [0.0, 1.0], "must be a 3-vector"),
+    ], ids=["nan", "non-numeric", "2-vector"])
+    def test_bad_axis_names_field(self, tmp_path, field, value, message):
+        # rejected as a field, not later by Joint or at the feasibility gate
+        spec = bench.build("four-bar", "se3")
+        doc = yaml.safe_load(dump_model(spec.model, spec.state0))
+        i = next(i for i, joint in enumerate(doc["joints"]) if field in joint)
+        doc["joints"][i][field] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError, match=rf"joints\[{i}\]: '{field}' {message}"):
+            load_model_file(str(path), "se3")
+
+    @pytest.mark.parametrize("rotation", [
+        "foo",
+        [[1.0, 0.0, 0.0], [0.0, "x", 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["word", "string-entry"])
+    def test_non_numeric_rotation_names_field(self, tmp_path, rotation):
+        doc = yaml.safe_load(HEAVY_TOP_YAML)
+        doc["initial_state"][0]["rotation"] = rotation
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError, match=r"initial_state\[0\]: 'rotation' must be numeric"):
             load_model_file(str(path), "se3")
 
     @pytest.mark.parametrize("part", ["poses", "velocities"])

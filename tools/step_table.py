@@ -22,8 +22,8 @@ cell rather than every run of a few, and each cell's minimum discards it.
 Each kernel cell is the smallest time per call
 over KERNEL_REPEATS ``timeit`` runs of KERNEL_CALLS calls, with
 float-sequence arguments as the step loop passes them; ``dexpinv_apply`` is
-timed on its closed form (|xi| = 0.5) and on its series branch (|xi| = 5e-5,
-below SMALL_ANGLE).
+timed at |xi| = 0.5 (``.closed``) and at a small angle, |xi| = 5e-5
+(``.small``), where the same closed form reads Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -88,13 +88,13 @@ def kernel_table() -> dict[str, float]:
     rot = so3_exp([0.1, 0.2, 0.3]).tolist()
     v = [0.4, -0.1, 0.3, 1.0, -0.5, 0.2]
     closed = (0.3, -0.4, 0.0, 0.7, 0.1, -0.2)   # |xi| = 0.5
-    series = (3e-5, -4e-5, 0.0, 0.7, 0.1, -0.2)  # |xi| = 5e-5
+    small = (3e-5, -4e-5, 0.0, 0.7, 0.1, -0.2)   # |xi| = 5e-5
     calls = {"so3_exp": (so3_exp, (list(closed[:3]),)),
              "se3_exp": (se3_exp, (list(closed),))}
     for name in GROUPS:
         group = GROUP_OBJECTS[name]
         calls[f"{name}.dexpinv_apply.closed"] = (group.dexpinv_apply, (closed, v))
-        calls[f"{name}.dexpinv_apply.series"] = (group.dexpinv_apply, (series, v))
+        calls[f"{name}.dexpinv_apply.small"] = (group.dexpinv_apply, (small, v))
         calls[f"{name}.advance_parts"] = (group.advance_parts, (rot, closed))
     table = {}
     for name, (fn, args) in calls.items():
