@@ -2,9 +2,11 @@
 
 Euler parameters (unit quaternions) cover SO(3)xR3, dual quaternions cover
 SE(3).  Quaternions are flat arrays ``(q0, q1, q2, q3)`` with the scalar
-first.  A dual quaternion bundles the rotation quaternion Q with a dual part
-Qe subject to ``|Q| = 1`` and the Pluecker condition ``Q . Qe = 0``; the
-translation enters through ``Qe = 0.5 * (0, r) * Q``.
+first.  A dual quaternion is the 8 floats (Q, Qe) of the rotation quaternion
+Q and a dual part Qe subject to ``|Q| = 1`` and the Pluecker condition
+``Q . Qe = 0``; the translation enters through ``Qe = 0.5 * (0, r) * Q``.
+The chart maps take a body's flat chart slice as the quaternion chart's
+step holds it: (Q, Qe) on SE(3), (Q, r) on SO(3)xR3.
 
 The H matrices map parameter rates to twists, ``V = H(A) @ Adot``.  Their
 "inverse" is the constrained right inverse: the 6x8 map augmented with the
@@ -18,11 +20,10 @@ are evaluated once per body and RK stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import Pose, _floats
+from .liealg import Pose
 
 
 def quat_mul(q, p) -> np.ndarray:
@@ -57,21 +58,11 @@ def quat_from_rotation(r) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-@dataclass(frozen=True)
-class DualQuaternion:
-    """Rotation quaternion plus dual part; 8 dependent pose coordinates."""
-
-    q: np.ndarray
-    qe: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.q, self.qe])
-
-
-def dq_from_pose(c: Pose) -> DualQuaternion:
+def dq_from_pose(c: Pose) -> list:
+    """The dual quaternion (Q, Qe) of a pose as 8 floats."""
     q = quat_from_rotation(c.R)
     t = np.concatenate([[0.0], c.r])
-    return DualQuaternion(q, 0.5 * quat_mul(t, q))
+    return np.concatenate([q, 0.5 * quat_mul(t, q)]).tolist()
 
 
 def quat_rotation_rows(q0: float, q1: float, q2: float, q3: float) -> tuple:
@@ -88,13 +79,10 @@ def quat_rotation_rows(q0: float, q1: float, q2: float, q3: float) -> tuple:
             (2.0 * (x13 - x02), 2.0 * (x23 + x01), s0 - s1 - s2 + s3))
 
 
-def pose_from_dq(a: DualQuaternion) -> tuple:
-    """The (R rows, r) float pair of a dual quaternion: R from Q / |Q| and r = 2 vec(Qe Q*).
-
-    ``a.q`` and ``a.qe`` may be any length-4 float sequences.
-    """
-    q0, q1, q2, q3 = _floats(a.q)
-    e0, e1, e2, e3 = _floats(a.qe)
+def pose_from_dq(a) -> tuple:
+    """The (R rows, r) float pair of the dual quaternion a = (Q, Qe), 8
+    floats: R from Q / |Q| and r = 2 vec(Qe Q*)."""
+    q0, q1, q2, q3, e0, e1, e2, e3 = a
     # vec(Qe Q*) = q0 e - e0 q + q x e
     return quat_rotation_rows(q0, q1, q2, q3), (2.0 * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
                                                 2.0 * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
@@ -120,7 +108,7 @@ def _omega_rates(q0, q1, q2, q3, w0, w1, w2) -> tuple:
             h * (q0 * w2 + q1 * w1 - q2 * w0))
 
 
-def reconstruct_rates(a: DualQuaternion, v) -> tuple:
+def reconstruct_rates(a, v) -> tuple:
     """Rates dA/dt with H @ rates = V (a body twist), tangent to both invariants.
 
     H is augmented with the normalization and Pluecker gradient rows (zero
@@ -133,12 +121,11 @@ def reconstruct_rates(a: DualQuaternion, v) -> tuple:
         Qedot = E^T v / (2|Q|^2) + D^T D(Qe) Qdot - Q (Qe . Qdot) / |Q|^2
 
     with D = D(Q), E = E(Q) (using E^T E D^T = |Q|^2 D^T).
-    Returns the 8 rates as a float tuple; ``a.q`` and ``a.qe`` may be any
-    length-4 float sequences.  Raises ValueError for Q = 0.
+    ``a`` is the 8 floats (Q, Qe) and ``v`` the 6 of V; returns the 8 rates
+    as a float tuple.  Raises ValueError for Q = 0.
     """
-    q0, q1, q2, q3 = _floats(a.q)
-    e0, e1, e2, e3 = _floats(a.qe)
-    w0, w1, w2, v0, v1, v2 = _floats(v)
+    q0, q1, q2, q3, e0, e1, e2, e3 = a
+    w0, w1, w2, v0, v1, v2 = v
     h, d0, d1, d2, d3 = _omega_rates(q0, q1, q2, q3, w0, w1, w2)
     # u = D(Qe) Qdot = -e d0 + e0 d + e x d
     u0 = e0 * d1 - e1 * d0 + e2 * d3 - e3 * d2
@@ -155,13 +142,14 @@ def reconstruct_rates(a: DualQuaternion, v) -> tuple:
             q0 * p2 + q1 * m1 - q2 * m0 - q3 * s)
 
 
-def euler_reconstruct_rates(q, r, v_mixed) -> tuple:
-    """Rates (Qdot, rdot) for the Euler-parameter chart, norm-tangent.
+def euler_reconstruct_rates(a, v_mixed) -> tuple:
+    """Rates (Qdot, rdot) for the Euler-parameter chart a = (Q, r), 7
+    floats, norm-tangent.
 
     The 6x7 map augmented with the norm gradient row is block diagonal, so
     Qdot = E(Q)^T omega / (2|Q|^2) and rdot = v (see ``reconstruct_rates``).
     Returns the 7 rates as a float tuple; raises ValueError for Q = 0.
     """
-    w0, w1, w2, v0, v1, v2 = _floats(v_mixed)
-    _, d0, d1, d2, d3 = _omega_rates(*_floats(q), w0, w1, w2)
+    w0, w1, w2, v0, v1, v2 = v_mixed
+    _, d0, d1, d2, d3 = _omega_rates(*a[:4], w0, w1, w2)
     return (d0, d1, d2, d3, v0, v1, v2)

@@ -367,7 +367,8 @@ def _frames(poses, velocities) -> tuple:
 def _body_terms(kernels, poses, velocities) -> list[float]:
     """The six entries per body of compiled body kernels (``_emit_body``),
     stacked flat: Q from ``MbsModel._rhs_kernels`` (applied wrench plus the
-    velocity-dependent terms), Vdot = M^-1 Q from ``_acc_kernels``."""
+    velocity-dependent terms) or the applied wrenches alone.  A jointless
+    ``accelerations`` runs ``_acc_kernels`` (Vdot = M^-1 Q) the same way."""
     out = []
     for kernel in kernels:
         kernel(poses, velocities, out)
@@ -756,7 +757,11 @@ def accelerations(model: MbsModel, poses, velocities) -> list[float]:
     assembly and solve.
     """
     if not model.joints:
-        return _body_terms(model._acc_kernels, *_frames(poses, velocities))
+        poses, velocities = _frames(poses, velocities)
+        out = []
+        for kernel in model._acc_kernels:
+            kernel(poses, velocities, out)
+        return out
     kkt, rhs = assemble_index1(model, poses, velocities)
     vdot, _ = solve_index1(model, kkt, rhs)
     return vdot.reshape(-1).tolist()

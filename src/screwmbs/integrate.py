@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualquat import (
-    DualQuaternion,
     dq_from_pose,
     euler_reconstruct_rates,
     pose_from_dq,
@@ -307,24 +306,16 @@ def _quat_chart(group_name: str):
     """Width and per-body (pack, unpack, rates, defects) functions of the
     quaternion chart; chart coordinates and rates are flat float sequences,
     ``unpack`` gives the body's (R rows, r) float pair on either group, and
-    ``defects`` its (unit norm, Pluecker) invariant defects."""
+    ``defects`` its (unit norm, Pluecker) invariant defects.  The dualquat
+    maps are read from this module's names when a run starts."""
     def unit(y):
         return abs(math.sqrt(sum(x * x for x in y[:4])) - 1.0)
 
     if group_name == "se3":
-        def pack(pose):
-            return dq_from_pose(pose).as_vector().tolist()
-
-        def unpack(y):
-            return pose_from_dq(DualQuaternion(y[:4], y[4:]))
-
-        def rates(y, v):
-            return reconstruct_rates(DualQuaternion(y[:4], y[4:]), v)
-
         def defects(y):
             return unit(y), abs(sum(a * b for a, b in zip(y[:4], y[4:])))
 
-        return 8, pack, unpack, rates, defects
+        return 8, dq_from_pose, pose_from_dq, reconstruct_rates, defects
 
     def pack(pose):
         return quat_from_rotation(pose.R).tolist() + pose.r.tolist()
@@ -332,13 +323,10 @@ def _quat_chart(group_name: str):
     def unpack(y):
         return quat_rotation_rows(*y[:4]), y[4:]
 
-    def rates(y, v):
-        return euler_reconstruct_rates(y[:4], y[4:], v)
-
     def defects(y):
         return unit(y), 0.0
 
-    return 7, pack, unpack, rates, defects
+    return 7, pack, unpack, euler_reconstruct_rates, defects
 
 
 def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
@@ -362,8 +350,11 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
         charts = [y[width * i:width * (i + 1)] for i in range(n)]
         vel = y[nq:]
         vdot = accelerations(model, [unpack(q) for q in charts], vel)
-        return (), [x for i, q in enumerate(charts)
-                    for x in chart_rates(q, vel[6 * i:6 * i + 6])] + vdot
+        out = []
+        for i, q in enumerate(charts):
+            out += chart_rates(q, vel[6 * i:6 * i + 6])
+        out += vdot
+        return (), out
 
     def record(slot, t, frames, y):
         charts = [y[width * i:width * (i + 1)] for i in range(n)]

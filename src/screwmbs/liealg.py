@@ -29,8 +29,8 @@ import numpy as np
 
 TAU = 2.0 * math.pi
 
-# Scalar coefficient functions switch to their Taylor polynomials below this
-# angle; the closed-form expressions cancel catastrophically as x -> 0.
+# The kernels' coefficients (_COEFS) switch to their Taylor polynomials below
+# this angle; the closed-form expressions cancel catastrophically as x -> 0.
 _COEF_SERIES_ANGLE = 0.25
 _POLE_MARGIN = 1e-6
 _BRANCH_MARGIN = 1e-6
@@ -45,75 +45,6 @@ class BranchCutError(ValueError):
 
 class PoleError(ValueError):
     """dexp/dexpinv evaluated at or beyond the 2*pi singularity."""
-
-
-# ---------------------------------------------------------------------------
-# scalar coefficient functions (hybrid closed form / Taylor evaluation)
-# ---------------------------------------------------------------------------
-
-def _sinc(x: float) -> float:
-    """sin(x)/x."""
-    if x < _COEF_SERIES_ANGLE:
-        x2 = x * x
-        return 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0 + x2 / 362880.0)))
-    return math.sin(x) / x
-
-
-def _cos1(x: float) -> float:
-    """(1 - cos x)/x**2."""
-    if x < _COEF_SERIES_ANGLE:
-        x2 = x * x
-        return 0.5 + x2 * (-1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (-1.0 / 40320.0 + x2 / 3628800.0)))
-    s = math.sin(0.5 * x)
-    return 2.0 * s * s / (x * x)
-
-
-def _xs3(x: float) -> float:
-    """(x - sin x)/x**3."""
-    if x < _COEF_SERIES_ANGLE:
-        x2 = x * x
-        return 1.0 / 6.0 + x2 * (-1.0 / 120.0 + x2 * (1.0 / 5040.0 + x2 * (-1.0 / 362880.0 + x2 / 39916800.0)))
-    return (x - math.sin(x)) / (x * x * x)
-
-
-def _dinv(x: float) -> float:
-    """(1 - (x/2) cot(x/2))/x**2, the so(3) dexpinv coefficient."""
-    if x < _COEF_SERIES_ANGLE:
-        x2 = x * x
-        return 1.0 / 12.0 + x2 * (1.0 / 720.0 + x2 * (1.0 / 30240.0 + x2 * (1.0 / 1209600.0 + x2 / 47900160.0)))
-    return (1.0 - 0.5 * x / math.tan(0.5 * x)) / (x * x)
-
-
-def _q2(x: float) -> float:
-    """(x**2 + 2 cos x - 2)/(2 x**4)."""
-    if x < _COEF_SERIES_ANGLE:
-        x2 = x * x
-        return 1.0 / 24.0 + x2 * (-1.0 / 720.0 + x2 * (1.0 / 40320.0 + x2 * (-1.0 / 3628800.0 + x2 / 479001600.0)))
-    return (x * x + 2.0 * math.cos(x) - 2.0) / (2.0 * x ** 4)
-
-
-def _q3(x: float) -> float:
-    """(2x - 3 sin x + x cos x)/(2 x**5)."""
-    if x < _COEF_SERIES_ANGLE:
-        x2 = x * x
-        return 1.0 / 120.0 + x2 * (-1.0 / 2520.0 + x2 * (1.0 / 120960.0 + x2 * (-1.0 / 9979200.0 + x2 / 1245404160.0)))
-    return (2.0 * x - 3.0 * math.sin(x) + x * math.cos(x)) / (2.0 * x ** 5)
-
-
-def _adpoly2(x: float) -> float:
-    """2/x**2 + (x + 3 sin x)/(4x (cos x - 1))."""
-    if x < _COEF_SERIES_ANGLE:
-        x4 = x ** 4
-        return 1.0 / 12.0 + x4 * (-1.0 / 30240.0 + x * x * (-1.0 / 604800.0 - x * x / 15966720.0))
-    return 2.0 / (x * x) + (x + 3.0 * math.sin(x)) / (4.0 * x * (math.cos(x) - 1.0))
-
-
-def _adpoly4(x: float) -> float:
-    """1/x**4 + (x + sin x)/(4 x**3 (cos x - 1))."""
-    if x < _COEF_SERIES_ANGLE:
-        x2 = x * x
-        return -1.0 / 720.0 + x2 * (-1.0 / 15120.0 + x2 * (-1.0 / 403200.0 - x2 / 11975040.0))
-    return 1.0 / x ** 4 + (x + math.sin(x)) / (4.0 * x ** 3 * (math.cos(x) - 1.0))
 
 
 def _check_pole(x: float) -> None:
@@ -203,7 +134,7 @@ def _names(s: str, n: int = 3) -> tuple:
 
 def _define(signature: str, body, doc: str):
     """The function ``def signature:`` over the body lines, compiled with this
-    module's globals, so it calls the coefficient functions by name."""
+    module's globals (``math``, the coefficient switch and the pole check)."""
     namespace = {}
     src = "\n".join([f"def {signature}:", *(f"    {line}" for line in body)])
     exec(compile(src, f"<{signature}>", "exec"), globals(), namespace)
@@ -212,12 +143,82 @@ def _define(signature: str, body, doc: str):
     return fn
 
 
-def _block(emit) -> list[str]:
+# ---------------------------------------------------------------------------
+# scalar coefficients (hybrid closed form / Taylor evaluation)
+# ---------------------------------------------------------------------------
+
+# name: (doc, Taylor polynomial, closed form) of each coefficient of the
+# angle x; the polynomials read xsq = x * x, the closed forms the trig
+# values of _TRIG by name, so coefficients of one angle share them
+_COEFS = {
+    "_sinc": ("sin(x)/x.",
+              "1.0 + xsq * (-1.0 / 6.0 + xsq * (1.0 / 120.0 + xsq * (-1.0 / 5040.0 + xsq / 362880.0)))",
+              "sin_x / x"),
+    "_cos1": ("(1 - cos x)/x**2.",
+              "0.5 + xsq * (-1.0 / 24.0 + xsq * (1.0 / 720.0 + xsq * (-1.0 / 40320.0 + xsq / 3628800.0)))",
+              "2.0 * sin_h * sin_h / (x * x)"),
+    "_xs3": ("(x - sin x)/x**3.",
+             "1.0 / 6.0 + xsq * (-1.0 / 120.0 + xsq * (1.0 / 5040.0 + xsq * (-1.0 / 362880.0 + xsq / 39916800.0)))",
+             "(x - sin_x) / (x * x * x)"),
+    "_dinv": ("(1 - (x/2) cot(x/2))/x**2, the so(3) dexpinv coefficient.",
+              "1.0 / 12.0 + xsq * (1.0 / 720.0 + xsq * (1.0 / 30240.0 + xsq * (1.0 / 1209600.0 + xsq / 47900160.0)))",
+              "(1.0 - 0.5 * x / tan_h) / (x * x)"),
+    "_q2": ("(x**2 + 2 cos x - 2)/(2 x**4).",
+            "1.0 / 24.0 + xsq * (-1.0 / 720.0 + xsq * (1.0 / 40320.0 + xsq * (-1.0 / 3628800.0 + xsq / 479001600.0)))",
+            "(x * x + 2.0 * cos_x - 2.0) / (2.0 * x ** 4)"),
+    "_q3": ("(2x - 3 sin x + x cos x)/(2 x**5).",
+            "1.0 / 120.0 + xsq * (-1.0 / 2520.0 + xsq * (1.0 / 120960.0 + xsq * (-1.0 / 9979200.0 + xsq / 1245404160.0)))",
+            "(2.0 * x - 3.0 * sin_x + x * cos_x) / (2.0 * x ** 5)"),
+    "_adpoly2": ("2/x**2 + (x + 3 sin x)/(4x (cos x - 1)).",
+                 "1.0 / 12.0 + x ** 4 * (-1.0 / 30240.0 + xsq * (-1.0 / 604800.0 - xsq / 15966720.0))",
+                 "2.0 / (x * x) + (x + 3.0 * sin_x) / (4.0 * x * (cos_x - 1.0))"),
+    "_adpoly4": ("1/x**4 + (x + sin x)/(4 x**3 (cos x - 1)).",
+                 "-1.0 / 720.0 + xsq * (-1.0 / 15120.0 + xsq * (-1.0 / 403200.0 - xsq / 11975040.0))",
+                 "1.0 / x ** 4 + (x + sin_x) / (4.0 * x ** 3 * (cos_x - 1.0))"),
+}
+_TRIG = {"sin_x": "math.sin(x)", "cos_x": "math.cos(x)",
+         "sin_h": "math.sin(0.5 * x)", "tan_h": "math.tan(0.5 * x)"}
+_COEF_CALL = re.compile(rf"(t\d+) = ({'|'.join(_COEFS)})\((\w+)\)")
+
+
+def _coef_block(x: str, coefs: dict, pole: bool = False) -> list[str]:
+    """Lines setting each name of ``coefs`` to its coefficient (a _COEFS
+    key) at the angle named x: the Taylor polynomials below
+    _COEF_SERIES_ANGLE, else the closed forms after one call per trig value
+    they read.  With ``pole``, an angle at or beyond the dexp pole raises
+    PoleError there."""
+    def at(expr):
+        return re.sub(r"\bx\b", x, expr)
+
+    closed = [f"    {name} = {at(_COEFS[c][2])}" for name, c in coefs.items()]
+    return [f"if {x} < _COEF_SERIES_ANGLE:", f"    xsq = {x} * {x}",
+            *(f"    {name} = {at(_COEFS[c][1])}" for name, c in coefs.items()), "else:",
+            *([f"    if {x} >= TAU - _POLE_MARGIN:", f"        _check_pole({x})"] if pole else []),
+            *(f"    {v} = {at(call)}" for v, call in _TRIG.items() if v in "".join(closed)),
+            *closed]
+
+
+def _scalar(name: str):
+    """The scalar function of one coefficient, for the numpy API."""
+    return _define(f"{name}(x)", [*_coef_block("x", {"c": name}), "return c"], _COEFS[name][0])
+
+
+_sinc, _cos1, _xs3, _dinv, _q2, _q3, _adpoly2, _adpoly4 = map(_scalar, _COEFS)
+
+
+def _block(emit, pole: bool = False) -> list[str]:
     """Straight-line lines computing and returning ``emit(emitter)``'s
-    outputs (names in nested tuples)."""
+    outputs (names in nested tuples).  The emitter's coefficient calls, all
+    of one angle, become that angle's ``_coef_block`` where the first
+    stood."""
     e = _Emitter()
     ret = "return " + str(emit(e)).replace("'", "")
-    return [*e.live([ret]), ret]
+    lines = e.live([ret])
+    calls = {i: m for i, m in enumerate(map(_COEF_CALL.fullmatch, lines)) if m}
+    first = min(calls)
+    block = _coef_block(calls[first][3], {m[1]: m[2] for m in calls.values()}, pole)
+    return [*lines[:first], *block, *(line for i, line in enumerate(lines) if i > first
+                                      and i not in calls), ret]
 
 
 _X, _V = _names("x", 6), _names("v", 6)
@@ -441,8 +442,8 @@ def _emit_se3_dexpinv_apply(e: _Emitter, x, v):
 
 se3_dexpinv_apply = _define(
     "se3_dexpinv_apply(x, v)",
-    [f"{', '.join(_X)} = _floats(x)", _UNPACK_V, _NORM, "_check_pole(xn)",
-     *_block(lambda e: _emit_se3_dexpinv_apply(e, _X, _V))],
+    [f"{', '.join(_X)} = _floats(x)", _UNPACK_V, _NORM,
+     *_block(lambda e: _emit_se3_dexpinv_apply(e, _X, _V), pole=True)],
     """Inverse of se3_dexp(x) applied to v, as a float tuple: the closed form
     (_emit_se3_dexpinv_apply) at every angle; straight-line code, x and v as
     float sequences or ndarrays.""")
@@ -470,9 +471,9 @@ def dp_dexpinv(x) -> np.ndarray:
 
 dp_dexpinv_apply = _define(
     "dp_dexpinv_apply(x, v)",
-    [f"{', '.join(_X[:3])} = _floats(x)[:3]", _UNPACK_V, _NORM, "_check_pole(xn)",
+    [f"{', '.join(_X[:3])} = _floats(x)[:3]", _UNPACK_V, _NORM,
      *_block(lambda e: (*_emit_so3_dexpinv_apply(e, _X[:3], _V[:3], e.scalar("_dinv(xn)")),
-                        *_V[3:]))],
+                        *_V[3:]), pole=True)],
     """dp_dexpinv(x) @ v as a float tuple: the rotation part through
     the so(3) dexpinv, the translation part unchanged; x may be the rotation part
     alone.""")

@@ -37,9 +37,16 @@ class ModelFileError(ValueError):
     """Schema violation in a model definition file."""
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _finite(value, field, where) -> np.ndarray:
     """``value`` as a float array; a NaN or infinite entry is an error
-    naming the field, as comparisons with NaN pass every range check."""
+    naming the field, as comparisons with NaN pass every range check.  YAML
+    booleans are not numbers, though numpy reads them as 0 and 1."""
+    if _has_bool(value):
+        raise ModelFileError(f"{where}: {field!r} must be numeric")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -95,6 +102,16 @@ def _rotation(section, where):
     return arr
 
 
+def _name(section, field, where, default=None) -> str:
+    """A body or joint name, or a body reference: a string."""
+    name = section.get(field, default)
+    if name is None:
+        raise ModelFileError(f"{where}: missing field {field!r}")
+    if not isinstance(name, str):
+        raise ModelFileError(f"{where}: {field!r} must be a string")
+    return name
+
+
 def _sections(doc, key) -> list:
     """The top-level list ``key``; every entry must be a mapping."""
     entries = doc.get(key, [])
@@ -120,7 +137,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
     names = {}
     for i, section in enumerate(_sections(doc, "bodies")):
         where = f"bodies[{i}]"
-        name = section.get("name", f"body{i}")
+        name = _name(section, "name", where, default=f"body{i}")
         if name in names:
             raise ModelFileError(f"{where}: duplicate body name {name!r}")
         mass = _number(section, "mass_kg", where)
@@ -136,9 +153,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         raise ModelFileError("model defines no bodies")
 
     def body_ref(section, field, where, allow_ground):
-        ref = section.get(field)
-        if ref is None:
-            raise ModelFileError(f"{where}: missing field {field!r}")
+        ref = _name(section, field, where)
         if ref == "ground":
             if not allow_ground:
                 raise ModelFileError(f"{where}: {field!r} cannot be ground")
@@ -153,16 +168,14 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         kind = section.get("kind")
         axes = {f: _vec3(section, f, where) for f in ("axis_a", "axis_b")
                 if section.get(f) is not None}
+        # the fields' own errors name the entry already; Joint's do not
+        refs = (body_ref(section, "body_a", where, allow_ground=True),
+                body_ref(section, "body_b", where, allow_ground=False))
+        fields = dict(anchor_a=_vec3(section, "anchor_a_m", where, default=(0, 0, 0)),
+                      anchor_b=_vec3(section, "anchor_b_m", where, default=(0, 0, 0)),
+                      name=_name(section, "name", where, default=f"{kind}{i}"), **axes)
         try:
-            joint = Joint(
-                kind,
-                body_ref(section, "body_a", where, allow_ground=True),
-                body_ref(section, "body_b", where, allow_ground=False),
-                anchor_a=_vec3(section, "anchor_a_m", where, default=(0, 0, 0)),
-                anchor_b=_vec3(section, "anchor_b_m", where, default=(0, 0, 0)),
-                name=section.get("name", f"{kind}{i}"),
-                **axes,
-            )
+            joint = Joint(kind, *refs, **fields)
         except (TypeError, ValueError) as exc:
             raise ModelFileError(f"{where}: {exc}") from exc
         # an unnamed joint goes by its kind in reports and CSV columns

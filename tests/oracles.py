@@ -7,6 +7,7 @@ operator series, derivatives through central finite differences.
 
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -21,18 +22,14 @@ from screwmbs.dynamics import (
     joint_rows,
     spatial_inertia,
 )
-from screwmbs.dualquat import DualQuaternion, quat_mul, quat_rotation_rows
+from screwmbs import liealg
+from screwmbs.dualquat import quat_mul, quat_rotation_rows
 from screwmbs.integrate import integrate
 from screwmbs.liealg import (
+    _COEF_SERIES_ANGLE,
     Pose,
     _check_pole,
-    _cos1,
-    _dinv,
     _floats,
-    _q2,
-    _q3,
-    _sinc,
-    _xs3,
     dp_dexpinv,
     hat3,
     rotation_error,
@@ -656,6 +653,23 @@ def joint_acc_rhs(joint, poses, velocities, model) -> np.ndarray:
 # quaternion and dual-quaternion algebra the closed-form chart does without
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class DualQuaternion:
+    """Rotation quaternion plus dual part; 8 dependent pose coordinates.
+    The chart maps of ``dualquat`` take them flat (``as_vector``)."""
+
+    q: np.ndarray
+    qe: np.ndarray
+
+    @staticmethod
+    def from_vector(y) -> "DualQuaternion":
+        y = np.asarray(y, dtype=float)
+        return DualQuaternion(y[:4], y[4:])
+
+    def as_vector(self) -> np.ndarray:
+        return np.concatenate([self.q, self.qe])
+
+
 def dmat(q) -> np.ndarray:
     """3x4 matrix D(Q) = [-q | q0 I + q^]."""
     q = np.asarray(q, dtype=float)
@@ -885,6 +899,79 @@ def reference_energy(record, model, datum: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
+# hand-written scalar coefficients: the references of liealg's functions
+# generated from its coefficient table (liealg._COEFS)
+# ---------------------------------------------------------------------------
+
+def _sinc(x: float) -> float:
+    """sin(x)/x."""
+    if x < _COEF_SERIES_ANGLE:
+        x2 = x * x
+        return 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0 + x2 / 362880.0)))
+    return math.sin(x) / x
+
+
+def _cos1(x: float) -> float:
+    """(1 - cos x)/x**2."""
+    if x < _COEF_SERIES_ANGLE:
+        x2 = x * x
+        return 0.5 + x2 * (-1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (-1.0 / 40320.0 + x2 / 3628800.0)))
+    s = math.sin(0.5 * x)
+    return 2.0 * s * s / (x * x)
+
+
+def _xs3(x: float) -> float:
+    """(x - sin x)/x**3."""
+    if x < _COEF_SERIES_ANGLE:
+        x2 = x * x
+        return 1.0 / 6.0 + x2 * (-1.0 / 120.0 + x2 * (1.0 / 5040.0 + x2 * (-1.0 / 362880.0 + x2 / 39916800.0)))
+    return (x - math.sin(x)) / (x * x * x)
+
+
+def _dinv(x: float) -> float:
+    """(1 - (x/2) cot(x/2))/x**2, the so(3) dexpinv coefficient."""
+    if x < _COEF_SERIES_ANGLE:
+        x2 = x * x
+        return 1.0 / 12.0 + x2 * (1.0 / 720.0 + x2 * (1.0 / 30240.0 + x2 * (1.0 / 1209600.0 + x2 / 47900160.0)))
+    return (1.0 - 0.5 * x / math.tan(0.5 * x)) / (x * x)
+
+
+def _q2(x: float) -> float:
+    """(x**2 + 2 cos x - 2)/(2 x**4)."""
+    if x < _COEF_SERIES_ANGLE:
+        x2 = x * x
+        return 1.0 / 24.0 + x2 * (-1.0 / 720.0 + x2 * (1.0 / 40320.0 + x2 * (-1.0 / 3628800.0 + x2 / 479001600.0)))
+    return (x * x + 2.0 * math.cos(x) - 2.0) / (2.0 * x ** 4)
+
+
+def _q3(x: float) -> float:
+    """(2x - 3 sin x + x cos x)/(2 x**5)."""
+    if x < _COEF_SERIES_ANGLE:
+        x2 = x * x
+        return 1.0 / 120.0 + x2 * (-1.0 / 2520.0 + x2 * (1.0 / 120960.0 + x2 * (-1.0 / 9979200.0 + x2 / 1245404160.0)))
+    return (2.0 * x - 3.0 * math.sin(x) + x * math.cos(x)) / (2.0 * x ** 5)
+
+
+def _adpoly2(x: float) -> float:
+    """2/x**2 + (x + 3 sin x)/(4x (cos x - 1))."""
+    if x < _COEF_SERIES_ANGLE:
+        x4 = x ** 4
+        return 1.0 / 12.0 + x4 * (-1.0 / 30240.0 + x * x * (-1.0 / 604800.0 - x * x / 15966720.0))
+    return 2.0 / (x * x) + (x + 3.0 * math.sin(x)) / (4.0 * x * (math.cos(x) - 1.0))
+
+
+def _adpoly4(x: float) -> float:
+    """1/x**4 + (x + sin x)/(4 x**3 (cos x - 1))."""
+    if x < _COEF_SERIES_ANGLE:
+        x2 = x * x
+        return -1.0 / 720.0 + x2 * (-1.0 / 15120.0 + x2 * (-1.0 / 403200.0 - x2 / 11975040.0))
+    return 1.0 / x ** 4 + (x + math.sin(x)) / (4.0 * x ** 3 * (math.cos(x) - 1.0))
+
+
+COEFFICIENTS = {f.__name__: f for f in (_sinc, _cos1, _xs3, _dinv, _q2, _q3, _adpoly2, _adpoly4)}
+
+
+# ---------------------------------------------------------------------------
 # interpreted Munthe-Kaas kernels: the IEEE-byte reference for the emitted
 # liealg kernels and the generated integrate stage loop, which must give the
 # same bits in the same operation order
@@ -900,8 +987,8 @@ def so3_exp_rows(x0: float, x1: float, x2: float) -> tuple:
     hat(xi)^2 = xi xi^T - |xi|^2 I written out entrywise."""
     s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
     x = math.sqrt(s0 + s1 + s2)
-    a = _sinc(x)
-    b = _cos1(x)
+    a = liealg._sinc(x)
+    b = liealg._cos1(x)
     ax0, ax1, ax2 = a * x0, a * x1, a * x2
     b01, b02, b12 = b * (x0 * x1), b * (x0 * x2), b * (x1 * x2)
     return ((1.0 - b * (s1 + s2), b01 - ax2, b02 + ax1),
@@ -917,7 +1004,7 @@ def se3_exp_parts(x) -> tuple:
     # dexp_xi @ eta = eta + cos1 xi x eta + xs3 xi x (xi x eta)
     c = cross3(xi, (e0, e1, e2))
     cc = cross3(xi, c)
-    b, d = _cos1(xn), _xs3(xn)
+    b, d = liealg._cos1(xn), liealg._xs3(xn)
     return (so3_exp_rows(x0, x1, x2),
             (e0 + b * c[0] + d * cc[0],
              e1 + b * c[1] + d * cc[1],
@@ -952,7 +1039,7 @@ def se3_dexpinv_apply(x, v) -> tuple:
     xi, eta = x[:3], x[3:]
     xn = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
     _check_pole(xn)
-    c = _dinv(xn)
+    c = liealg._dinv(xn)
     top = _so3_dexpinv_apply(xi, v[:3], c)
     e = cross3(eta, top)
     p = cross3(xi, top)
@@ -963,7 +1050,7 @@ def se3_dexpinv_apply(x, v) -> tuple:
     epp = cross3(eta, cross3(xi, p))
     xepp = cross3(xi, epp)
     xxep = cross3(xi, xep)
-    c3, c4, c5 = _xs3(xn), _q2(xn), _q3(xn)
+    c3, c4, c5 = liealg._xs3(xn), liealg._q2(xn), liealg._q3(xn)
     rest = [v[3 + i] - (0.5 * e[i]
                         + c3 * (xe[i] + ep[i] + xep[i])
                         + c4 * (xxe[i] + epp[i] - 3.0 * xep[i])
@@ -979,7 +1066,7 @@ def dp_dexpinv_apply(x, v) -> tuple:
     v = _floats(v)
     xn = math.sqrt(xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
     _check_pole(xn)
-    return _so3_dexpinv_apply(xi, v[:3], _dinv(xn)) + tuple(v[3:])
+    return _so3_dexpinv_apply(xi, v[:3], liealg._dinv(xn)) + tuple(v[3:])
 
 
 def _combine(dt: float, terms, rows, base) -> list:

@@ -120,7 +120,13 @@ class TestBadInput:
          "initial_state: [b]\n", "'initial_state'"),
         ("bodies: [{name: b, mass_kg: [1, 2], inertia_kgm2: [1, 1, 1]}]\n",
          "bodies[0]: 'mass_kg' must be a number"),
-    ], ids=["malformed", "non-mapping", "empty", "non-mapping-state", "list-mass"])
+        ("bodies: [{name: b, mass_kg: true, inertia_kgm2: [1, 1, 1]}]\n",
+         "bodies[0]: 'mass_kg' must be numeric"),
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
+         "forces: [{kind: linear_spring, body: [b], ground_point_m: [0, 0, 1],"
+         " stiffness_n_per_m: 1.0}]\n", "forces[0]: 'body' must be a string"),
+    ], ids=["malformed", "non-mapping", "empty", "non-mapping-state", "list-mass",
+            "boolean-mass", "list-reference"])
     def test_model_file(self, tmp_path, monkeypatch, capsys, text, names):
         path = tmp_path / "bad.yaml"
         path.write_text(text)

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from screwmbs.dualquat import (
-    DualQuaternion,
     dq_from_pose,
     euler_reconstruct_rates,
     pose_from_dq,
@@ -13,6 +12,7 @@ from screwmbs.dualquat import (
 )
 from screwmbs.liealg import Pose, se3_compose, se3_exp, so3_exp
 from oracles import (
+    DualQuaternion,
     dmat,
     dq_align,
     dq_mul,
@@ -41,7 +41,7 @@ def random_unit_quat(rng):
 
 
 def random_dq(rng) -> DualQuaternion:
-    return dq_from_pose(random_pose(rng))
+    return DualQuaternion.from_vector(dq_from_pose(random_pose(rng)))
 
 
 class TestQuaternionProduct:
@@ -71,16 +71,17 @@ class TestDqProduct:
 
     def test_translations_add(self):
         t1, t2 = RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 3)
-        a = dq_from_pose(Pose(np.eye(3), t1))
-        b = dq_from_pose(Pose(np.eye(3), t2))
-        out = Pose(*map(np.array, pose_from_dq(dq_mul(a, b))))
+        a = DualQuaternion.from_vector(dq_from_pose(Pose(np.eye(3), t1)))
+        b = DualQuaternion.from_vector(dq_from_pose(Pose(np.eye(3), t2)))
+        out = Pose(*map(np.array, pose_from_dq(dq_mul(a, b).as_vector())))
         assert_allclose(out.r, t1 + t2, atol=1e-14)
 
     def test_homomorphic_to_pose_composition(self):
         # dq product maps to the 4x4 homogeneous product in the same order
         for _ in range(10):
             ca, cb = random_pose(RNG), random_pose(RNG)
-            prod = Pose(*map(np.array, pose_from_dq(dq_mul(dq_from_pose(ca), dq_from_pose(cb)))))
+            a, b = (DualQuaternion.from_vector(dq_from_pose(c)) for c in (ca, cb))
+            prod = Pose(*map(np.array, pose_from_dq(dq_mul(a, b).as_vector())))
             ref = se3_compose(ca, cb)
             assert_allclose(prod.R, ref.R, atol=1e-10)
             assert_allclose(prod.r, ref.r, atol=1e-10)
@@ -123,13 +124,22 @@ class TestRotationFromQuat:
 
 class TestPoseConversion:
     def test_identity(self):
-        a = dq_from_pose(Pose.identity())
+        a = DualQuaternion.from_vector(dq_from_pose(Pose.identity()))
         assert_allclose(a.q, [1, 0, 0, 0])
         assert_allclose(a.qe, np.zeros(4))
 
     def test_half_translation_convention(self):
-        a = dq_from_pose(Pose(np.eye(3), np.array([2.0, 0, 0])))
+        a = DualQuaternion.from_vector(dq_from_pose(Pose(np.eye(3), np.array([2.0, 0, 0]))))
         assert_allclose(a.qe, [0, 1.0, 0, 0], atol=1e-15)
+
+    def test_flat_floats(self):
+        # the chart's pack: 8 floats, the bits of the dual quaternion algebra
+        c = random_pose(RNG)
+        a = dq_from_pose(c)
+        assert type(a) is list and len(a) == 8 and all(type(x) is float for x in a)
+        q = quat_from_rotation(c.R)
+        qe = 0.5 * quat_mul(np.concatenate([[0.0], c.r]), q)
+        assert np.array(a).tobytes() == np.concatenate([q, qe]).tobytes()
 
     def test_roundtrip(self):
         for _ in range(20):
@@ -140,7 +150,7 @@ class TestPoseConversion:
 
     def test_double_cover_same_pose(self):
         a = random_dq(RNG)
-        p1, p2 = (Pose(*map(np.array, pose_from_dq(b))) for b in (a, dq_negated(a)))
+        p1, p2 = (Pose(*map(np.array, pose_from_dq(b.as_vector()))) for b in (a, dq_negated(a)))
         assert_allclose(p1.R, p2.R, atol=0)
         assert_allclose(p1.r, p2.r, atol=0)
 
@@ -151,9 +161,9 @@ class TestPoseConversion:
 
 def _fd_rates(pose_of_t, t0, h=1e-6):
     """Sign-continuous central difference of the dual quaternion curve."""
-    a0 = dq_from_pose(pose_of_t(t0))
-    am = dq_align(dq_from_pose(pose_of_t(t0 - h)), a0)
-    ap = dq_align(dq_from_pose(pose_of_t(t0 + h)), a0)
+    a0, am, ap = (DualQuaternion.from_vector(dq_from_pose(pose_of_t(t)))
+                  for t in (t0, t0 - h, t0 + h))
+    am, ap = dq_align(am, a0), dq_align(ap, a0)
     return a0, (ap.as_vector() - am.as_vector()) / (2 * h)
 
 
@@ -189,11 +199,11 @@ class TestHMatrices:
 class TestReconstructRates:
     def test_zero_velocity(self):
         a = random_dq(RNG)
-        assert_allclose(reconstruct_rates(a, np.zeros(6)), np.zeros(8), atol=0)
+        assert_allclose(reconstruct_rates(a.as_vector(), np.zeros(6)), np.zeros(8), atol=0)
 
     def test_identity_configuration(self):
         v = np.array([0.4, -0.2, 0.9, 1.0, 2.0, -0.5])
-        rates = reconstruct_rates(DQ_ONE, v)
+        rates = reconstruct_rates(DQ_ONE.as_vector(), v)
         assert_allclose(rates[:4], np.concatenate([[0.0], v[:3] / 2]), atol=1e-14)
         assert_allclose(h_body(DQ_ONE) @ rates, v, atol=1e-14)
 
@@ -201,7 +211,7 @@ class TestReconstructRates:
         for _ in range(10):
             a = random_dq(RNG)
             v = RNG.uniform(-2, 2, 6)
-            rates = reconstruct_rates(a, v)
+            rates = reconstruct_rates(a.as_vector(), v)
             assert np.abs(h_body(a) @ rates - v).max() < 1e-12
             assert abs(a.q @ rates[:4]) < 1e-12
             assert abs(rates[:4] @ a.qe + a.q @ rates[4:]) < 1e-12
@@ -210,7 +220,7 @@ class TestReconstructRates:
         q = random_unit_quat(RNG)
         r = RNG.uniform(-1, 1, 3)
         v = RNG.uniform(-2, 2, 6)
-        rates = euler_reconstruct_rates(q, r, v)
+        rates = euler_reconstruct_rates(np.concatenate([q, r]), v)
         assert np.abs(h_euler_params(q) @ rates - v).max() < 1e-12
         assert abs(q @ rates[:4]) < 1e-13
         assert_allclose(rates[4:], v[3:], atol=0)
@@ -260,43 +270,43 @@ class TestClosedFormAgainstSolve:
         for _ in range(200):
             a = off_unit_dq(rng)
             v = rng.uniform(-2, 2, 6)
-            self.assert_close(reconstruct_rates(a, v), solve_rates(a, v))
+            self.assert_close(reconstruct_rates(a.as_vector(), v), solve_rates(a, v))
 
     def test_euler_rates(self):
         rng = np.random.default_rng(18)
         for _ in range(200):
             q = random_unit_quat(rng) * rng.uniform(0.5, 2.0)
             v = rng.uniform(-2, 2, 6)
-            self.assert_close(euler_reconstruct_rates(q, rng.normal(size=3), v),
+            self.assert_close(euler_reconstruct_rates(np.concatenate([q, rng.normal(size=3)]), v),
                               solve_euler_rates(q, v))
 
     def test_float_sequences_accepted(self):
         a = off_unit_dq(np.random.default_rng(19))
         v = np.array([0.3, -0.1, 0.7, 1.0, -2.0, 0.5])
-        rates = reconstruct_rates(DualQuaternion(a.q.tolist(), a.qe.tolist()), v.tolist())
-        assert rates == reconstruct_rates(a, v)
+        rates = reconstruct_rates(a.as_vector().tolist(), v.tolist())
+        assert rates == reconstruct_rates(a.as_vector(), v)
         assert all(type(x) is float for x in rates)
 
     def test_zero_rotation_quaternion_raises(self):
         a = DualQuaternion(np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4]))
         with pytest.raises(ValueError) as info:
-            reconstruct_rates(a, np.ones(6))
+            reconstruct_rates(a.as_vector(), np.ones(6))
         assert not isinstance(info.value, ZeroDivisionError)
 
     def test_zero_euler_quaternion_raises(self):
         with pytest.raises(ValueError):
-            euler_reconstruct_rates(np.zeros(4), np.zeros(3), np.ones(6))
+            euler_reconstruct_rates(np.zeros(7), np.ones(6))
 
     def test_zero_rotation_quaternion_has_no_pose(self):
         with pytest.raises(ValueError):
-            pose_from_dq(DualQuaternion(np.zeros(4), np.zeros(4)))
+            pose_from_dq(np.zeros(8))
 
     def test_pose_from_dq_off_unit(self):
         # R from Q / |Q|, r = 2 vec(Qe Q*) with the unscaled Q
         rng = np.random.default_rng(20)
         for _ in range(50):
             a = off_unit_dq(rng)
-            pose = Pose(*map(np.array, pose_from_dq(a)))
+            pose = Pose(*map(np.array, pose_from_dq(a.as_vector())))
             assert_allclose(pose.R, rotation_from_quat(a.q / np.linalg.norm(a.q)),
                             rtol=0, atol=1e-14)
             assert_allclose(pose.r, 2.0 * quat_mul(a.qe, quat_conj(a.q))[1:],
@@ -309,7 +319,7 @@ class TestClosedFormAgainstSolve:
         rng = np.random.default_rng(21)
         for _ in range(50):
             a = off_unit_dq(rng)
-            rows, r = pose_from_dq(a)
+            rows, r = pose_from_dq(a.as_vector().tolist())
             ref = reference_pose_from_dq(a)
             assert np.array(rows).tobytes() == ref.R.tobytes()
             assert np.array(r).tobytes() == ref.r.tobytes()
@@ -324,7 +334,7 @@ class TestInvariantPreservation:
         dt = 1e-3
 
         def f(yv):
-            return np.asarray(reconstruct_rates(DualQuaternion(yv[:4], yv[4:]), v))
+            return np.asarray(reconstruct_rates(yv, v))
 
         for _ in range(1000):
             k1 = f(y)
@@ -337,7 +347,7 @@ class TestInvariantPreservation:
         assert abs(a.q @ a.qe) < 1e-8
         # the reconstructed motion is the constant-twist screw motion
         ref = se3_exp(1.0 * v)
-        out = Pose(*map(np.array, pose_from_dq(a)))
+        out = Pose(*map(np.array, pose_from_dq(y)))
         assert_allclose(out.R, ref.R, atol=1e-9)
         assert_allclose(out.r, ref.r, atol=1e-9)
 

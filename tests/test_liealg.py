@@ -1,3 +1,4 @@
+import dis
 import math
 
 import numpy as np
@@ -321,6 +322,11 @@ def _bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
+def _flat(out) -> list:
+    """The floats of a kernel's nested tuples, in order."""
+    return [y for x in out for y in _flat(x)] if isinstance(out, (tuple, list)) else [out]
+
+
 class TestEmittedKernels:
     """The straight-line kernels give the interpreted oracles' tuples bit for
     bit, on every branch, for list and ndarray arguments."""
@@ -342,13 +348,54 @@ class TestEmittedKernels:
             assert type(out) is tuple and all(type(c) is float for c in out)
             assert out == oracle(x, v) == kernel(x.tolist(), v.tolist())
 
+    # |xi| at the coefficient switch and either side of it, and on both
+    # branches up to pi; along an axis, so that |xi| is the edge exactly
+    EDGES = [0.0, 1e-12, np.nextafter(liealg._COEF_SERIES_ANGLE, 0.0),
+             liealg._COEF_SERIES_ANGLE, np.nextafter(liealg._COEF_SERIES_ANGLE, 1.0),
+             1.0, 3.0, math.pi]
+
+    @classmethod
+    def edge_screws(cls):
+        for angle in cls.EDGES:
+            for axis in range(3):
+                x = np.zeros(6)
+                x[axis] = angle * RNG.choice([-1.0, 1.0])
+                x[3:] = RNG.normal(size=3)
+                yield x
+
     @pytest.mark.parametrize("kernel, oracle", KERNELS, ids=["se3", "so3xr3"])
     def test_dexpinv_apply_at_band_edges(self, kernel, oracle):
-        for angle in (np.nextafter(liealg._COEF_SERIES_ANGLE, 0.0),
-                      liealg._COEF_SERIES_ANGLE, 0.0):
-            x = np.array([angle, 0.0, 0.0, 0.3, -0.2, 0.1])
+        for x in self.edge_screws():
             v = RNG.normal(size=6)
-            assert kernel(x, v) == oracle(x, v)
+            out = kernel(x, v)
+            assert _bits(out) == _bits(oracle(x, v)) == _bits(kernel(x.tolist(), v.tolist()))
+
+    @pytest.mark.parametrize("kernel, oracle, args", [
+        (liealg._so3_exp_rows, oracles.so3_exp_rows, lambda x, rot: x[:3]),
+        (liealg._se3_exp_parts, oracles.se3_exp_parts, lambda x, rot: (x,)),
+        (SE3.advance_parts, oracles.se3_advance_parts, lambda x, rot: (rot, x)),
+        (SO3R3.advance_parts, oracles.dp_advance_parts, lambda x, rot: (rot, x)),
+    ], ids=["so3_exp_rows", "se3_exp_parts", "se3.advance_parts", "so3xr3.advance_parts"])
+    def test_exp_and_advance_at_band_edges(self, kernel, oracle, args):
+        for x in self.edge_screws():
+            a = args(x.tolist(), random_pose(RNG).R.tolist())
+            assert _bits(_flat(kernel(*a))) == _bits(_flat(oracle(*a)))
+
+    def test_kernels_inline_their_coefficients(self):
+        # one coefficient block per kernel, no call of a coefficient function
+        for kernel in (liealg._so3_exp_rows, liealg._se3_exp_parts, SE3.advance_parts,
+                       SO3R3.advance_parts, SE3.dexpinv_apply, SO3R3.dexpinv_apply):
+            names = [i.argval for i in dis.get_instructions(kernel)]
+            assert not set(names) & set(liealg._COEFS), kernel.__name__
+            assert names.count("_COEF_SERIES_ANGLE") == 1, kernel.__name__
+
+    @pytest.mark.parametrize("name", list(oracles.COEFFICIENTS))
+    def test_coefficient_table_matches_hand_written(self, name):
+        # the table's scalar functions against the hand-written references
+        generated, reference = getattr(liealg, name), oracles.COEFFICIENTS[name]
+        assert generated.__doc__ == reference.__doc__
+        for x in (*self.EDGES, *RNG.uniform(0.0, liealg.TAU, 500), math.nan):
+            assert _bits([generated(x)]) == _bits([reference(x)])
 
     @pytest.mark.parametrize("kernel, oracle", KERNELS, ids=["se3", "so3xr3"])
     def test_pole_at_the_same_angle(self, kernel, oracle):

@@ -213,6 +213,36 @@ class TestErrors:
         with pytest.raises(ModelFileError, match=rf"{section}\[{index}\]: '{field}' must be a number"):
             load_model_file(str(path), "se3")
 
+    @pytest.mark.parametrize("section, index, field, value", [
+        ("bodies", 0, "mass_kg", True),
+        ("forces", 0, "g_mps2", [0, 0, True]),
+        ("bodies", 0, "inertia_kgm2", [[False, 0.0, 0.0], [0.0, 0.306, 0.0], [0.0, 0.0, 0.09]]),
+        ("forces", 1, "stiffness_n_per_m", False),
+    ], ids=["scalar", "vector-entry", "matrix-entry", "false"])
+    def test_boolean_is_not_a_number(self, tmp_path, section, index, field, value):
+        # numpy reads YAML's true/false as 1/0; the loader must not
+        doc = yaml.safe_load(HEAVY_TOP_YAML)
+        doc[section][index][field] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError, match=rf"{section}\[{index}\]: '{field}' must be numeric"):
+            load_model_file(str(path), "se3")
+
+    @pytest.mark.parametrize("section, index, field", [
+        ("bodies", 0, "name"),
+        ("forces", 1, "body"),
+        ("initial_state", 0, "body"),
+        ("joints", 0, "body_b"),
+        ("joints", 0, "name"),
+    ])
+    def test_name_must_be_a_string(self, tmp_path, section, index, field):
+        doc = yaml.safe_load(HEAVY_TOP_YAML)
+        doc[section][index][field] = ["top"]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError, match=rf"^{section}\[{index}\]: '{field}' must be a string$"):
+            load_model_file(str(path), "se3")
+
     def test_negative_stiffness_names_force(self, tmp_path):
         doc = yaml.safe_load(HEAVY_TOP_YAML)
         doc["forces"][1]["stiffness_n_per_m"] = -1.0

@@ -71,3 +71,38 @@ def test_step_loop_reaches_every_traced_layer(monkeypatch, group):
         "advance_parts": stages * bodies,
         "dexpinv_apply": (tab.stages - 1) * steps * bodies,
     }
+
+
+@pytest.mark.parametrize("group", ["se3", "so3xr3"])
+def test_quaternion_chart_reaches_every_traced_layer(monkeypatch, group):
+    """The quaternion chart must call the chart maps through ``integrate``'s
+    names, which simbench wraps, or its ``dualquat.*`` metrics read 0."""
+    from screwmbs import bench, integrate
+
+    tracing = _load_tracing()
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    traced = {attr: span for owner, attr, span in tracing.MODULE_TARGETS
+              if owner.__name__ == "screwmbs.integrate"}
+    for attr, span in traced.items():
+        monkeypatch.setattr(integrate, attr, counting(span, getattr(integrate, attr)))
+
+    spec = bench.build("free-body-offset", group)
+    tab = integrate.tableau_rk4()
+    steps, bodies = 3, spec.model.n_bodies
+    rec = integrate.integrate_quaternion(spec.model, spec.group, spec.state0, 1e-4,
+                                         steps * 1e-4, tab, stride=2)
+    stages = tab.stages * steps
+    if group == "se3":
+        expected = {"dualquat.reconstruct_rates": stages * bodies,
+                    # the stage poses, then once per body and recorded sample
+                    "dualquat.pose_from_dq": (stages + rec.n_samples) * bodies}
+    else:
+        expected = {"dualquat.euler_reconstruct_rates": stages * bodies}
+    assert calls == {"dynamics.accelerations": stages, **expected}

@@ -2,7 +2,7 @@
 configuration-space group and chart (matrix and quaternion), and per sample
 of the CSV metrics and of the whole CSV output; with ``--kernels``,
 microseconds per call of the Lie-group kernels the step loop and the public
-API call.
+API call, and of the quaternion chart's maps.
 
     python tools/step_table.py [--kernels] [--json]
 
@@ -23,7 +23,10 @@ Each kernel cell is the smallest time per call
 over KERNEL_REPEATS ``timeit`` runs of KERNEL_CALLS calls, with
 float-sequence arguments as the step loop passes them; ``dexpinv_apply`` is
 timed at |xi| = 0.5 (``.closed``) and at a small angle, |xi| = 5e-5
-(``.small``), where the same closed form reads Taylor coefficients.
+(``.small``), where the same closed form reads Taylor coefficients.  The
+chart-map cells (``se3.pose_from_dq``, ``se3.reconstruct_rates``,
+``so3xr3.euler_reconstruct_rates``) take a body's flat chart slice, 8 or 7
+floats, at the pose exp(closed) as the quaternion chart's step holds it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from screwmbs.bench import build  # noqa: E402
+from screwmbs.dualquat import (  # noqa: E402
+    dq_from_pose,
+    euler_reconstruct_rates,
+    pose_from_dq,
+    quat_from_rotation,
+    reconstruct_rates,
+)
 from screwmbs.cli import run_metrics, write_run_csv  # noqa: E402
 from screwmbs.integrate import integrate, integrate_quaternion, tableau_rk4  # noqa: E402
 from screwmbs.liealg import GROUPS as GROUP_OBJECTS, se3_exp, so3_exp  # noqa: E402
@@ -96,6 +106,12 @@ def kernel_table() -> dict[str, float]:
         calls[f"{name}.dexpinv_apply.closed"] = (group.dexpinv_apply, (closed, v))
         calls[f"{name}.dexpinv_apply.small"] = (group.dexpinv_apply, (small, v))
         calls[f"{name}.advance_parts"] = (group.advance_parts, (rot, closed))
+    pose = se3_exp(closed)
+    chart = dq_from_pose(pose)
+    calls["se3.pose_from_dq"] = (pose_from_dq, (chart,))
+    calls["se3.reconstruct_rates"] = (reconstruct_rates, (chart, v))
+    calls["so3xr3.euler_reconstruct_rates"] = (
+        euler_reconstruct_rates, (quat_from_rotation(pose.R).tolist() + pose.r.tolist(), v))
     table = {}
     for name, (fn, args) in calls.items():
         timer = timeit.Timer("fn(*args)", globals={"fn": fn, "args": args})
@@ -115,9 +131,9 @@ def main(argv=None) -> int:
         if args.json:
             print(json.dumps(table))
         else:
-            print(f"{'kernel':28s} {'us/call':>8s}")
+            print(f"{'kernel':32s} {'us/call':>8s}")
             for name, us in table.items():
-                print(f"{name:28s} {us:8.2f}")
+                print(f"{name:32s} {us:8.2f}")
         return 0
     table = step_table()
     if args.json:
