@@ -365,12 +365,12 @@ def build(name: str, group: str) -> ExperimentSpec:
 def estimate_convergence_order(dts, errors, floor: float = 1e-13):
     """Least-squares slope of log(error) against log(dt).
 
-    Samples at the numerical floor are discarded; returns None when
-    everything sits on the floor (the error is step-size independent).
+    Samples at the numerical floor are discarded; returns None when fewer
+    than two distinct step sizes are left (no slope to fit).
     """
     dts = np.asarray(dts, dtype=float)
     errors = np.asarray(errors, dtype=float)
     keep = errors > floor
-    if keep.sum() < 2:
+    if np.unique(dts[keep]).size < 2:
         return None
     return float(np.polyfit(np.log(dts[keep]), np.log(errors[keep]), 1)[0])

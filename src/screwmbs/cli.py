@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import yaml
@@ -167,10 +166,13 @@ def _out_path(args, spec: ExperimentSpec, dt: float, single: bool) -> str:
 
 
 def _check_steps(args) -> None:
-    """Reject a bad --dt, --tf or --stride before any run writes a CSV."""
+    """Reject a bad or repeated --dt, a bad --tf or --stride before any run."""
     steps = [*(args.dt or ()), 1.0 if args.tf is None else args.tf]
     if not all(0.0 < x < math.inf for x in steps) or args.stride < 1:
         raise ValueError("dt and tf must be positive and finite, and stride >= 1")
+    for i, dt in enumerate(steps[:-1]):
+        if dt in steps[:i]:
+            raise ValueError(f"dt = {dt!r} s is given more than once")
 
 
 def _check_horizon(t_final: float, dts) -> None:
@@ -183,6 +185,9 @@ def _check_horizon(t_final: float, dts) -> None:
 
 def cmd_simulate(args) -> int:
     _check_steps(args)
+    out_dir = os.path.dirname(args.out or "")
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir!r} does not exist")
     spec = _load_spec(args)
     _check_horizon(spec.t_final - spec.state0.t, spec.dts)
     single = len(spec.dts) == 1
@@ -235,6 +240,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     workers = int(os.environ.get(WORKERS_ENV, "0")) or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~1.4 MiB: sweep's alone
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:

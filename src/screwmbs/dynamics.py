@@ -25,7 +25,10 @@ acceleration right-hand side is ``eta = -Jdot @ V``.
 from __future__ import annotations
 
 import functools
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib import machinery, util
 
 import numpy as np
 
@@ -730,8 +733,24 @@ def assemble_index1(model: MbsModel, poses, velocities):
     return _kkt(model, poses, velocities, _body_terms(model._rhs_kernels, poses, velocities))
 
 
-# LAPACK gesv, imported at the first solve: a model without joints never
-# solves, and scipy.linalg is about half the import time of ``cli``
+def _load_dgesv():
+    """LAPACK dgesv (``scipy.linalg.lapack.dgesv`` re-exports it) from scipy's
+    private ``scipy.linalg._flapack``, in every scipy >= 1.9, loaded alone: the
+    ``scipy.linalg`` package loads ~300 modules.  A later ``import scipy.linalg``
+    reuses this module, but that package then has no ``_flapack`` attribute."""
+    import scipy  # the package's path and shared-library set-up only
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+        paths = [stem + s for s in machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), paths[0])  # missing: ImportError names it
+        spec = util.spec_from_loader(name, machinery.ExtensionFileLoader(name, path))
+        sys.modules[name] = module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name].dgesv
+
+
+# bound at the first solve: a model without joints never solves
 _dgesv = None
 
 
@@ -740,7 +759,7 @@ def solve_index1(model: MbsModel, kkt, rhs):
     joints."""
     global _dgesv
     if _dgesv is None:
-        from scipy.linalg.lapack import dgesv as _dgesv
+        _dgesv = _load_dgesv()
     _, _, sol, info = _dgesv(kkt, rhs)
     if info != 0:
         names = ", ".join(j.label for j in model.joints)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,14 @@ class TestConvergenceOrder:
         errs = [1e-4, 1e-8, 1e-12, 1e-15]
         slope = estimate_convergence_order(dts, errs)
         assert abs(slope - 4.0) < 0.01
+
+    @pytest.mark.parametrize("dts, errs", [
+        ([1e-3, 1e-3], [1e-6, 1e-6]),
+        ([1e-3, 1e-3, 1e-3], [1e-6, 2e-6, 3e-6]),
+        ([1e-2, 1e-3, 1e-3], [1e-15, 1e-6, 2e-6]),  # the floor leaves one dt
+    ], ids=["repeated", "repeated-thrice", "one-above-floor"])
+    def test_fewer_than_two_distinct_dts(self, dts, errs):
+        # no slope through one step size: None, not a RankWarning fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_convergence_order(dts, errs) is None

@@ -25,7 +25,7 @@ from screwmbs.acceptance import CheckResult
 from screwmbs.dynamics import REPRESENTATION, Gravity, MbsModel, MbsState, parallel_axis
 from screwmbs.integrate import integrate, integrate_quaternion
 from screwmbs.liealg import GROUPS, Pose
-from screwmbs.modelfile import load_model_file
+from screwmbs.modelfile import dump_model, load_model_file
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -157,6 +157,43 @@ class TestBadInput:
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    # 0.001 parses to the same float as 1e-3: the same step size
+    @pytest.mark.parametrize("dts", [("1e-3", "1e-3"), ("1e-3", "2e-3", "0.001")])
+    def test_simulate_repeated_dt(self, tmp_path, monkeypatch, capsys, dts):
+        code = run_cli(["simulate", "--model", "heavy-top", "--tf", "0.01",
+                        *(x for dt in dts for x in ("--dt", dt)), "--out", "ht.csv"],
+                       tmp_path, monkeypatch)
+        assert code == 1
+        assert "dt = 0.001 s is given more than once" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_sweep_repeated_dt(self, tmp_path, monkeypatch, capsys):
+        # two workers would write one CSV from two processes
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        code = run_cli(["sweep", "--model", "heavy-top", "--group", "so3xr3",
+                        "--dt", "1e-3", "--dt", "1e-3", "--tf", "0.01", "--out-dir", "out"],
+                       tmp_path, monkeypatch)
+        assert code == 1
+        assert "dt = 0.001 s is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("param", ["matrix", "quaternion"])
+    def test_missing_out_dir_fails_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                  param):
+        def never(*args, **kwargs):
+            raise AssertionError("integrated before checking the output directory")
+
+        monkeypatch.setattr(cli, "integrate", never)
+        monkeypatch.setattr(cli, "integrate_quaternion", never)
+        for dts in (["1e-3"], ["1e-3", "2e-3"]):  # the --out path, then its stem
+            code = run_cli(["simulate", "--model", "heavy-top", "--param", param,
+                            "--tf", "0.01", *(x for dt in dts for x in ("--dt", dt)),
+                            "--out", os.path.join("missing", "ht.csv")],
+                           tmp_path, monkeypatch)
+            assert code == 1
+            assert "output directory 'missing' does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestHorizon:
@@ -468,6 +505,91 @@ def test_jointless_simulate_never_imports_scipy_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _python_ok(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``screwmbs``; it must exit 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestLeanLapack:
+    """The KKT solve binds LAPACK dgesv from ``scipy.linalg._flapack`` alone,
+    and only ``sweep`` imports the process pool: a jointed ``simulate``
+    loads neither the ``scipy.linalg`` package nor ``multiprocessing``."""
+
+    @pytest.mark.parametrize("source", ["heavy-top", "four-bar-file"])
+    def test_jointed_simulate_loads_no_linalg_package_or_pool(self, tmp_path, source):
+        if source == "four-bar-file":
+            spec = bench.build("four-bar", "se3")
+            path = tmp_path / "four-bar.yaml"
+            path.write_text(dump_model(spec.model, spec.state0, "four-bar"))
+            model = ["--model-file", str(path)]
+        else:
+            model = ["--model", source]
+        _python_ok(f"""
+            import sys
+            from screwmbs import cli, dynamics
+            rc = cli.main(["simulate", *{model!r}, "--dt", "1e-3", "--tf", "0.01",
+                           "--out", {str(tmp_path / "run.csv")!r}])
+            assert rc == 0, rc
+            assert dynamics._dgesv is not None, "no KKT solve ran"
+            loaded = [m for m in ("scipy.linalg", "concurrent.futures.process",
+                                  "multiprocessing") if m in sys.modules]
+            assert not loaded, loaded
+        """)
+
+    @pytest.mark.parametrize("first", ["solve", "package"])
+    def test_bound_dgesv_is_scipy_lapack_dgesv(self, first):
+        solve = """
+            from screwmbs import bench, dynamics, integrate
+            spec = bench.build("heavy-top", "se3")
+            integrate.integrate(spec.model, spec.group, spec.state0, 1e-3, 2e-3,
+                                spec.tableau)
+        """
+        package = """
+            import scipy.linalg.lapack
+        """
+        _python_ok((solve + package if first == "solve" else package + solve) + """
+            assert dynamics._dgesv is scipy.linalg.lapack.dgesv
+            assert dynamics._load_dgesv() is dynamics._dgesv
+        """)
+
+    def test_linalg_package_works_after_lean_load(self):
+        _python_ok("""
+            import numpy as np
+            from screwmbs import bench, dynamics, liealg
+            spec = bench.build("heavy-top", "se3")
+            kkt, rhs = dynamics.assemble_index1(spec.model, spec.state0.poses,
+                                                spec.state0.velocities)
+            vdot, _ = dynamics.solve_index1(spec.model, kkt, rhs)
+            import scipy.linalg
+            w = np.array([0.3, -0.4, 0.5])
+            assert np.allclose(scipy.linalg.expm(liealg.hat3(w)), liealg.so3_exp(w),
+                               rtol=0, atol=1e-15)
+            x = np.linalg.solve(kkt, rhs)
+            assert np.allclose(x[:6], vdot.reshape(-1), rtol=0, atol=1e-12)
+            *_, sol, info = scipy.linalg.lapack.dgesv(kkt, rhs)
+            assert info == 0 and np.array_equal(sol[:6], vdot.reshape(-1))
+        """)
+
+    def test_missing_extension_names_its_path(self, tmp_path):
+        _python_ok(f"""
+            import os, scipy
+            from screwmbs import dynamics
+            scipy.__path__ = [{str(tmp_path)!r}]
+            try:
+                dynamics._load_dgesv()
+            except ImportError as exc:
+                assert os.path.join({str(tmp_path)!r}, "linalg", "_flapack") in str(exc), exc
+            else:
+                raise AssertionError("no ImportError")
+        """)
 
 
 class TestSweep:

@@ -4,7 +4,7 @@ of the CSV metrics and of the whole CSV output; with ``--kernels``,
 microseconds per call of the Lie-group kernels the step loop and the public
 API call, and of the quaternion chart's maps.
 
-    python tools/step_table.py [--kernels] [--json]
+    python tools/step_table.py [--kernels | --startup] [--json]
 
 Run from any directory: the script imports ``screwmbs`` from ``src/`` of its
 own checkout.  Each step cell is the smallest process time per step over
@@ -27,6 +27,14 @@ timed at |xi| = 0.5 (``.closed``) and at a small angle, |xi| = 5e-5
 chart-map cells (``se3.pose_from_dq``, ``se3.reconstruct_rates``,
 ``so3xr3.euler_reconstruct_rates``) take a body's flat chart slice, 8 or 7
 floats, at the pose exp(closed) as the quaternion chart's step holds it.
+
+With ``--startup`` it times one-shot ``simulate`` runs instead, start-up
+included: STARTUP_RUNS fresh ``python -m screwmbs.cli simulate --model <m>
+--dt 1e-3 --tf 0.01`` processes per model, free-body-offset (no joints, so
+no KKT solve) and heavy-top (a solve per stage), alternating, the CSV
+written to ``os.devnull``.  It reports each model's median wall seconds
+(``<m>.wall_s``, spawn to exit) and the largest maximum resident set size of
+its runs (``<m>.max_rss_mib``, from ``wait4``).
 """
 
 from __future__ import annotations
@@ -34,13 +42,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 import timeit
 from functools import partial
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from screwmbs.bench import build  # noqa: E402
 from screwmbs.dualquat import (  # noqa: E402
@@ -61,6 +71,8 @@ STEPS = 300
 REPEATS = 25
 KERNEL_CALLS = 20000
 KERNEL_REPEATS = 5
+STARTUP_MODELS = ("free-body-offset", "heavy-top")
+STARTUP_RUNS = 7
 
 
 def _run(integrator, spec, dt: float, stride: int):
@@ -120,12 +132,56 @@ def kernel_table() -> dict[str, float]:
     return table
 
 
+def _simulate_once(model: str, env: dict) -> tuple[float, float]:
+    """Wall seconds and maximum RSS in MiB of one fresh ``simulate`` process."""
+    argv = [sys.executable, "-m", "screwmbs.cli", "simulate", "--model", model,
+            "--dt", "1e-3", "--tf", "0.01", "--out", os.devnull]
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, argv, env, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"simulate --model {model} exited {status}")
+    return wall, usage.ru_maxrss / 1024.0  # Linux reports KiB
+
+
+def startup_table() -> dict[str, float]:
+    """Median wall seconds and largest max RSS of one-shot ``simulate`` runs
+    per model, the models alternating run by run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    runs = {model: [] for model in STARTUP_MODELS}
+    for _ in range(STARTUP_RUNS):
+        for model in STARTUP_MODELS:
+            runs[model].append(_simulate_once(model, env))
+    table = {}
+    for model, samples in runs.items():
+        table[f"{model}.wall_s"] = statistics.median(wall for wall, _ in samples)
+        table[f"{model}.max_rss_mib"] = max(rss for _, rss in samples)
+    return table
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--json", action="store_true", help="print one JSON object")
-    parser.add_argument("--kernels", action="store_true",
-                        help="time the Lie-group kernels instead of the step loop")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--kernels", action="store_true",
+                      help="time the Lie-group kernels instead of the step loop")
+    mode.add_argument("--startup", action="store_true",
+                      help="time one-shot simulate processes, start-up included")
     args = parser.parse_args(argv)
+    if args.startup:
+        table = startup_table()
+        if args.json:
+            print(json.dumps(table))
+        else:
+            print(f"{'model':18s} {'wall s':>8s} {'max RSS MiB':>12s}  "
+                  f"(median and largest of {STARTUP_RUNS} runs)")
+            for model in STARTUP_MODELS:
+                print(f"{model:18s} {table[f'{model}.wall_s']:8.3f} "
+                      f"{table[f'{model}.max_rss_mib']:12.1f}")
+        return 0
     if args.kernels:
         table = kernel_table()
         if args.json:
