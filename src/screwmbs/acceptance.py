@@ -65,8 +65,7 @@ class RunCache:
         tf = spec.t_final if t_final is None else t_final
         key = (model, group, dt, tf)
         if key not in self._runs:
-            self._runs[key] = integrate(spec.model, spec.group, spec.state0,
-                                        dt, tf, spec.tableau)
+            self._runs[key] = integrate(spec.model, spec.state0, dt, tf, spec.tableau)
         return self._runs[key]
 
     def columns(self, model: str, group: str, dt: float,
@@ -401,8 +400,8 @@ def check_quaternion_path(cache: RunCache) -> CheckResult:
     the invariant branch is the sound part of the check."""
     spec = cache.spec("heavy-top", "se3")
     matrix = cache.run("heavy-top", "se3", 1e-3)
-    quat = integrate_quaternion(spec.model, spec.group, spec.state0, 1e-3,
-                                spec.t_final, spec.tableau)
+    quat = integrate_quaternion(spec.model, spec.state0, 1e-3, spec.t_final,
+                                spec.tableau)
     pose_diff = max(float(np.abs(matrix.rotations[-1] - quat.rotations[-1]).max()),
                     float(np.abs(matrix.positions[-1] - quat.positions[-1]).max()))
     defects = quat.quat_defects.max(axis=0)

@@ -1,10 +1,11 @@
 """Benchmark experiments: published parameters, documented fill-ins, and the
 convergence-order fit.
 
-Every builder assembles the model for one configuration-space group (body
-twists on SE(3), mixed velocities on SO(3)xR3) and fills in any geometry
-the source text leaves open with the documented constants below; ``build``
-hard-gates the initial state on |h| < 1e-12 and |J V| < 1e-9.
+Every builder assembles the model in the velocity representation of one
+configuration-space group (body twists for SE(3), mixed velocities for
+SO(3)xR3) and fills in any geometry the source text leaves open with the
+documented constants below; ``build`` hard-gates the initial state on
+|h| < 1e-12 and |J V| < 1e-9.
 
 Where the published data only pins the angular rates, the linear
 velocities are recovered from the velocity constraints by a least-squares
@@ -35,7 +36,7 @@ from .dynamics import (
     parallel_axis,
 )
 from .integrate import ButcherTableau, tableau_rk4
-from .liealg import GROUPS, CSpaceGroup, Pose, so3_exp
+from .liealg import Pose, so3_exp
 
 GRAVITY = 9.81
 ALUMINIUM_DENSITY = 2700.0  # kg/m^3; reproduces every published mass exactly
@@ -66,7 +67,6 @@ class ExperimentSpec:
     """One benchmark: model + feasible initial state + run parameters."""
 
     name: str
-    group: CSpaceGroup
     model: MbsModel
     state0: MbsState
     t_final: float
@@ -105,18 +105,17 @@ _SPIN_OMEGA = np.array([10 * math.pi, 2 * math.pi, 0.0])
 _TRANS_V = np.array([10.0, 0.0, 0.0])
 
 
-def _free_spec(group, name, body, v0_body, com_ref, reference=None,
+def _free_spec(representation, name, body, v0_body, com_ref, reference=None,
                t_final=10.0) -> ExperimentSpec:
-    model = MbsModel([body], [], [], representation=REPRESENTATION[group.name])
+    model = MbsModel([body], [], [], representation=representation)
     state = MbsState([Pose.identity()], np.asarray(v0_body, dtype=float)[None, :])
-    return ExperimentSpec(name, group, model, state, t_final,
-                          com_reference=com_ref, reference=reference)
+    return ExperimentSpec(name, model, state, t_final, com_reference=com_ref, reference=reference)
 
 
-def model_free_body_com(group) -> tuple[ExperimentSpec, ExperimentSpec]:
+def model_free_body_com(representation) -> tuple[ExperimentSpec, ExperimentSpec]:
     """COM reference frame: spatial-rotation and rotation+translation cases."""
     body = aluminium_box("box", *_BOX_DIMS)
-    spin = _free_spec(group, "free-body-com", body,
+    spin = _free_spec(representation, "free-body-com", body,
                       np.concatenate([_SPIN_OMEGA, np.zeros(3)]),
                       lambda t: np.zeros((1, 3)))
 
@@ -125,24 +124,24 @@ def model_free_body_com(group) -> tuple[ExperimentSpec, ExperimentSpec]:
 
     # on SE(3) the body-fixed linear velocity equals R^T rdot, which is
     # (10, 0, 0) at t = 0 for either representation
-    trans = _free_spec(group, "free-body-com-trans", body,
+    trans = _free_spec(representation, "free-body-com-trans", body,
                        np.array([0.0, 0.0, 2 * math.pi, 10.0, 0.0, 0.0]),
                        lambda t: np.array([[10.0 * t, 0.0, 0.0]]),
                        reference=ref)
     return spin, trans
 
 
-def model_free_body_offset(group) -> tuple[ExperimentSpec, ExperimentSpec]:
+def model_free_body_offset(representation) -> tuple[ExperimentSpec, ExperimentSpec]:
     """Reference frame parallel-shifted from the COM by r0 = (0.4, 0, 0)."""
     mass = ALUMINIUM_DENSITY * np.prod(_BOX_DIMS)
     theta_p = parallel_axis(box_inertia(mass, *_BOX_DIMS), mass, _OFFSET_R0)
     body = RigidBody("box_p", mass, theta_p, com_offset=_OFFSET_R0)
 
     v_spin = np.cross(_OFFSET_R0, _SPIN_OMEGA)
-    spin = _free_spec(group, "free-body-offset", body,
+    spin = _free_spec(representation, "free-body-offset", body,
                       np.concatenate([_SPIN_OMEGA, v_spin]),
                       lambda t: _OFFSET_R0[None, :])
-    trans = _free_spec(group, "free-body-offset-trans", body,
+    trans = _free_spec(representation, "free-body-offset-trans", body,
                        np.concatenate([_SPIN_OMEGA, v_spin + _TRANS_V]),
                        lambda t: (_OFFSET_R0 + _TRANS_V * t)[None, :])
     return spin, trans
@@ -158,7 +157,7 @@ _TOP_P0 = np.array([1.0, 0.0, 0.5])
 _TOP_STIFFNESS = 1.0e4                     # 10 N/mm
 
 
-def model_heavy_top(group) -> ExperimentSpec:
+def model_heavy_top(representation) -> ExperimentSpec:
     body = aluminium_box("top", 0.1, 0.2, 0.4)   # 21.6 kg, diag(0.36, 0.306, 0.09)
     model = MbsModel(
         [body],
@@ -166,7 +165,7 @@ def model_heavy_top(group) -> ExperimentSpec:
                name="pivot")],
         [Gravity([0.0, 0.0, -GRAVITY]),
          LinearSpring(0, np.zeros(3), _TOP_P0, _TOP_STIFFNESS)],
-        representation=REPRESENTATION[group.name],
+        representation=representation,
     )
     omega0 = np.array([0.0, 0.0, 0.5])
     v0 = np.cross(_TOP_R0, omega0)        # R = I: body and mixed agree
@@ -176,8 +175,7 @@ def model_heavy_top(group) -> ExperimentSpec:
     # of the conserved total; report the series with that constant offset
     d0 = _TOP_P0 - (-_TOP_R0)
     datum = 0.5 * _TOP_STIFFNESS * float(d0 @ d0)
-    return ExperimentSpec("heavy-top", group, model, state, 8.0,
-                          energy_datum=datum)
+    return ExperimentSpec("heavy-top", model, state, 8.0, energy_datum=datum)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ def model_heavy_top(group) -> ExperimentSpec:
 _LINK_A = 0.2
 
 
-def model_double_pendulum(group) -> ExperimentSpec:
+def model_double_pendulum(representation) -> ExperimentSpec:
     # two 2.7 kg links, named apart: model files refer to bodies by name
     links = [aluminium_box(f"link{i}", _LINK_A, 0.1, 0.05) for i in range(2)]
     half = _LINK_A / 2
@@ -198,14 +196,14 @@ def model_double_pendulum(group) -> ExperimentSpec:
               name="joint2"),
     ]
     model = MbsModel(links, joints, [Gravity([0.0, 0.0, -GRAVITY])],
-                     representation=REPRESENTATION[group.name])
+                     representation=representation)
     poses = [Pose(np.eye(3), np.array([half, 0.0, 0.0])),
              Pose(np.eye(3), np.array([_LINK_A + half, 0.0, 0.0]))]
     omegas = np.array([[10.0, 0.0, 0.0],
                        [10 * math.pi, 10 * math.pi, 20 * math.pi]])
     vel = consistent_linear_velocities(model, poses, omegas)
     state = MbsState(poses, vel)
-    return ExperimentSpec("double-pendulum", group, model, state, 1.0)
+    return ExperimentSpec("double-pendulum", model, state, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +215,7 @@ _FOURBAR_L0 = 0.5
 _FOURBAR_OMEGA0 = 10 * math.pi
 
 
-def model_four_bar(group) -> ExperimentSpec:
+def model_four_bar(representation) -> ExperimentSpec:
     k = _FOURBAR_L0 / (3 * math.sqrt(3.0))
     g1 = np.zeros(3)
     g4 = np.array([2 * _FOURBAR_L0, 0.0, 0.0])
@@ -249,14 +247,14 @@ def model_four_bar(group) -> ExperimentSpec:
               name="rocker-ground"),
     ]
     model = MbsModel([crank, coupler, rocker], joints, [],
-                     representation=REPRESENTATION[group.name])
+                     representation=representation)
     poses = [Pose(np.eye(3), com1), Pose(np.eye(3), com2), Pose(np.eye(3), com3)]
     omegas = np.array([[0.0, 0.0, _FOURBAR_OMEGA0],
                        [0.0, 0.0, -_FOURBAR_OMEGA0 / 2],
                        [0.0, 0.0, 0.0]])
     vel = consistent_linear_velocities(model, poses, omegas)
     state = MbsState(poses, vel)
-    return ExperimentSpec("four-bar", group, model, state, 1.0)
+    return ExperimentSpec("four-bar", model, state, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,7 @@ _ROD_DROP = 0.15          # initial rod COM depth below the ring plane
 _RP_STIFFNESS = 1.0e4
 
 
-def model_rp_chain(group) -> ExperimentSpec:
+def model_rp_chain(representation) -> ExperimentSpec:
     # ring 0.15/0.08 x 0.05 m: m = 6.82825 kg, diag(0.0507567, ..., 0.0986682)
     ro, ri, h = 0.15, 0.08, 0.05
     m1 = ALUMINIUM_DENSITY * math.pi * (ro * ro - ri * ri) * h
@@ -291,7 +289,7 @@ def model_rp_chain(group) -> ExperimentSpec:
               LinearSpring(1, axis_pt1, np.array([0.0, 0.0, -_ROD_DROP]),
                            _RP_STIFFNESS)]
     model = MbsModel([ring, rod], joints, forces,
-                     representation=REPRESENTATION[group.name])
+                     representation=representation)
     poses = [Pose(np.eye(3), np.array([_RING_OFFSET, 0.0, 0.0])),
              Pose(np.eye(3), np.array([_RING_OFFSET, 0.0, -_ROD_DROP]))]
     omega = np.array([0.0, 0.0, 20 * math.pi])
@@ -299,7 +297,7 @@ def model_rp_chain(group) -> ExperimentSpec:
     v2 = np.cross(axis_pt1, omega) + np.array([0.0, 0.0, 1.0])  # 1 m/s slide
     state = MbsState(poses, np.vstack([np.concatenate([omega, v1]),
                                        np.concatenate([omega, v2])]))
-    return ExperimentSpec("rp-chain", group, model, state, 2.0)
+    return ExperimentSpec("rp-chain", model, state, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +310,7 @@ _SHAFT_LENGTH = 0.4
 _HOOK_DIST = 0.2
 
 
-def model_cardan(group) -> ExperimentSpec:
+def model_cardan(representation) -> ExperimentSpec:
     mass = ALUMINIUM_DENSITY * math.pi * _SHAFT_RADIUS ** 2 * _SHAFT_LENGTH
     shaft1 = RigidBody("input-shaft", mass,
                        cylinder_inertia(mass, _SHAFT_RADIUS, _SHAFT_LENGTH, axis=1))
@@ -329,14 +327,14 @@ def model_cardan(group) -> ExperimentSpec:
               axis_a=[1.0, 0.0, 0.0], axis_b=[0.0, 0.0, 1.0], name="hook2"),
     ]
     model = MbsModel([shaft1, shaft2], joints, [],
-                     representation=REPRESENTATION[group.name])
+                     representation=representation)
     poses = [Pose.identity(), Pose(np.eye(3), com2)]
     omegas = np.array([[0.0, math.pi, 0.0], [math.pi, math.pi, 0.0]])
     vel = consistent_linear_velocities(model, poses, omegas)
     state = MbsState(poses, vel)
     # the drive shaft reaches the hook's transmission singularity (locked
     # cross) near t = 1.45 s with these rates; stop safely before it
-    return ExperimentSpec("cardan", group, model, state, 1.2)
+    return ExperimentSpec("cardan", model, state, 1.2)
 
 
 BUILDERS = {
@@ -357,7 +355,7 @@ def build(name: str, group: str) -> ExperimentSpec:
         builder = BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {sorted(BUILDERS)}")
-    spec = builder(GROUPS[group])
+    spec = builder(REPRESENTATION[group])
     check_initial_state(spec.model, spec.state0)
     return spec
 

@@ -143,8 +143,7 @@ def _load_spec(args) -> ExperimentSpec:
     if args.model_file:
         model, state, meta = load_model_file(args.model_file, args.group,
                                              project=args.project_velocities)
-        spec = ExperimentSpec(meta["name"], GROUPS[args.group], model, state,
-                              t_final=1.0, dts=(1e-3,))
+        spec = ExperimentSpec(meta["name"], model, state, t_final=1.0, dts=(1e-3,))
     elif args.model:
         spec = build(args.model, args.group)
         if args.project_velocities:
@@ -162,7 +161,7 @@ def _out_path(args, spec: ExperimentSpec, dt: float, single: bool) -> str:
     if args.out and single:
         return args.out
     stem = args.out[:-4] if args.out and args.out.endswith(".csv") else (args.out or spec.name)
-    return f"{stem}-{spec.group.name}-dt{dt:g}.csv"
+    return f"{stem}-{spec.model.group.name}-dt{dt:g}.csv"
 
 
 def _check_steps(args) -> None:
@@ -193,12 +192,11 @@ def cmd_simulate(args) -> int:
     single = len(spec.dts) == 1
     for dt in spec.dts:
         if args.param == "quaternion":
-            record = integrate_quaternion(spec.model, spec.group, spec.state0,
-                                          dt, spec.t_final, spec.tableau,
-                                          stride=args.stride)
+            record = integrate_quaternion(spec.model, spec.state0, dt, spec.t_final,
+                                          spec.tableau, stride=args.stride)
         else:
-            record = integrate(spec.model, spec.group, spec.state0, dt,
-                               spec.t_final, spec.tableau, stride=args.stride)
+            record = integrate(spec.model, spec.state0, dt, spec.t_final, spec.tableau,
+                               stride=args.stride)
         path = _out_path(args, spec, dt, single)
         write_run_csv(path, spec, record)
         print(f"wrote {path} ({record.n_samples} samples)")
@@ -211,8 +209,8 @@ def _sweep_one(task):
     spec = build(name, group)
     if tf:
         spec.t_final = tf
-    record = integrate(spec.model, spec.group, spec.state0, dt, spec.t_final,
-                       spec.tableau, stride=stride)
+    record = integrate(spec.model, spec.state0, dt, spec.t_final, spec.tableau,
+                       stride=stride)
     path = os.path.join(out_dir, f"{name}-{group}-dt{dt:g}.csv")
     columns = write_run_csv(path, spec, record)
     pos = [v for col, vals in columns.items() if col.endswith("_pos_residual_m")

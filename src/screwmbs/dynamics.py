@@ -1,10 +1,10 @@
 """Constrained Newton-Euler dynamics in body-fixed and mixed representations.
 
 A model is a list of rigid bodies, lower-pair joints and force elements.
-Depending on the configuration-space group the velocities are body-fixed
-twists (SE(3), ``representation="body"``) or mixed velocities (SO(3)xR3,
-``representation="mixed"``), and the constraint Jacobians are written for
-the matching velocity coordinates.
+Its velocity representation fixes the configuration-space group it holds
+as ``group``: body-fixed twists (``representation="body"``) on SE(3), mixed
+velocities (``representation="mixed"``) on SO(3)xR3.  The constraint
+Jacobians are written for the matching velocity coordinates.
 
 Joint constraints are built from three row types:
 
@@ -32,7 +32,7 @@ from importlib import machinery, util
 
 import numpy as np
 
-from .liealg import Pose, _Emitter, _names, hat3
+from .liealg import SE3, SO3R3, Pose, _Emitter, _names, hat3
 
 BODY_FIXED = "body"
 MIXED = "mixed"
@@ -235,6 +235,7 @@ class MbsModel:
         fixed KKT layout (mass blocks plus the flat positions of the
         Jacobian entries and their transposes)."""
         self._mixed = self.representation == MIXED
+        self.group = SO3R3 if self._mixed else SE3
         self._spatial_inertias = [spatial_inertia(b) for b in self.bodies]
         self._masses = [float(b.mass) for b in self.bodies]
         self._offsets = [_float_tuple(b.com_offset) if b.com_offset.any() else None

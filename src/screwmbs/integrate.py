@@ -206,7 +206,6 @@ class TrajectoryRecord:
     rotations: np.ndarray      # (N, n, 3, 3)
     positions: np.ndarray      # (N, n, 3)
     velocities: np.ndarray     # (N, n, 6)
-    dt: float = 0.0
     # worst per-sample (norm, Pluecker) invariant defects, quaternion path only
     quat_defects: np.ndarray | None = None
 
@@ -241,7 +240,6 @@ def _sampling(n_bodies: int, t0: float, dt: float, t_final: float, stride: int):
         rotations=rows[:, 1:1 + 9 * n].reshape(n_samples, n, 3, 3),
         positions=rows[:, 1 + 9 * n:1 + 12 * n].reshape(n_samples, n, 3),
         velocities=rows[:, 1 + 12 * n:].reshape(n_samples, n, 6),
-        dt=dt,
     )
 
     def write(slot, t, frames, v):
@@ -280,18 +278,17 @@ def _run(group: CSpaceGroup, frames, y, t0: float, dt: float, sample_idx,
             slot += 1
 
 
-def integrate(model: MbsModel, group: CSpaceGroup, state0: MbsState,
-              dt: float, t_final: float, tableau: ButcherTableau,
-              stride: int = 1) -> TrajectoryRecord:
-    """Fixed-step loop from state0.t to t_final, sampling every ``stride``
-    steps (the initial and final states are always recorded).  The vector
-    part of the step is the 6n velocities."""
+def integrate(model: MbsModel, state0: MbsState, dt: float, t_final: float,
+              tableau: ButcherTableau, stride: int = 1) -> TrajectoryRecord:
+    """Fixed-step loop on ``model.group`` from state0.t to t_final, sampling
+    every ``stride`` steps (the initial and final states are always
+    recorded).  The vector part of the step is the 6n velocities."""
     sample_idx, rec, write = _sampling(model.n_bodies, state0.t, dt, t_final, stride)
 
     def rhs(j, tj, stage, v):
         return v, accelerations(model, stage, v)
 
-    _run(group, [(p.R.tolist(), p.r.tolist()) for p in state0.poses],
+    _run(model.group, [(p.R.tolist(), p.r.tolist()) for p in state0.poses],
          state0.velocities.reshape(-1).tolist(), state0.t, dt, sample_idx, tableau,
          rhs, write)
     return rec
@@ -329,18 +326,17 @@ def _quat_chart(group_name: str):
     return 7, pack, unpack, euler_reconstruct_rates, defects
 
 
-def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
-                         dt: float, t_final: float, tableau: ButcherTableau,
-                         stride: int = 1) -> TrajectoryRecord:
+def integrate_quaternion(model: MbsModel, state0: MbsState, dt: float, t_final: float,
+                         tableau: ButcherTableau, stride: int = 1) -> TrajectoryRecord:
     """Fixed-step RK run of the quaternion-coordinate formulation.
 
     Dual quaternions parameterize SE(3), Euler parameters plus position the
-    direct product; the reconstructed rates are tangent to the unit-norm and
-    Pluecker invariants, whose drift is recorded per sample.  The step has
-    no Lie part: its vector part is one flat float list, the chart
-    coordinates of every body, then the 6n velocities.
+    direct product (``model.group``); the reconstructed rates are tangent to
+    the unit-norm and Pluecker invariants, whose drift is recorded per
+    sample.  The step has no Lie part: its vector part is one flat float
+    list, the chart coordinates of every body, then the 6n velocities.
     """
-    width, pack, unpack, chart_rates, chart_defects = _quat_chart(group.name)
+    width, pack, unpack, chart_rates, chart_defects = _quat_chart(model.group.name)
     n = model.n_bodies
     nq = width * n
     sample_idx, rec, write = _sampling(n, state0.t, dt, t_final, stride)
@@ -365,5 +361,5 @@ def integrate_quaternion(model: MbsModel, group: CSpaceGroup, state0: MbsState,
         rec.quat_defects[slot] = worst
 
     y = [x for pose in state0.poses for x in pack(pose)] + state0.velocities.reshape(-1).tolist()
-    _run(group, [], y, state0.t, dt, sample_idx, tableau, rhs, record)
+    _run(model.group, [], y, state0.t, dt, sample_idx, tableau, rhs, record)
     return rec

@@ -9,6 +9,8 @@ converts to body-fixed twists when the SE(3) group is selected.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import yaml
 
@@ -132,6 +134,9 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         doc = yaml.load(fh, Loader=_LOADER)
     if not isinstance(doc, dict):
         raise ModelFileError("top level must be a mapping")
+    model_name = _name(doc, "name", "top level", default="model")
+    if "/" in model_name or os.sep in model_name:  # it is the stem of the CSV paths
+        raise ModelFileError(f"top level: 'name' {model_name!r} must not contain a path separator")
 
     bodies = []
     names = {}
@@ -206,9 +211,13 @@ def load_model_file(path, group: str = "se3", project: bool = False):
 
     poses = [Pose.identity() for _ in bodies]
     velocities = np.zeros((len(bodies), 6))
+    listed = set()
     for i, section in enumerate(_sections(doc, "initial_state")):
         where = f"initial_state[{i}]"
         idx = body_ref(section, "body", where, allow_ground=False)
+        if idx in listed:
+            raise ModelFileError(f"{where}: body {bodies[idx].name!r} is listed twice")
+        listed.add(idx)
         rot = _rotation(section, where)
         poses[idx] = Pose(rot, _vec3(section, "position_m", where, default=(0, 0, 0)))
         omega = _vec3(section, "angular_velocity_radps", where, default=(0, 0, 0))
@@ -220,7 +229,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
     if project:
         state = project_velocities(model, state)
     check_initial_state(model, state)
-    return model, state, {"name": doc.get("name", "model")}
+    return model, state, {"name": model_name}
 
 
 def dump_model(model: MbsModel, state: MbsState, name: str = "model") -> str:

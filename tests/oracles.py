@@ -786,9 +786,9 @@ def state_at(record, k: int) -> MbsState:
     return MbsState(poses, record.velocities[k].copy(), float(record.times[k]))
 
 
-def coupled_step(model, group, state, dt: float, tableau):
+def coupled_step(model, state, dt: float, tableau):
     """Advance poses and velocities by one step of ``integrate``."""
-    return state_at(integrate(model, group, state, dt, state.t + dt, tableau), -1)
+    return state_at(integrate(model, state, dt, state.t + dt, tableau), -1)
 
 
 # ---------------------------------------------------------------------------

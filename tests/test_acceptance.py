@@ -97,7 +97,7 @@ class TestRunCacheColumns:
         real = acceptance.run_metrics
 
         def counting(spec, record):
-            calls.append(record.dt)
+            calls.append(record.n_samples)
             return real(spec, record)
 
         monkeypatch.setattr(acceptance, "run_metrics", counting)
@@ -108,7 +108,7 @@ class TestRunCacheColumns:
                 for part in ("pos", "ori", "all"):
                     cache.max_joint_residual(name, group, dt, j, self.TF, part)
             cache.columns(name, group, dt, self.TF)
-        assert calls == [2e-3, 1e-3]
+        assert calls == [11, 21]  # one call per dt: 0.02 s in 10 and 20 steps
 
 
 def _two_sample_record(state0, dt: float):
@@ -123,7 +123,7 @@ def _two_sample_record(state0, dt: float):
         rotations=np.stack([rots, rots @ turn]),
         positions=np.stack([pos, pos + rng.uniform(-1e-3, 1e-3, pos.shape)]),
         velocities=np.stack([state0.velocities, state0.velocities + 1e-3]),
-        dt=dt, quat_defects=np.zeros((2, 2)))
+        quat_defects=np.zeros((2, 2)))
 
 
 def test_checklist_integrates_each_run_once(monkeypatch):
@@ -133,7 +133,7 @@ def test_checklist_integrates_each_run_once(monkeypatch):
     integrated = collections.Counter()
     caches = []
 
-    def fake_integrate(model, group, state0, dt, t_final, tableau, stride=1):
+    def fake_integrate(model, state0, dt, t_final, tableau, stride=1):
         integrated[id(model), dt, t_final] += 1
         return _two_sample_record(state0, dt)
 
@@ -144,7 +144,7 @@ def test_checklist_integrates_each_run_once(monkeypatch):
 
     monkeypatch.setattr(acceptance, "integrate", fake_integrate)
     monkeypatch.setattr(acceptance, "integrate_quaternion",
-                        lambda model, group, state0, dt, t_final, tableau:
+                        lambda model, state0, dt, t_final, tableau:
                         _two_sample_record(state0, dt))
     monkeypatch.setattr(acceptance, "check_kernel_identities",
                         lambda: acceptance.CheckResult("1 kernel identities", True, ""))
@@ -192,10 +192,10 @@ class TestDexpinvMutation:
         model = MbsModel([RigidBody("box", 86.4, np.diag([1.224, 4.68, 5.76]))],
                          [], [], representation="body")
         state = MbsState([Pose.identity()], [[10 * np.pi, 2 * np.pi, 0, 0.5, 0, 0]])
-        exact = coupled_step(model, SE3, state, 0.05, tableau_rk4())
+        exact = coupled_step(model, state, 0.05, tableau_rk4())
         monkeypatch.setattr(liealg.SE3Group, "dexpinv_apply",
                             staticmethod(_dexpinv_apply_second_order))
-        truncated = coupled_step(model, SE3, state, 0.05, tableau_rk4())
+        truncated = coupled_step(model, state, 0.05, tableau_rk4())
         assert np.abs(truncated.poses[0].r - exact.poses[0].r).max() > 1e-9
 
     def test_constant_twist_exactness_survives(self, monkeypatch):
@@ -224,7 +224,7 @@ class TestDexpinvMutation:
         def run(dt):
             state = MbsState([Pose.identity()], v0.copy())
             for _ in range(int(round(0.1 / dt))):
-                state = coupled_step(model, SE3, state, dt, tab)
+                state = coupled_step(model, state, dt, tab)
             return state
 
         ref = run(1e-5)

@@ -31,6 +31,11 @@ class TestBuilderFeasibility:
             assert np.abs(h).max() < 1e-12
         assert velocity_residual(spec.model, spec.state0) < 1e-9
 
+    @pytest.mark.parametrize("name", sorted(bench.BUILDERS))
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_model_holds_the_group(self, name, group):
+        assert build(name, group).model.group.name == group
+
     def test_unknown_model(self):
         with pytest.raises(KeyError, match="unknown model"):
             build("no-such-model", "se3")
@@ -173,8 +178,7 @@ class TestMetrics:
 
     def test_constraint_violation_on_assembled_state(self):
         spec = build("heavy-top", "se3")
-        rec = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.05,
-                        tableau_rk4())
+        rec = integrate(spec.model, spec.state0, 1e-3, 0.05, tableau_rk4())
         cols = run_metrics(spec, rec)
         assert max(cols["pivot_pos_residual_m"]) < 1e-11
         # spherical joints have no orientation rows, hence no column
@@ -182,8 +186,7 @@ class TestMetrics:
 
     def test_energy_series_with_datum(self):
         spec = build("heavy-top", "se3")
-        rec = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.05,
-                        tableau_rk4())
+        rec = integrate(spec.model, spec.state0, 1e-3, 0.05, tableau_rk4())
         tot = np.asarray(run_metrics(spec, rec)["total_energy_j"])
         assert abs(tot[0] - 5000.68625) < 1e-6
         assert np.abs(tot - tot[0]).max() < 1e-3
@@ -194,8 +197,7 @@ class TestConservation:
         # spinning ring + sliding rod against gravity and the spring: the
         # spring force/potential pair must be consistent under rotation
         spec = build("rp-chain", "se3")
-        rec = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.3,
-                        tableau_rk4())
+        rec = integrate(spec.model, spec.state0, 1e-3, 0.3, tableau_rk4())
         vals = [total_energy(spec.model, state_at(rec, k))
                 for k in range(rec.n_samples)]
         assert np.abs(np.asarray(vals) - vals[0]).max() < 1e-6 * abs(vals[0])
@@ -203,8 +205,7 @@ class TestConservation:
     def test_cardan_conserves_kinetic_energy(self):
         # force-free transmission: the kinetic energy is the total energy
         spec = build("cardan", "se3")
-        rec = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.5,
-                        tableau_rk4())
+        rec = integrate(spec.model, spec.state0, 1e-3, 0.5, tableau_rk4())
         vals = [kinetic_energy(spec.model, state_at(rec, k))
                 for k in range(rec.n_samples)]
         assert np.abs(np.asarray(vals) - vals[0]).max() < 1e-8

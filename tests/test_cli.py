@@ -24,7 +24,7 @@ from screwmbs import acceptance, bench, cli
 from screwmbs.acceptance import CheckResult
 from screwmbs.dynamics import REPRESENTATION, Gravity, MbsModel, MbsState, parallel_axis
 from screwmbs.integrate import integrate, integrate_quaternion
-from screwmbs.liealg import GROUPS, Pose
+from screwmbs.liealg import Pose
 from screwmbs.modelfile import dump_model, load_model_file
 
 
@@ -125,8 +125,13 @@ class TestBadInput:
         ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
          "forces: [{kind: linear_spring, body: [b], ground_point_m: [0, 0, 1],"
          " stiffness_n_per_m: 1.0}]\n", "forces[0]: 'body' must be a string"),
+        # the name is the CSV stem when --out is not given: a file name only
+        ("name: sub/pend\nbodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n",
+         "top level: 'name' 'sub/pend' must not contain a path separator"),
+        ("name: [a]\nbodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n",
+         "top level: 'name' must be a string"),
     ], ids=["malformed", "non-mapping", "empty", "non-mapping-state", "list-mass",
-            "boolean-mass", "list-reference"])
+            "boolean-mass", "list-reference", "path-name", "list-name"])
     def test_model_file(self, tmp_path, monkeypatch, capsys, text, names):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
@@ -326,14 +331,13 @@ def _same_bytes(values, reference):
 # records of a 20-step RK4 run: the matrix and quaternion charts, every
 # third step (plus the last), and the initial state alone
 RECORDS = {
-    "matrix": lambda spec: integrate(spec.model, spec.group, spec.state0, 1e-3, 0.02,
-                                     spec.tableau),
-    "quaternion": lambda spec: integrate_quaternion(spec.model, spec.group, spec.state0,
-                                                    1e-3, 0.02, spec.tableau),
-    "stride-3": lambda spec: integrate(spec.model, spec.group, spec.state0, 1e-3, 0.02,
-                                       spec.tableau, stride=3),
-    "one-sample": lambda spec: integrate(spec.model, spec.group, spec.state0, 1e-3,
-                                         spec.state0.t, spec.tableau),
+    "matrix": lambda spec: integrate(spec.model, spec.state0, 1e-3, 0.02, spec.tableau),
+    "quaternion": lambda spec: integrate_quaternion(spec.model, spec.state0, 1e-3, 0.02,
+                                                    spec.tableau),
+    "stride-3": lambda spec: integrate(spec.model, spec.state0, 1e-3, 0.02, spec.tableau,
+                                       stride=3),
+    "one-sample": lambda spec: integrate(spec.model, spec.state0, 1e-3, spec.state0.t,
+                                         spec.tableau),
 }
 
 # two chained bodies, both off their COM, on a spring and under a gravity
@@ -368,7 +372,7 @@ def _at_rest_spec(group: str) -> bench.ExperimentSpec:
     velocities = np.array([[-0.0] * 6, [1.0, -2.0, 0.5, 0.0, 0.0, 0.0],
                            [0.0, 0.0, 0.0, 3.0, -1.0, 0.25]])
     state = MbsState([Pose.identity()] * 3, velocities)
-    return bench.ExperimentSpec("at-rest", GROUPS[group], model, state, 0.02)
+    return bench.ExperimentSpec("at-rest", model, state, 0.02)
 
 
 def _metrics_spec(name: str, group: str, tmp_path) -> bench.ExperimentSpec:
@@ -378,7 +382,7 @@ def _metrics_spec(name: str, group: str, tmp_path) -> bench.ExperimentSpec:
         path = tmp_path / "off-com-spring.yaml"
         path.write_text(yaml.safe_dump(OFF_COM_SPRING_DOC))
         model, state, _ = load_model_file(str(path), group, project=True)
-        return bench.ExperimentSpec(name, GROUPS[group], model, state, 0.02)
+        return bench.ExperimentSpec(name, model, state, 0.02)
     return bench.build(name, group)
 
 
@@ -481,8 +485,7 @@ class TestDuplicateJointLabels:
                                                  in zip(spec.model.joints, names)])
         with pytest.raises(ValueError, match=f"duplicate joint label '{label}'"):
             cli.csv_columns(spec)
-        record = integrate(spec.model, spec.group, spec.state0, 1e-3, 0.002,
-                           spec.tableau)
+        record = integrate(spec.model, spec.state0, 1e-3, 0.002, spec.tableau)
         with pytest.raises(ValueError, match=f"'{label}'"):
             cli.write_run_csv(tmp_path / "dp.csv", spec, record)
         assert not (tmp_path / "dp.csv").exists()
@@ -549,8 +552,7 @@ class TestLeanLapack:
         solve = """
             from screwmbs import bench, dynamics, integrate
             spec = bench.build("heavy-top", "se3")
-            integrate.integrate(spec.model, spec.group, spec.state0, 1e-3, 2e-3,
-                                spec.tableau)
+            integrate.integrate(spec.model, spec.state0, 1e-3, 2e-3, spec.tableau)
         """
         package = """
             import scipy.linalg.lapack

@@ -37,7 +37,7 @@ from screwmbs.dynamics import (
     velocity_residual,
 )
 from screwmbs.integrate import TrajectoryRecord
-from screwmbs.liealg import Pose, hat3, se3_dexp, se3_exp
+from screwmbs.liealg import SE3, SO3R3, Pose, hat3, se3_dexp, se3_exp
 from screwmbs.modelfile import load_model_file, write_model_file
 from oracles import (
     JOINT_DIMS,
@@ -117,6 +117,14 @@ class TestSpatialInertia:
             RigidBody("bad", -1.0, np.eye(3))
         with pytest.raises(ValueError):
             RigidBody("bad", 1.0, -np.eye(3))
+
+
+def test_representation_fixes_the_group():
+    model = build("heavy-top", "se3").model
+    assert model.group is SE3
+    # a rebuilt model recompiles its group with its representation
+    assert dataclasses.replace(model, representation=MIXED).group is SO3R3
+    assert dataclasses.replace(model, representation=BODY_FIXED).group is SE3
 
 
 class TestNewtonEuler:

@@ -174,7 +174,7 @@ class TestMkStep:
         mk_step(group, state.poses, lambda t, g: v, 0.0, 0.01, tab)
         assert len(calls) == tab.stages * 2
         calls.clear()
-        integrate(model, group, state, 0.01, 0.01, tab)
+        integrate(model, state, 0.01, 0.01, tab)
         assert len(calls) == tab.stages * 2
 
     @pytest.mark.parametrize("group, v0", [
@@ -189,7 +189,7 @@ class TestMkStep:
         pose = Pose(so3_exp([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.25]))
         v0 = np.array([v0])
         tab, dt = tableau_rk4(), 0.01
-        rec = integrate(model, group, MbsState([pose], v0), dt, dt, tab)
+        rec = integrate(model, MbsState([pose], v0), dt, dt, tab)
         out = mk_step(group, [pose], lambda t, g: v0, 0.0, dt, tab)
         assert np.array_equal(rec.velocities[1], v0)
         assert np.array_equal(rec.rotations[1, 0], out[0].R)
@@ -200,7 +200,7 @@ class TestCoupledStep:
     def test_rest_state_is_fixed_point(self):
         model = free_model("body")
         state = MbsState([Pose.identity()], np.zeros((1, 6)))
-        out = coupled_step(model, SE3, state, 0.01, tableau_rk4())
+        out = coupled_step(model, state, 0.01, tableau_rk4())
         assert_allclose(out.poses[0].R, np.eye(3), atol=0)
         assert_allclose(out.poses[0].r, np.zeros(3), atol=0)
         assert_allclose(out.velocities, np.zeros((1, 6)), atol=0)
@@ -212,7 +212,7 @@ class TestCoupledStep:
         v0 = np.array([0.0, 0.0, 2 * math.pi, 10.0, 0.0, 0.0])
         state = MbsState([Pose.identity()], v0[None, :])
         dt = 0.01
-        out = coupled_step(model, SO3R3, state, dt, tableau_rk4())
+        out = coupled_step(model, state, dt, tableau_rk4())
         assert_allclose(out.poses[0].r, [10 * dt, 0, 0], atol=0)
         assert_allclose(out.poses[0].R, so3_exp([0, 0, 2 * math.pi * dt]), atol=1e-15)
 
@@ -225,12 +225,12 @@ class TestCoupledStep:
         tab = tableau_rk4()
         dt = 1e-3
 
-        one = coupled_step(model, SE3, state, dt, tab)
-        half = coupled_step(model, SE3, state, dt / 2, tab)
-        two = coupled_step(model, SE3, half, dt / 2, tab)
+        one = coupled_step(model, state, dt, tab)
+        half = coupled_step(model, state, dt / 2, tab)
+        two = coupled_step(model, half, dt / 2, tab)
         ref = state
         for _ in range(10):
-            ref = coupled_step(model, SE3, ref, dt / 10, tab)
+            ref = coupled_step(model, ref, dt / 10, tab)
 
         e1 = np.linalg.norm(one.velocities - ref.velocities)
         e2 = np.linalg.norm(two.velocities - ref.velocities)
@@ -246,7 +246,7 @@ class TestCoupledStep:
             state = MbsState([Pose.identity()], v0[None, :].copy())
             n = int(round(0.1 / dt))
             for _ in range(n):
-                state = coupled_step(model, SE3, state, dt, tab)
+                state = coupled_step(model, state, dt, tab)
             return state
 
         ref = run(1e-5)
@@ -262,7 +262,7 @@ class TestIntegrate:
     def test_zero_horizon_single_sample(self):
         model = free_model("body")
         state = MbsState([Pose.identity()], np.zeros((1, 6)))
-        rec = integrate(model, SE3, state, 0.01, 0.0, tableau_rk4())
+        rec = integrate(model, state, 0.01, 0.0, tableau_rk4())
         assert rec.n_samples == 1
         assert rec.times[0] == 0.0
 
@@ -270,14 +270,14 @@ class TestIntegrate:
         model = free_model("body")
         v0 = np.array([[0.1, 0, 0, 1.0, 0, 0]])
         state = MbsState([Pose.identity()], v0)
-        rec = integrate(model, SE3, state, 0.01, 10.0, tableau_rk4())
+        rec = integrate(model, state, 0.01, 10.0, tableau_rk4())
         assert rec.n_samples == 1001
         assert_allclose(rec.times[-1], 10.0)
 
     def test_stride_keeps_final_sample(self):
         model = free_model("body")
         state = MbsState([Pose.identity()], np.array([[0.1, 0, 0, 0, 0, 0]]))
-        rec = integrate(model, SE3, state, 0.1, 1.05, tableau_rk4(), stride=4)
+        rec = integrate(model, state, 0.1, 1.05, tableau_rk4(), stride=4)
         # steps: 10 -> samples at 0, 4, 8, 10
         assert rec.n_samples == 4
         assert_allclose(rec.times[-1], 1.0 + 0.0, atol=1e-12)
@@ -286,8 +286,8 @@ class TestIntegrate:
         from test_dynamics import heavy_top_model, heavy_top_state
 
         model = heavy_top_model("body")
-        a = integrate(model, SE3, heavy_top_state("body"), 1e-3, 0.2, tableau_rk4())
-        b = integrate(model, SE3, heavy_top_state("body"), 1e-3, 0.2, tableau_rk4())
+        a = integrate(model, heavy_top_state("body"), 1e-3, 0.2, tableau_rk4())
+        b = integrate(model, heavy_top_state("body"), 1e-3, 0.2, tableau_rk4())
         assert np.array_equal(a.rotations, b.rotations)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
@@ -297,7 +297,7 @@ class TestIntegrate:
         model = free_model("body")
         state = MbsState([Pose.identity()], np.array([[50.0, 0, 0, 0, 0, 0]]))
         with pytest.raises(IntegrationError, match="step"):
-            integrate(model, SE3, state, 0.5, 5.0, tableau_rk4())
+            integrate(model, state, 0.5, 5.0, tableau_rk4())
 
     @pytest.mark.parametrize("integrator", [integrate, integrate_quaternion])
     @pytest.mark.parametrize("name", ["free-body-offset", "heavy-top"])
@@ -311,7 +311,7 @@ class TestIntegrate:
         model = MbsModel(spec.model.bodies, spec.model.joints, forces,
                          representation=spec.model.representation)
         with pytest.raises(IntegrationError, match="non-finite") as exc:
-            integrator(model, spec.group, spec.state0, 1e-3, 0.01, tableau_rk4())
+            integrator(model, spec.state0, 1e-3, 0.01, tableau_rk4())
         assert (exc.value.step, exc.value.t) == (1, 0.0)
 
     def test_orthonormality_after_many_steps(self):
@@ -366,7 +366,7 @@ class TestGeneratedStageLoop:
         dt = 1e-3
 
         def run():
-            return integrate(spec.model, group, spec.state0, dt, 50 * dt, tableau())
+            return integrate(spec.model, spec.state0, dt, 50 * dt, tableau())
 
         compiled = run()
         interpret(monkeypatch, group, kernels)
@@ -384,8 +384,7 @@ class TestGeneratedStageLoop:
         dt = 1e-3
 
         def run():
-            return integrate_quaternion(spec.model, group, spec.state0, dt, 50 * dt,
-                                        tableau())
+            return integrate_quaternion(spec.model, spec.state0, dt, 50 * dt, tableau())
 
         compiled = run()
         interpret(monkeypatch, group, False)
@@ -527,8 +526,8 @@ class TestIntegrateQuaternion:
         spec = bench.build("double-pendulum", group)
         tab = tableau_rk4()
         steps, bodies = 5, spec.model.n_bodies
-        rec = integrate_quaternion(spec.model, spec.group, spec.state0, 1e-3,
-                                   steps * 1e-3, tab, stride=2)
+        rec = integrate_quaternion(spec.model, spec.state0, 1e-3, steps * 1e-3, tab,
+                                   stride=2)
         per_stage = tab.stages * steps * bodies
         if group == "se3":
             # the recorded samples convert the pose once more per body
@@ -542,17 +541,17 @@ class TestIntegrateQuaternion:
     def test_sampling_matches_matrix_chart(self, group):
         model = free_model("body" if group is SE3 else "mixed")
         state = MbsState([Pose.identity()], np.array([[0.1, 0.2, 0, 0, 0.3, 0]]))
-        a = integrate(model, group, state, 0.1, 1.05, tableau_rk4(), stride=4)
-        b = integrate_quaternion(model, group, state, 0.1, 1.05, tableau_rk4(), stride=4)
+        a = integrate(model, state, 0.1, 1.05, tableau_rk4(), stride=4)
+        b = integrate_quaternion(model, state, 0.1, 1.05, tableau_rk4(), stride=4)
         assert np.array_equal(a.times, b.times)
         assert a.quat_defects is None and b.quat_defects.shape == (4, 2)
         assert_allclose(b.rotations, a.rotations, atol=1e-6)
         for fn in (integrate, integrate_quaternion):
             with pytest.raises(ValueError, match="stride"):
-                fn(model, group, state, 0.1, 1.0, tableau_rk4(), stride=0)
+                fn(model, state, 0.1, 1.0, tableau_rk4(), stride=0)
             for dt in (math.inf, math.nan, 0.0):
                 with pytest.raises(ValueError, match="dt"):
-                    fn(model, group, state, dt, 1.0, tableau_rk4())
+                    fn(model, state, dt, 1.0, tableau_rk4())
             for t_final in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match="t_final"):
-                    fn(model, group, state, 0.1, t_final, tableau_rk4())
+                    fn(model, state, 0.1, t_final, tableau_rk4())

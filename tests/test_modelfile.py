@@ -67,6 +67,10 @@ class TestLoad:
                         spec.model.bodies[0].inertia_ref)
         assert_allclose(state.velocities, spec.state0.velocities)
 
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    def test_model_holds_the_group(self, top_file, group):
+        assert load_model_file(top_file, group)[0].group.name == group
+
     def test_velocity_conversion_per_group(self, tmp_path):
         # file velocities are spatial rdot; the body-fixed load rotates them
         doc = yaml.safe_load(HEAVY_TOP_YAML)
@@ -241,6 +245,18 @@ class TestErrors:
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(doc))
         with pytest.raises(ModelFileError, match=rf"^{section}\[{index}\]: '{field}' must be a string$"):
+            load_model_file(str(path), "se3")
+
+    def test_body_listed_twice_in_initial_state(self, tmp_path):
+        # the later entry must not silently replace the earlier one
+        doc = yaml.safe_load(HEAVY_TOP_YAML)
+        del doc["joints"]
+        doc["initial_state"] = [{"body": "top", "angular_velocity_radps": [1.0, 0.0, 0.0]},
+                                {"body": "top", "angular_velocity_radps": [0.0, 2.0, 0.0]}]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ModelFileError,
+                           match=r"^initial_state\[1\]: body 'top' is listed twice$"):
             load_model_file(str(path), "se3")
 
     def test_negative_stiffness_names_force(self, tmp_path):

@@ -61,7 +61,7 @@ def test_step_loop_reaches_every_traced_layer(monkeypatch, group):
     spec = bench.build("four-bar", group)
     tab = integrate.tableau_rk4()
     steps, bodies = 2, spec.model.n_bodies
-    integrate.integrate(spec.model, spec.group, spec.state0, 1e-3, steps * 1e-3, tab)
+    integrate.integrate(spec.model, spec.state0, 1e-3, steps * 1e-3, tab)
     stages = tab.stages * steps
     assert calls == {
         "accelerations": stages,
@@ -96,8 +96,8 @@ def test_quaternion_chart_reaches_every_traced_layer(monkeypatch, group):
     spec = bench.build("free-body-offset", group)
     tab = integrate.tableau_rk4()
     steps, bodies = 3, spec.model.n_bodies
-    rec = integrate.integrate_quaternion(spec.model, spec.group, spec.state0, 1e-4,
-                                         steps * 1e-4, tab, stride=2)
+    rec = integrate.integrate_quaternion(spec.model, spec.state0, 1e-4, steps * 1e-4, tab,
+                                         stride=2)
     stages = tab.stages * steps
     if group == "se3":
         expected = {"dualquat.reconstruct_rates": stages * bodies,

@@ -76,8 +76,7 @@ STARTUP_RUNS = 7
 
 
 def _run(integrator, spec, dt: float, stride: int):
-    return integrator(spec.model, spec.group, spec.state0, dt, STEPS * dt, tableau_rk4(),
-                      stride=stride)
+    return integrator(spec.model, spec.state0, dt, STEPS * dt, tableau_rk4(), stride=stride)
 
 
 def step_table() -> dict[str, float]:
