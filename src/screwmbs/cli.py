@@ -227,6 +227,9 @@ def cmd_sweep(args) -> int:
     models = args.model or sorted(BUILDERS)
     groups = args.group or ["se3", "so3xr3"]
     _check_steps(args)
+    for flag, values in (("--model", models), ("--group", groups)):
+        if len(set(values)) < len(values):  # a repeat would rewrite its CSVs
+            raise ValueError(f"{flag} {max(values, key=values.count)} is given more than once")
     tasks = []
     for name in models:
         for group in groups:

@@ -8,13 +8,12 @@ Q and a dual part Qe subject to ``|Q| = 1`` and the Pluecker condition
 The chart maps take a body's flat chart slice as the quaternion chart's
 step holds it: (Q, Qe) on SE(3), (Q, r) on SO(3)xR3.
 
-The H matrices map parameter rates to twists, ``V = H(A) @ Adot``.  Their
-"inverse" is the constrained right inverse: the 6x8 map augmented with the
-gradients of the two invariants, which makes the reconstructed rates
-tangent to the constraint manifold.  The augmented matrix has a closed-form
-inverse for every nonzero Q (``E E^T = D D^T = |Q|^2 I``, ``E Q = D Q = 0``),
-so the reconstruction and the pose conversion run entrywise on floats: they
-are evaluated once per body and RK stage.
+On SE(3) the chart integrates the kinematic equation ``Adot = 1/2 A V``,
+with the body twist V = (omega, v) as the dual quaternion of the pure
+quaternions omega and v.  The field is linear in A and tangent to both
+invariants for every A: with X = Q* Qe, the rates of |Q|^2 and Q . Qe are
+the real parts of |Q|^2 omega and (X omega - omega X + |Q|^2 v) / 2, zero
+for pure omega and v, so the rates need no projection.
 """
 
 from __future__ import annotations
@@ -80,76 +79,55 @@ def quat_rotation_rows(q0: float, q1: float, q2: float, q3: float) -> tuple:
 
 
 def pose_from_dq(a) -> tuple:
-    """The (R rows, r) float pair of the dual quaternion a = (Q, Qe), 8
-    floats: R from Q / |Q| and r = 2 vec(Qe Q*)."""
+    """The (R rows, r) float pair of the pose of A / |A| for the dual
+    quaternion a = (Q, Qe), 8 floats: R from Q / |Q| and
+    r = 2 vec(Qe Q*) / |Q|^2.  Raises ValueError for Q = 0."""
     q0, q1, q2, q3, e0, e1, e2, e3 = a
+    rows = quat_rotation_rows(q0, q1, q2, q3)  # raises before the division
+    s = 2.0 / (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     # vec(Qe Q*) = q0 e - e0 q + q x e
-    return quat_rotation_rows(q0, q1, q2, q3), (2.0 * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
-                                                2.0 * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
-                                                2.0 * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1))
+    return rows, (s * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
+                  s * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
+                  s * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1))
 
 
 # ---------------------------------------------------------------------------
 # kinematic reconstruction maps
 # ---------------------------------------------------------------------------
 
-def _omega_rates(q0, q1, q2, q3, w0, w1, w2) -> tuple:
-    """(h, Qdot) with h = 1 / (2 |Q|^2) and Qdot = h E(Q)^T omega, the
-    solution of [2 E(Q); Q^T] Qdot = [omega; 0] for any nonzero Q."""
+def reconstruct_rates(a, v) -> tuple:
+    """Rates dA/dt = 1/2 A V of the dual quaternion a = (Q, Qe), 8 floats,
+    for the body twist V = (omega, v), the 6 floats ``v``: Qdot = 1/2 Q omega
+    and Qedot = 1/2 (Qe omega + Q v), quaternion products with pure omega
+    and v.  Returns the 8 rates as a float tuple."""
+    q0, q1, q2, q3, e0, e1, e2, e3 = a
+    w0, w1, w2, v0, v1, v2 = v
+    # P w = (-p . w, p0 w + p x w) for P = Q, Qe
+    return (-0.5 * (q1 * w0 + q2 * w1 + q3 * w2),
+            0.5 * (q0 * w0 + q2 * w2 - q3 * w1),
+            0.5 * (q0 * w1 + q3 * w0 - q1 * w2),
+            0.5 * (q0 * w2 + q1 * w1 - q2 * w0),
+            -0.5 * (e1 * w0 + e2 * w1 + e3 * w2 + q1 * v0 + q2 * v1 + q3 * v2),
+            0.5 * (e0 * w0 + e2 * w2 - e3 * w1 + q0 * v0 + q2 * v2 - q3 * v1),
+            0.5 * (e0 * w1 + e3 * w0 - e1 * w2 + q0 * v1 + q3 * v0 - q1 * v2),
+            0.5 * (e0 * w2 + e1 * w1 - e2 * w0 + q0 * v2 + q1 * v1 - q2 * v0))
+
+
+def euler_reconstruct_rates(a, v_mixed) -> tuple:
+    """Rates (Qdot, rdot) for the Euler-parameter chart a = (Q, r), 7
+    floats, norm-tangent: Qdot = E(Q)^T omega / (2|Q|^2), the solution of
+    [2 E(Q); Q^T] Qdot = [omega; 0] for any nonzero Q, and rdot = v.
+    Returns the 7 rates as a float tuple; raises ValueError for Q = 0.
+    """
+    q0, q1, q2, q3 = a[:4]
+    w0, w1, w2, v0, v1, v2 = v_mixed
     n2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
     if n2 == 0.0:
         raise ValueError("zero rotation quaternion: the rate map is singular")
     h = 0.5 / n2
     # E^T w = (-q . w, q0 w + q x w)
-    return (h,
-            -h * (q1 * w0 + q2 * w1 + q3 * w2),
+    return (-h * (q1 * w0 + q2 * w1 + q3 * w2),
             h * (q0 * w0 + q2 * w2 - q3 * w1),
             h * (q0 * w1 + q3 * w0 - q1 * w2),
-            h * (q0 * w2 + q1 * w1 - q2 * w0))
-
-
-def reconstruct_rates(a, v) -> tuple:
-    """Rates dA/dt with H @ rates = V (a body twist), tangent to both invariants.
-
-    H is augmented with the normalization and Pluecker gradient rows (zero
-    right-hand sides).  The augmented matrix is block lower triangular with
-    both diagonal blocks [2 E(Q); Q^T], whose inverse is
-    [E^T / (2|Q|^2), Q / |Q|^2] for any nonzero Q, on or off the unit
-    sphere.  Back substitution gives
-
-        Qdot  = E^T omega / (2|Q|^2)
-        Qedot = E^T v / (2|Q|^2) + D^T D(Qe) Qdot - Q (Qe . Qdot) / |Q|^2
-
-    with D = D(Q), E = E(Q) (using E^T E D^T = |Q|^2 D^T).
-    ``a`` is the 8 floats (Q, Qe) and ``v`` the 6 of V; returns the 8 rates
-    as a float tuple.  Raises ValueError for Q = 0.
-    """
-    q0, q1, q2, q3, e0, e1, e2, e3 = a
-    w0, w1, w2, v0, v1, v2 = v
-    h, d0, d1, d2, d3 = _omega_rates(q0, q1, q2, q3, w0, w1, w2)
-    # u = D(Qe) Qdot = -e d0 + e0 d + e x d
-    u0 = e0 * d1 - e1 * d0 + e2 * d3 - e3 * d2
-    u1 = e0 * d2 - e2 * d0 + e3 * d1 - e1 * d3
-    u2 = e0 * d3 - e3 * d0 + e1 * d2 - e2 * d1
-    # E^T (h v) + D^T u = (-q . p, q0 p + q x m), p = h v + u, m = h v - u
-    p0, p1, p2 = h * v0 + u0, h * v1 + u1, h * v2 + u2
-    m0, m1, m2 = h * v0 - u0, h * v1 - u1, h * v2 - u2
-    s = 2.0 * h * (e0 * d0 + e1 * d1 + e2 * d2 + e3 * d3)
-    return (d0, d1, d2, d3,
-            -(q1 * p0 + q2 * p1 + q3 * p2) - q0 * s,
-            q0 * p0 + q2 * m2 - q3 * m1 - q1 * s,
-            q0 * p1 + q3 * m0 - q1 * m2 - q2 * s,
-            q0 * p2 + q1 * m1 - q2 * m0 - q3 * s)
-
-
-def euler_reconstruct_rates(a, v_mixed) -> tuple:
-    """Rates (Qdot, rdot) for the Euler-parameter chart a = (Q, r), 7
-    floats, norm-tangent.
-
-    The 6x7 map augmented with the norm gradient row is block diagonal, so
-    Qdot = E(Q)^T omega / (2|Q|^2) and rdot = v (see ``reconstruct_rates``).
-    Returns the 7 rates as a float tuple; raises ValueError for Q = 0.
-    """
-    w0, w1, w2, v0, v1, v2 = v_mixed
-    _, d0, d1, d2, d3 = _omega_rates(*a[:4], w0, w1, w2)
-    return (d0, d1, d2, d3, v0, v1, v2)
+            h * (q0 * w2 + q1 * w1 - q2 * w0),
+            v0, v1, v2)

@@ -330,11 +330,11 @@ def integrate_quaternion(model: MbsModel, state0: MbsState, dt: float, t_final: 
                          tableau: ButcherTableau, stride: int = 1) -> TrajectoryRecord:
     """Fixed-step RK run of the quaternion-coordinate formulation.
 
-    Dual quaternions parameterize SE(3), Euler parameters plus position the
-    direct product (``model.group``); the reconstructed rates are tangent to
-    the unit-norm and Pluecker invariants, whose drift is recorded per
-    sample.  The step has no Lie part: its vector part is one flat float
-    list, the chart coordinates of every body, then the 6n velocities.
+    Dual quaternions parameterize SE(3) with the rates ``1/2 A V``, Euler
+    parameters plus position the direct product (``model.group``); the
+    rates are tangent to the unit-norm and Pluecker invariants, whose drift
+    is recorded per sample.  The step has no Lie part: its vector part is a
+    flat float list of every body's chart coordinates, then the 6n velocities.
     """
     width, pack, unpack, chart_rates, chart_defects = _quat_chart(model.group.name)
     n = model.n_bodies

@@ -91,11 +91,19 @@ def _inertia(section, where):
     return arr
 
 
+def _known(section, fields, where) -> None:
+    """Reject a key the loader does not read: misspelt, it would be ignored."""
+    for key in section:
+        if key not in fields:
+            raise ModelFileError(f"{where}: unknown field {key!r}")
+
+
 def _rotation(section, where):
     if "rotation" not in section or section["rotation"] == "identity":
         return np.eye(3)
     raw = section["rotation"]
-    if isinstance(raw, dict) and "rotvec_rad" in raw:
+    if isinstance(raw, dict):
+        _known(raw, ("rotvec_rad",), f"{where}: 'rotation'")
         return so3_exp(_vec3(raw, "rotvec_rad", where))
     arr = _finite(raw, "rotation", where)
     if arr.shape != (3, 3) or not is_rotation(arr, tol=1e-9):
@@ -134,6 +142,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         doc = yaml.load(fh, Loader=_LOADER)
     if not isinstance(doc, dict):
         raise ModelFileError("top level must be a mapping")
+    _known(doc, ("name", "bodies", "joints", "forces", "initial_state"), "top level")
     model_name = _name(doc, "name", "top level", default="model")
     if "/" in model_name or os.sep in model_name:  # it is the stem of the CSV paths
         raise ModelFileError(f"top level: 'name' {model_name!r} must not contain a path separator")
@@ -142,6 +151,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
     names = {}
     for i, section in enumerate(_sections(doc, "bodies")):
         where = f"bodies[{i}]"
+        _known(section, ("name", "mass_kg", "inertia_kgm2", "com_offset_m"), where)
         name = _name(section, "name", where, default=f"body{i}")
         if name in names:
             raise ModelFileError(f"{where}: duplicate body name {name!r}")
@@ -170,6 +180,8 @@ def load_model_file(path, group: str = "se3", project: bool = False):
     joints = []
     for i, section in enumerate(_sections(doc, "joints")):
         where = f"joints[{i}]"
+        _known(section, ("kind", "name", "body_a", "body_b", "anchor_a_m", "anchor_b_m",
+                         "axis_a", "axis_b"), where)
         kind = section.get("kind")
         axes = {f: _vec3(section, f, where) for f in ("axis_a", "axis_b")
                 if section.get(f) is not None}
@@ -193,8 +205,11 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         where = f"forces[{i}]"
         kind = section.get("kind")
         if kind == "gravity":
+            _known(section, ("kind", "g_mps2"), where)
             forces.append(Gravity(_vec3(section, "g_mps2", where)))
         elif kind == "linear_spring":
+            _known(section, ("kind", "body", "attach_m", "ground_point_m", "stiffness_n_per_m"),
+                   where)
             spring = (body_ref(section, "body", where, allow_ground=False),
                       _vec3(section, "attach_m", where, default=(0, 0, 0)),
                       _vec3(section, "ground_point_m", where),
@@ -214,6 +229,8 @@ def load_model_file(path, group: str = "se3", project: bool = False):
     listed = set()
     for i, section in enumerate(_sections(doc, "initial_state")):
         where = f"initial_state[{i}]"
+        _known(section, ("body", "rotation", "position_m", "angular_velocity_radps",
+                         "linear_velocity_mps"), where)
         idx = body_ref(section, "body", where, allow_ground=False)
         if idx in listed:
             raise ModelFileError(f"{where}: body {bodies[idx].name!r} is listed twice")

@@ -761,14 +761,16 @@ def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
 
 
 def reference_pose_from_dq(a: DualQuaternion) -> Pose:
-    """dualquat.pose_from_dq when it returned a ``Pose``: the same float
-    arithmetic, converted to arrays."""
+    """dualquat.pose_from_dq as a ``Pose``, the pose of A / |A|: the same
+    float arithmetic, converted to arrays."""
     q0, q1, q2, q3 = _floats(a.q)
     e0, e1, e2, e3 = _floats(a.qe)
-    r = np.array((2.0 * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
-                  2.0 * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
-                  2.0 * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1)))
-    return Pose(np.array(quat_rotation_rows(q0, q1, q2, q3)), r)
+    rot = np.array(quat_rotation_rows(q0, q1, q2, q3))
+    s = 2.0 / (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    r = np.array((s * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
+                  s * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
+                  s * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1)))
+    return Pose(rot, r)
 
 
 def dq_negated(a: DualQuaternion) -> DualQuaternion:

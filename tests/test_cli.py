@@ -130,8 +130,32 @@ class TestBadInput:
          "top level: 'name' 'sub/pend' must not contain a path separator"),
         ("name: [a]\nbodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n",
          "top level: 'name' must be a string"),
+        # a key the loader does not read, in each section: misspelt, it
+        # would be ignored and its default used
+        ("joint: [{kind: spherical, body_a: ground, body_b: b}]\n"
+         "bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n",
+         "top level: unknown field 'joint'"),
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1], com_offset: [0.3, 0, 0]}]\n",
+         "bodies[0]: unknown field 'com_offset'"),
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
+         "joints: [{kind: spherical, body_a: ground, body_b: b, anchor_m: [0, 0, 1]}]\n",
+         "joints[0]: unknown field 'anchor_m'"),
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
+         "forces: [{kind: gravity, g_mps2: [0, 0, -9.81], body: b}]\n",
+         "forces[0]: unknown field 'body'"),
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
+         "forces: [{kind: linear_spring, body: b, ground_point_m: [0, 0, 1],"
+         " stiffness: 1.0}]\n", "forces[0]: unknown field 'stiffness'"),
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
+         "initial_state: [{body: b, angular_velocity: [0, 0, 1]}]\n",
+         "initial_state[0]: unknown field 'angular_velocity'"),
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
+         "initial_state: [{body: b, rotation: {rotvec: [0, 0, 1]}}]\n",
+         "initial_state[0]: 'rotation': unknown field 'rotvec'"),
     ], ids=["malformed", "non-mapping", "empty", "non-mapping-state", "list-mass",
-            "boolean-mass", "list-reference", "path-name", "list-name"])
+            "boolean-mass", "list-reference", "path-name", "list-name", "unknown-top-level",
+            "unknown-body-field", "unknown-joint-field", "unknown-gravity-field",
+            "unknown-spring-field", "unknown-state-field", "unknown-rotation-field"])
     def test_model_file(self, tmp_path, monkeypatch, capsys, text, names):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
@@ -181,6 +205,19 @@ class TestBadInput:
                        tmp_path, monkeypatch)
         assert code == 1
         assert "dt = 0.001 s is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--model", "heavy-top"), ("--group", "se3")])
+    def test_sweep_repeated_model_or_group(self, tmp_path, monkeypatch, capsys, flag, value):
+        # the repeated combination would write one CSV path twice
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        args = {"--model": "heavy-top", "--group": "se3"}
+        code = run_cli(["sweep", *(x for item in args.items() for x in item), flag, value,
+                        "--dt", "1e-3", "--tf", "0.01", "--out-dir", "out"],
+                       tmp_path, monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{flag} {value} is given more than once" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("param", ["matrix", "quaternion"])

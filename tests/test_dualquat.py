@@ -10,7 +10,8 @@ from screwmbs.dualquat import (
     quat_mul,
     reconstruct_rates,
 )
-from screwmbs.liealg import Pose, se3_compose, se3_exp, so3_exp
+from screwmbs.integrate import _step, tableau_rk4
+from screwmbs.liealg import SE3, Pose, se3_compose, se3_exp, so3_exp
 from oracles import (
     DualQuaternion,
     dmat,
@@ -255,22 +256,49 @@ def off_unit_dq(rng) -> DualQuaternion:
     return DualQuaternion(q, rng.normal(size=4))
 
 
+def half_a_v(a: DualQuaternion, v) -> np.ndarray:
+    """Reference: 1/2 A V with the body twist V = (omega, v) as the dual
+    quaternion of two pure quaternions, by the dual-quaternion product."""
+    twist = DualQuaternion(np.concatenate([[0.0], v[:3]]), np.concatenate([[0.0], v[3:]]))
+    return 0.5 * dq_mul(a, twist).as_vector()
+
+
 class TestClosedFormAgainstSolve:
-    """The closed-form inverse equals the augmented solve off the unit
-    sphere, where the RK stages evaluate it."""
+    """The closed-form rates against independent references off the unit
+    sphere, where the RK stages evaluate them: 1/2 A V by the dual-quaternion
+    product everywhere, and the augmented solve on the unit sphere, where
+    the two agree."""
 
     RTOL = 1e-12
 
-    def assert_close(self, out, ref):
+    def assert_close(self, out, ref, rtol=RTOL):
         out = np.asarray(out)
-        assert np.abs(out - ref).max() <= self.RTOL * np.abs(ref).max()
+        assert np.abs(out - ref).max() <= rtol * np.abs(ref).max()
 
     def test_dual_quaternion_rates(self):
+        # on the invariants, the constrained right inverse of H is 1/2 A V
         rng = np.random.default_rng(17)
+        for _ in range(200):
+            a = random_dq(rng)
+            v = rng.uniform(-2, 2, 6)
+            self.assert_close(reconstruct_rates(a.as_vector(), v), solve_rates(a, v))
+
+    def test_rates_are_half_a_v(self):
+        rng = np.random.default_rng(22)
         for _ in range(200):
             a = off_unit_dq(rng)
             v = rng.uniform(-2, 2, 6)
-            self.assert_close(reconstruct_rates(a.as_vector(), v), solve_rates(a, v))
+            self.assert_close(reconstruct_rates(a.as_vector(), v), half_a_v(a, v), rtol=1e-14)
+
+    def test_rates_tangent_to_invariants(self):
+        # d|Q|^2/dt = 2 Q . Qdot and d(Q . Qe)/dt = Qdot . Qe + Q . Qedot
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            a = off_unit_dq(rng)
+            rates = np.array(reconstruct_rates(a.as_vector(), rng.uniform(-2, 2, 6)))
+            scale = np.abs(a.as_vector()).max() * np.abs(rates).max()
+            assert abs(a.q @ rates[:4]) <= 1e-15 * scale
+            assert abs(rates[:4] @ a.qe + a.q @ rates[4:]) <= 1e-15 * scale
 
     def test_euler_rates(self):
         rng = np.random.default_rng(18)
@@ -287,29 +315,30 @@ class TestClosedFormAgainstSolve:
         assert rates == reconstruct_rates(a.as_vector(), v)
         assert all(type(x) is float for x in rates)
 
-    def test_zero_rotation_quaternion_raises(self):
+    def test_rates_defined_at_zero_rotation_quaternion(self):
+        # 1/2 A V is linear in A: Q = 0 has rates, but no pose
         a = DualQuaternion(np.zeros(4), np.array([0.1, 0.2, 0.3, 0.4]))
-        with pytest.raises(ValueError) as info:
-            reconstruct_rates(a.as_vector(), np.ones(6))
-        assert not isinstance(info.value, ZeroDivisionError)
+        v = np.array([0.3, -0.1, 0.7, 1.0, -2.0, 0.5])
+        assert_allclose(reconstruct_rates(a.as_vector(), v), half_a_v(a, v), rtol=0, atol=1e-16)
 
     def test_zero_euler_quaternion_raises(self):
         with pytest.raises(ValueError):
             euler_reconstruct_rates(np.zeros(7), np.ones(6))
 
     def test_zero_rotation_quaternion_has_no_pose(self):
-        with pytest.raises(ValueError):
-            pose_from_dq(np.zeros(8))
+        with pytest.raises(ValueError) as info:
+            pose_from_dq([0.0] * 4 + [0.1, 0.2, 0.3, 0.4])
+        assert not isinstance(info.value, ZeroDivisionError)
 
     def test_pose_from_dq_off_unit(self):
-        # R from Q / |Q|, r = 2 vec(Qe Q*) with the unscaled Q
+        # the pose of A / |A|: R from Q / |Q|, r = 2 vec(Qe Q*) / |Q|^2
         rng = np.random.default_rng(20)
         for _ in range(50):
             a = off_unit_dq(rng)
+            n = np.linalg.norm(a.q)
             pose = Pose(*map(np.array, pose_from_dq(a.as_vector())))
-            assert_allclose(pose.R, rotation_from_quat(a.q / np.linalg.norm(a.q)),
-                            rtol=0, atol=1e-14)
-            assert_allclose(pose.r, 2.0 * quat_mul(a.qe, quat_conj(a.q))[1:],
+            assert_allclose(pose.R, rotation_from_quat(a.q / n), rtol=0, atol=1e-14)
+            assert_allclose(pose.r, 2.0 * quat_mul(a.qe / n, quat_conj(a.q / n))[1:],
                             rtol=0, atol=1e-14)
 
 
@@ -350,6 +379,77 @@ class TestInvariantPreservation:
         out = Pose(*map(np.array, pose_from_dq(y)))
         assert_allclose(out.R, ref.R, atol=1e-9)
         assert_allclose(out.r, ref.r, atol=1e-9)
+
+
+# grounded joints off the origin, at the body point ANCHOR with the body axis
+# AXIS; the joint's coset passes through the pose (R0, T0), where the ground
+# point is POINT and the ground axis U
+ANCHOR = np.array([0.3, -0.2, 0.5])
+AXIS = np.array([0.2, 0.9, -0.4]) / np.linalg.norm([0.2, 0.9, -0.4])
+NORMAL = np.cross(AXIS, [1.0, 0.0, 0.0]) / np.linalg.norm(np.cross(AXIS, [1.0, 0.0, 0.0]))
+R0, T0 = so3_exp([0.4, -0.7, 0.2]), np.array([0.8, -0.3, 1.1])
+POINT, U = T0 + R0 @ ANCHOR, R0 @ AXIS
+
+
+def _rate(t):
+    return 1.3 + 0.8 * np.sin(3.0 * t)
+
+
+def _omega(t):
+    return np.array([0.9 * np.cos(2.0 * t), -0.5 + 0.3 * t, 1.1 * np.sin(t)])
+
+
+# per joint: a smooth body twist in its subalgebra, a direction outside it,
+# and the pose's distance from the coset
+SUBGROUPS = {
+    "revolute": (lambda t: np.concatenate([_rate(t) * AXIS, -np.cross(_rate(t) * AXIS, ANCHOR)]),
+                 np.concatenate([NORMAL, np.zeros(3)]),
+                 lambda rot, r: max(np.linalg.norm(r + rot @ ANCHOR - POINT),
+                                    np.linalg.norm(rot @ AXIS - U))),
+    "spherical": (lambda t: np.concatenate([_omega(t), -np.cross(_omega(t), ANCHOR)]),
+                  np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
+                  lambda rot, r: np.linalg.norm(r + rot @ ANCHOR - POINT)),
+    "prismatic": (lambda t: np.concatenate([np.zeros(3), _rate(t) * AXIS]),
+                  np.concatenate([np.zeros(3), NORMAL]),
+                  lambda rot, r: max(np.abs(rot - R0).max(), np.linalg.norm(np.cross(r - T0, U)))),
+}
+
+
+def dq_chart_distance(twist, distance, dt, t_final=1.0) -> float:
+    """Largest coset distance along an RK4 run of the quaternion chart for
+    one body with the prescribed body twist ``twist(t)``: the chart's maps
+    on the generated step with no Lie part and width 8, from (R0, T0)."""
+    tab = tableau_rk4()
+    step = _step(tab._deps, tab._weights, tab._nodes, 0, 8)
+
+    def rhs(j, tj, stage, y):
+        return (), reconstruct_rates(y, twist(tj).tolist())
+
+    y, comp, worst = dq_from_pose(Pose(R0, T0)), [0.0] * 8, 0.0
+    for k in range(round(t_final / dt)):
+        _, y, comp = step(SE3, [], y, comp, k * dt, dt, rhs)
+        rot, r = pose_from_dq(y)
+        worst = max(worst, distance(np.array(rot), np.array(r)))
+    return worst
+
+
+class TestKinematicCosets:
+    """A body twist in a grounded joint's subalgebra keeps the pose on the
+    joint's coset to roundoff: each coset is a linear subspace in (Q, Qe),
+    and 1/2 A V maps it into itself."""
+
+    @pytest.mark.parametrize("dt", [0.02, 0.01])
+    @pytest.mark.parametrize("joint", sorted(SUBGROUPS))
+    def test_subalgebra_twist_stays_on_coset(self, joint, dt):
+        twist, _, distance = SUBGROUPS[joint]
+        assert dq_chart_distance(twist, distance, dt) < 1e-14
+
+    @pytest.mark.parametrize("joint", sorted(SUBGROUPS))
+    def test_component_outside_leaves_at_first_order(self, joint):
+        twist, leak, distance = SUBGROUPS[joint]
+        d1, d2 = (dq_chart_distance(lambda t: twist(t) + eps * leak, distance, 0.02)
+                  for eps in (1e-4, 2e-4))
+        assert d1 > 1e-5 and abs(d2 / d1 - 2.0) < 1e-3
 
 
 class TestQuatFromRotation:

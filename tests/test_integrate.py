@@ -555,3 +555,40 @@ class TestIntegrateQuaternion:
             for t_final in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match="t_final"):
                     fn(model, state, 0.1, t_final, tableau_rk4())
+
+
+class TestDualQuaternionChartExactness:
+    """On the se3 dq chart every grounded joint part of the built-ins stays
+    at roundoff, as on the matrix chart: its subgroup is a linear subspace
+    in (Q, Qe), which the field 1/2 A V keeps.  A joint between two moving
+    bodies keeps the method's order."""
+
+    T_FINAL = 0.2
+
+    def max_residuals(self, name, dt) -> dict:
+        spec = bench.build(name, "se3")
+        rec = integrate_quaternion(spec.model, spec.state0, dt, self.T_FINAL, spec.tableau)
+        return {col: max(vals) for col, vals in cli.run_metrics(spec, rec).items()
+                if "_residual" in col}
+
+    @pytest.mark.parametrize("name, columns", [
+        ("heavy-top", ["pivot_pos_residual_m"]),
+        ("double-pendulum", ["joint1_pos_residual_m"]),
+        ("rp-chain", ["revolute1_pos_residual_m", "revolute1_ori_residual"]),
+        ("four-bar", ["crank-ground_pos_residual_m", "crank-ground_ori_residual",
+                      "rocker-ground_pos_residual_m"]),
+        ("cardan", ["revolute1_pos_residual_m", "revolute1_ori_residual",
+                    "hook2_pos_residual_m"]),
+    ])
+    def test_grounded_parts_at_roundoff(self, name, columns):
+        for dt in (2e-3, 1e-3):
+            worst = self.max_residuals(name, dt)
+            for col in columns:
+                assert worst[col] < 1e-12, (dt, col, worst[col])
+
+    def test_joint_between_moving_bodies_converges_at_order_4(self):
+        dts = [4e-3, 2e-3, 1e-3]
+        errors = [self.max_residuals("double-pendulum", dt)["joint2_pos_residual_m"]
+                  for dt in dts]
+        assert min(errors) > 1e-10
+        assert abs(bench.estimate_convergence_order(dts, errors) - 4.0) <= 0.5
