@@ -25,6 +25,7 @@ from .integrate import (
     integrate_quaternion,
     mk_step,
     tableau_explicit_trapezoidal,
+    tableau_rk4,
 )
 from .liealg import SE3, SO3R3, Pose, se3_dexp, se3_exp, se3_hat
 
@@ -65,18 +66,17 @@ class RunCache:
         tf = spec.t_final if t_final is None else t_final
         key = (model, group, dt, tf)
         if key not in self._runs:
-            self._runs[key] = integrate(spec.model, spec.state0, dt, tf, spec.tableau)
+            self._runs[key] = integrate(spec.model, spec.state0, dt, tf, tableau_rk4())
         return self._runs[key]
 
     def columns(self, model: str, group: str, dt: float,
-                t_final: float | None = None) -> dict[str, list[float]]:
-        """The run's CSV columns (``cli.run_metrics``) as arrays, a quarter of the
-        memory of float lists; apart from ``run``, which criterion 6 times."""
+                t_final: float | None = None) -> dict[str, np.ndarray]:
+        """The run's CSV columns, the arrays ``cli.run_metrics`` returns, as
+        they are; apart from ``run``, which criterion 6 times."""
         spec = self.spec(model, group)
         key = (model, group, dt, spec.t_final if t_final is None else t_final)
         if key not in self._columns:
-            cols = run_metrics(spec, self.run(model, group, dt, t_final))
-            self._columns[key] = {name: np.array(vals) for name, vals in cols.items()}
+            self._columns[key] = run_metrics(spec, self.run(model, group, dt, t_final))
             if key[:3] not in self._REREAD:
                 del self._runs[key]
         return self._columns[key]
@@ -401,8 +401,7 @@ def check_quaternion_path(cache: RunCache) -> CheckResult:
     The invariant branch is the sound part of the check."""
     spec = cache.spec("heavy-top", "se3")
     matrix = cache.run("heavy-top", "se3", 1e-3)
-    quat = integrate_quaternion(spec.model, spec.state0, 1e-3, spec.t_final,
-                                spec.tableau)
+    quat = integrate_quaternion(spec.model, spec.state0, 1e-3, spec.t_final, tableau_rk4())
     pose_diff = max(float(np.abs(matrix.rotations[-1] - quat.rotations[-1]).max()),
                     float(np.abs(matrix.positions[-1] - quat.positions[-1]).max()))
     defects = quat.quat_defects.max(axis=0)

@@ -11,15 +11,17 @@ Where the published data only pins the angular rates, the linear
 velocities are recovered from the velocity constraints by a least-squares
 solve, so the assembled state is feasible by construction.
 
-The per-sample metric series of a run are its CSV columns, computed by
-``cli.run_metrics``; the CSV writer and the acceptance checklist both read
-them from there.
+The per-sample metric series of a run are its CSV columns, which
+``cli.run_metrics`` names and computes in one pass as float64 arrays; the
+CSV writer, the sweep summary and the acceptance checklist all read them
+from there.  An ``ExperimentSpec`` names no integrator: every run uses
+``integrate.tableau_rk4()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .dynamics import (
     constraint_jacobian,
     parallel_axis,
 )
-from .integrate import ButcherTableau, tableau_rk4
 from .liealg import Pose, so3_exp
 
 GRAVITY = 9.81
@@ -74,7 +75,6 @@ class ExperimentSpec:
     reference: object = None          # t -> list[Pose], when known analytically
     com_reference: object = None      # t -> (n, 3) COM positions
     energy_datum: float = 0.0         # additive constant on the reported total
-    tableau: ButcherTableau = field(default_factory=tableau_rk4)
 
 
 def consistent_linear_velocities(model: MbsModel, poses, omegas) -> np.ndarray:

@@ -34,6 +34,7 @@ from .integrate import (
     TrajectoryRecord,
     integrate,
     integrate_quaternion,
+    tableau_rk4,
 )
 from .liealg import GROUPS, rotation_error
 from .modelfile import load_model_file
@@ -50,29 +51,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def csv_columns(spec: ExperimentSpec) -> list[str]:
-    """Column set: a pure function of the model and available references;
-    ValueError when two joints share a label, as their columns would merge."""
-    cols = ["t_s"]
-    for joint in spec.model.joints:
-        pos = f"{joint.label}_pos_residual_m"
-        if pos in cols:
-            raise ValueError(f"duplicate joint label {joint.label!r}: the CSV "
-                             "columns of the two joints would collide")
-        cols.append(pos)
-        if joint.has_orientation:
-            cols.append(f"{joint.label}_ori_residual")
-    if spec.reference is not None:
-        for i in range(spec.model.n_bodies):
-            cols.append(f"body{i}_rot_err_rad")
-            cols.append(f"body{i}_pos_err_m")
-    if spec.com_reference is not None:
-        cols.append("com_drift_m")
-    cols.append("kinetic_energy_j")
-    cols.append("total_energy_j")
-    return cols
-
-
 def _norms(x) -> np.ndarray:
     """Euclidean norms of the (N, k) rows of x, each with the bits of
     ``np.linalg.norm`` on the row: the sqrt of one BLAS dot per row."""
@@ -80,33 +58,38 @@ def _norms(x) -> np.ndarray:
     return np.sqrt(stacked_dot(x, x))
 
 
-def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, list[float]]:
-    """The CSV columns of a run, by name in ``csv_columns`` order, each
-    computed once over the whole sample axis.  Every entry has the bits of
-    the per-sample evaluation (``tests/oracles.py``): the residual kernels
-    run on sample columns with the scalar operations elementwise, and each
-    dot product is one BLAS call per sample (``stacked_dot``).  Only the
-    analytic references are called per sample."""
-    columns = csv_columns(spec)  # a label clash raises before the pass
+def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, np.ndarray]:
+    """The CSV columns of a run in CSV order, each named where it is computed
+    as one float64 array over the whole sample axis; ValueError when two
+    joints share a label, as their columns would merge.  Every entry has the
+    bits of the per-sample evaluation (``tests/oracles.py``): the residual
+    kernels run on sample columns with the scalar operations elementwise,
+    and each dot product is one BLAS call per sample (``stacked_dot``).  Only
+    the analytic references are called per sample."""
     model = spec.model
     rotations, positions = record.rotations, record.positions
+    columns = {"t_s": record.times.copy()}  # not a view that pins the record
     times = record.times.tolist()
-    values = [record.times]
     if model.joints:
         # the kernels' (R rows, r) poses with (N,) sample columns as entries
         poses = list(zip(np.moveaxis(rotations, 0, -1).copy(),
                          np.moveaxis(positions, 0, -1).copy()))
     for joint in model.joints:
+        name = f"{joint.label}_pos_residual_m"
+        if name in columns:
+            raise ValueError(f"duplicate joint label {joint.label!r}: the CSV "
+                             "columns of the two joints would collide")
         pos, ori = joint.split_residual(joint_geometry(joint, poses, model).T)
-        values.append(_norms(pos))
+        columns[name] = _norms(pos)
         if joint.has_orientation:
-            values.append(_norms(ori))
+            columns[f"{joint.label}_ori_residual"] = _norms(ori)
     if spec.reference is not None:
         refs = [spec.reference(t) for t in times]
         for i in range(model.n_bodies):
-            values.append([rotation_error(ref[i].R, rot)
-                           for ref, rot in zip(refs, rotations[:, i])])
-            values.append(_norms(positions[:, i] - np.array([ref[i].r for ref in refs])))
+            columns[f"body{i}_rot_err_rad"] = np.asarray(
+                [rotation_error(ref[i].R, rot) for ref, rot in zip(refs, rotations[:, i])])
+            columns[f"body{i}_pos_err_m"] = _norms(
+                positions[:, i] - np.array([ref[i].r for ref in refs]))
     if spec.com_reference is not None:
         refs = np.array([np.atleast_2d(spec.com_reference(t)) for t in times])
         worst = 0.0
@@ -114,12 +97,12 @@ def run_metrics(spec: ExperimentSpec, record: TrajectoryRecord) -> dict[str, lis
             com = positions[:, i] + np.matmul(rotations[:, i], body.com_offset)
             dist = _norms(com - refs[:, i])
             worst = np.where(dist > worst, dist, worst)  # max(worst, dist): a NaN keeps worst
-        values.append(worst)
+        columns["com_drift_m"] = worst
     # total_energy(model, record) is this same sum
     ke = kinetic_energy(model, record)
-    values.append(ke)
-    values.append(ke + potential_energy(model, record) + spec.energy_datum)
-    return {name: np.asarray(col, dtype=float).tolist() for name, col in zip(columns, values)}
+    columns["kinetic_energy_j"] = ke
+    columns["total_energy_j"] = ke + potential_energy(model, record) + spec.energy_datum
+    return columns
 
 
 def _row_format(width: int) -> str:
@@ -133,7 +116,7 @@ def write_run_csv(path, spec: ExperimentSpec, record: TrajectoryRecord) -> dict:
     columns = run_metrics(spec, record)
     row = _row_format(len(columns))
     lines = [",".join(columns)]
-    lines.extend(row % values for values in zip(*columns.values()))
+    lines.extend(row % values for values in zip(*(col.tolist() for col in columns.values())))
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
     return columns
@@ -193,9 +176,9 @@ def cmd_simulate(args) -> int:
     for dt in spec.dts:
         if args.param == "quaternion":
             record = integrate_quaternion(spec.model, spec.state0, dt, spec.t_final,
-                                          spec.tableau, stride=args.stride)
+                                          tableau_rk4(), stride=args.stride)
         else:
-            record = integrate(spec.model, spec.state0, dt, spec.t_final, spec.tableau,
+            record = integrate(spec.model, spec.state0, dt, spec.t_final, tableau_rk4(),
                                stride=args.stride)
         path = _out_path(args, spec, dt, single)
         write_run_csv(path, spec, record)
@@ -209,8 +192,7 @@ def _sweep_one(task):
     spec = build(name, group)
     if tf:
         spec.t_final = tf
-    record = integrate(spec.model, spec.state0, dt, spec.t_final, spec.tableau,
-                       stride=stride)
+    record = integrate(spec.model, spec.state0, dt, spec.t_final, tableau_rk4(), stride=stride)
     path = os.path.join(out_dir, f"{name}-{group}-dt{dt:g}.csv")
     columns = write_run_csv(path, spec, record)
     pos = [v for col, vals in columns.items() if col.endswith("_pos_residual_m")
@@ -219,7 +201,7 @@ def _sweep_one(task):
            for v in vals]
     max_pos, max_ori = max([0.0, *pos]), max([0.0, *ori])
     energies = columns["total_energy_j"]
-    drift = float(np.abs(np.asarray(energies) - energies[0]).max())
+    drift = float(np.abs(energies - energies[0]).max())
     return (name, group, dt, max_pos, max_ori, drift)
 
 

@@ -64,9 +64,10 @@ def dq_from_pose(c: Pose) -> list:
     return np.concatenate([q, 0.5 * quat_mul(t, q)]).tolist()
 
 
-def quat_rotation_rows(q0: float, q1: float, q2: float, q3: float) -> tuple:
-    """Rows of R = D(Q) E(Q)^T for Q scaled to unit norm, entrywise."""
-    n = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+def quat_rotation_rows(q0: float, q1: float, q2: float, q3: float, nn: float) -> tuple:
+    """Rows of R = D(Q) E(Q)^T for Q scaled to unit norm, entrywise, given
+    nn = |Q|^2 as ``q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3``."""
+    n = math.sqrt(nn)
     if n == 0.0:
         raise ValueError("zero rotation quaternion has no rotation")
     q0, q1, q2, q3 = q0 / n, q1 / n, q2 / n, q3 / n
@@ -83,8 +84,9 @@ def pose_from_dq(a) -> tuple:
     quaternion a = (Q, Qe), 8 floats: R from Q / |Q| and
     r = 2 vec(Qe Q*) / |Q|^2.  Raises ValueError for Q = 0."""
     q0, q1, q2, q3, e0, e1, e2, e3 = a
-    rows = quat_rotation_rows(q0, q1, q2, q3)  # raises before the division
-    s = 2.0 / (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    nn = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+    rows = quat_rotation_rows(q0, q1, q2, q3, nn)  # raises before the division
+    s = 2.0 / nn
     # vec(Qe Q*) = q0 e - e0 q + q x e
     return rows, (s * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
                   s * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),

@@ -157,6 +157,8 @@ class Joint:
         with the body-frame directions as float tuples (built once); the
         axes are checked and normalised here."""
         if self.kind == "spherical":
+            if self.axis_a is not None or self.axis_b is not None:
+                raise ValueError("spherical joint takes no axis_a or axis_b")
             return (("anchor",),)
         if self.kind not in ("universal", "revolute", "prismatic"):
             raise ValueError(f"unknown joint kind {self.kind!r}")

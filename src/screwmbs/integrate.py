@@ -49,9 +49,11 @@ class ButcherTableau:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        a = np.array(self.a, dtype=float)
+        b = np.array(self.b, dtype=float)
+        c = np.array(self.c, dtype=float)
+        for x in (a, b, c):  # tableau_rk4() hands one instance to every caller
+            x.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -80,8 +82,9 @@ class ButcherTableau:
         return len(self.b)
 
 
+@functools.cache
 def tableau_rk4() -> ButcherTableau:
-    """The classical 4th-order scheme."""
+    """The classical 4th-order scheme, one instance per process."""
     a = np.zeros((4, 4))
     a[1, 0] = 0.5
     a[2, 1] = 0.5
@@ -318,7 +321,8 @@ def _quat_chart(group_name: str):
         return quat_from_rotation(pose.R).tolist() + pose.r.tolist()
 
     def unpack(y):
-        return quat_rotation_rows(*y[:4]), y[4:]
+        q0, q1, q2, q3 = y[:4]
+        return quat_rotation_rows(q0, q1, q2, q3, q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3), y[4:]
 
     def defects(y):
         return unit(y), 0.0

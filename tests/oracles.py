@@ -765,8 +765,9 @@ def reference_pose_from_dq(a: DualQuaternion) -> Pose:
     float arithmetic, converted to arrays."""
     q0, q1, q2, q3 = _floats(a.q)
     e0, e1, e2, e3 = _floats(a.qe)
-    rot = np.array(quat_rotation_rows(q0, q1, q2, q3))
-    s = 2.0 / (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    nn = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+    rot = np.array(quat_rotation_rows(q0, q1, q2, q3, nn))
+    s = 2.0 / nn
     r = np.array((s * (q0 * e1 - e0 * q1 + q2 * e3 - q3 * e2),
                   s * (q0 * e2 - e0 * q2 + q3 * e1 - q1 * e3),
                   s * (q0 * e3 - e0 * q3 + q1 * e2 - q2 * e1)))

@@ -110,6 +110,20 @@ class TestRunCacheColumns:
             cache.columns(name, group, dt, self.TF)
         assert calls == [11, 21]  # one call per dt: 0.02 s in 10 and 20 steps
 
+    def test_columns_are_run_metrics_arrays(self, monkeypatch):
+        """The cache keeps the arrays ``run_metrics`` returns, unconverted."""
+        returned = []
+        real = acceptance.run_metrics
+
+        def keeping(spec, record):
+            returned.append(real(spec, record))
+            return returned[-1]
+
+        monkeypatch.setattr(acceptance, "run_metrics", keeping)
+        cols = acceptance.RunCache().columns("four-bar", "se3", 1e-3, self.TF)
+        assert list(cols) == list(returned[0])
+        assert all(cols[name] is col for name, col in returned[0].items())
+
 
 def _two_sample_record(state0, dt: float):
     """A stand-in run: the initial state and a perturbed copy of it one

@@ -23,7 +23,7 @@ from oracles import (
 from screwmbs import acceptance, bench, cli
 from screwmbs.acceptance import CheckResult
 from screwmbs.dynamics import REPRESENTATION, Gravity, MbsModel, MbsState, parallel_axis
-from screwmbs.integrate import integrate, integrate_quaternion
+from screwmbs.integrate import integrate, integrate_quaternion, tableau_rk4
 from screwmbs.liealg import Pose
 from screwmbs.modelfile import dump_model, load_model_file
 
@@ -147,6 +147,10 @@ class TestBadInput:
          "forces: [{kind: linear_spring, body: b, ground_point_m: [0, 0, 1],"
          " stiffness: 1.0}]\n", "forces[0]: unknown field 'stiffness'"),
         ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
+         "joints: [{kind: spherical, body_a: ground, body_b: b, axis_a: [0, 0, 2.0],"
+         " axis_b: [0, 0, 1]}]\n",
+         "joints[0]: spherical joint takes no axis_a or axis_b"),
+        ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
          "initial_state: [{body: b, angular_velocity: [0, 0, 1]}]\n",
          "initial_state[0]: unknown field 'angular_velocity'"),
         ("bodies: [{name: b, mass_kg: 1.0, inertia_kgm2: [1, 1, 1]}]\n"
@@ -155,7 +159,8 @@ class TestBadInput:
     ], ids=["malformed", "non-mapping", "empty", "non-mapping-state", "list-mass",
             "boolean-mass", "list-reference", "path-name", "list-name", "unknown-top-level",
             "unknown-body-field", "unknown-joint-field", "unknown-gravity-field",
-            "unknown-spring-field", "unknown-state-field", "unknown-rotation-field"])
+            "unknown-spring-field", "spherical-axes", "unknown-state-field",
+            "unknown-rotation-field"])
     def test_model_file(self, tmp_path, monkeypatch, capsys, text, names):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
@@ -368,13 +373,13 @@ def _same_bytes(values, reference):
 # records of a 20-step RK4 run: the matrix and quaternion charts, every
 # third step (plus the last), and the initial state alone
 RECORDS = {
-    "matrix": lambda spec: integrate(spec.model, spec.state0, 1e-3, 0.02, spec.tableau),
+    "matrix": lambda spec: integrate(spec.model, spec.state0, 1e-3, 0.02, tableau_rk4()),
     "quaternion": lambda spec: integrate_quaternion(spec.model, spec.state0, 1e-3, 0.02,
-                                                    spec.tableau),
-    "stride-3": lambda spec: integrate(spec.model, spec.state0, 1e-3, 0.02, spec.tableau,
+                                                    tableau_rk4()),
+    "stride-3": lambda spec: integrate(spec.model, spec.state0, 1e-3, 0.02, tableau_rk4(),
                                        stride=3),
     "one-sample": lambda spec: integrate(spec.model, spec.state0, 1e-3, spec.state0.t,
-                                         spec.tableau),
+                                         tableau_rk4()),
 }
 
 # two chained bodies, both off their COM, on a spring and under a gravity
@@ -430,24 +435,30 @@ class TestRunMetrics:
     def check_columns(spec, record):
         model = spec.model
         cols = cli.run_metrics(spec, record)
-        assert list(cols) == cli.csv_columns(spec)
+        checked = ["t_s"]  # the names below, in CSV order: no column goes unchecked
         _same_bytes(cols["t_s"], record.times)
         for j, joint in enumerate(model.joints):
             pos, ori = reference_joint_residuals(record, model, j)
             _same_bytes(cols[f"{joint.label}_pos_residual_m"], pos)
             _same_bytes(cols.get(f"{joint.label}_ori_residual", [0.0] * len(ori)), ori)
+            checked.append(f"{joint.label}_pos_residual_m")
+            if JOINT_DIMS[joint.kind] > 3:
+                checked.append(f"{joint.label}_ori_residual")
         if spec.reference is not None:
             for i in range(model.n_bodies):
                 _same_bytes(cols[f"body{i}_rot_err_rad"],
                             reference_rotation_error(record, spec.reference, i))
                 _same_bytes(cols[f"body{i}_pos_err_m"],
                             reference_position_error(record, spec.reference, i))
+                checked += [f"body{i}_rot_err_rad", f"body{i}_pos_err_m"]
         if spec.com_reference is not None:
             _same_bytes(cols["com_drift_m"],
                         reference_com_drift(record, model, spec.com_reference))
+            checked.append("com_drift_m")
         kin, tot = reference_energy(record, model, spec.energy_datum)
         _same_bytes(cols["kinetic_energy_j"], kin)
         _same_bytes(cols["total_energy_j"], tot)
+        assert list(cols) == [*checked, "kinetic_energy_j", "total_energy_j"]
 
     @pytest.mark.parametrize("name", sorted(bench.BUILDERS))
     @pytest.mark.parametrize("group", ["se3", "so3xr3"])
@@ -465,6 +476,25 @@ class TestRunMetrics:
         representation, and a body at rest."""
         spec = _metrics_spec(name, group, tmp_path)
         self.check_columns(spec, RECORDS[kind](spec))
+
+    @pytest.mark.parametrize("name", sorted(bench.BUILDERS))
+    @pytest.mark.parametrize("group", ["se3", "so3xr3"])
+    @pytest.mark.parametrize("chart", ["matrix", "quaternion"])
+    def test_csv_header_is_the_column_names(self, tmp_path, name, group, chart):
+        """The CSV header is ``run_metrics``' names in order, and each column
+        is a float64 array with one entry per sample."""
+        spec = bench.build(name, group)
+        record = RECORDS[chart](spec)
+        cols = cli.run_metrics(spec, record)
+        cli.write_run_csv(tmp_path / "run.csv", spec, record)
+        with open(tmp_path / "run.csv", newline="") as fh:
+            lines = fh.read().split("\r\n")
+        assert lines[0].split(",") == list(cols)
+        assert len(lines) == 1 + record.n_samples + 1  # the last line ends in CRLF
+        for col in cols.values():
+            assert type(col) is np.ndarray
+            assert col.dtype == np.float64
+            assert col.shape == (record.n_samples,)
 
     @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan,
                                        5e-324, -2.2250738585072e-308, float(2**53 + 1),
@@ -484,7 +514,8 @@ class TestRunMetrics:
                 expect.append(f"{joint.label}_pos_residual_m")
                 if JOINT_DIMS[joint.kind] > 3:
                     expect.append(f"{joint.label}_ori_residual")
-            assert [c for c in cli.csv_columns(spec) if "_residual" in c] == expect
+            cols = cli.run_metrics(spec, RECORDS["one-sample"](spec))
+            assert [c for c in cols if "_residual" in c] == expect
 
 
 class TestDuplicateJointLabels:
@@ -515,15 +546,15 @@ class TestDuplicateJointLabels:
 
     @pytest.mark.parametrize("names, label", [(("joint1", "joint1"), "joint1"),
                                               (("", ""), "spherical")])
-    def test_csv_columns_names_the_label(self, tmp_path, names, label):
+    def test_run_metrics_names_the_label(self, tmp_path, names, label):
         # an unnamed joint is labelled by its kind
         spec = bench.build("double-pendulum", "se3")
         spec.model = replace(spec.model, joints=[replace(j, name=n) for j, n
                                                  in zip(spec.model.joints, names)])
+        record = integrate(spec.model, spec.state0, 1e-3, 0.002, tableau_rk4())
         with pytest.raises(ValueError, match=f"duplicate joint label '{label}'"):
-            cli.csv_columns(spec)
-        record = integrate(spec.model, spec.state0, 1e-3, 0.002, spec.tableau)
-        with pytest.raises(ValueError, match=f"'{label}'"):
+            cli.run_metrics(spec, record)
+        with pytest.raises(ValueError, match=f"duplicate joint label '{label}'"):
             cli.write_run_csv(tmp_path / "dp.csv", spec, record)
         assert not (tmp_path / "dp.csv").exists()
 
@@ -589,7 +620,7 @@ class TestLeanLapack:
         solve = """
             from screwmbs import bench, dynamics, integrate
             spec = bench.build("heavy-top", "se3")
-            integrate.integrate(spec.model, spec.state0, 1e-3, 2e-3, spec.tableau)
+            integrate.integrate(spec.model, spec.state0, 1e-3, 2e-3, integrate.tableau_rk4())
         """
         package = """
             import scipy.linalg.lapack

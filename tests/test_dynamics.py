@@ -547,9 +547,11 @@ def test_residual_kernel_bitwise(joint, representation):
     ground's identity and zero operands decide."""
     rng = np.random.default_rng(61)
     axes = [v / np.linalg.norm(v) for v in rng.normal(size=(2, 3))]
+    # a spherical joint takes no axes
+    axes = {} if joint.kind == "spherical" else {"axis_a": axes[0], "axis_b": axes[1]}
     variants = [joint,
                 dataclasses.replace(joint, anchor_a=rng.normal(size=3), anchor_b=rng.normal(size=3),
-                                    axis_a=axes[0], axis_b=axes[1]),
+                                    **axes),
                 dataclasses.replace(joint, anchor_a=-np.zeros(3), anchor_b=-np.zeros(3))]
     for j in variants:
         n = j.body_b + 1
@@ -626,6 +628,14 @@ def test_model_parts_cannot_be_edited_in_place():
 def test_unknown_joint_kind(axes):
     with pytest.raises(ValueError, match="unknown joint kind 'helical'"):
         Joint("helical", None, 0, **axes)
+
+
+@pytest.mark.parametrize("axes", [{"axis_a": [0, 0, 2.0], "axis_b": [0, 0, 1]},
+                                  {"axis_a": [0, 0, 1.0]}, {"axis_b": [0, 0, 1.0]}])
+def test_spherical_joint_takes_no_axis(axes):
+    # a spherical joint has no axis rows: a given axis would be kept unread
+    with pytest.raises(ValueError, match="spherical joint takes no axis_a or axis_b"):
+        Joint("spherical", None, 0, **axes)
 
 
 @pytest.mark.parametrize("field", ["axis_a", "axis_b"])

@@ -49,6 +49,13 @@ class TestTableaus:
         t = tableau_rk4()
         assert_allclose(t.b, [1 / 6, 1 / 3, 1 / 3, 1 / 6])
 
+    def test_rk4_is_one_read_only_instance(self):
+        t = tableau_rk4()
+        assert t is tableau_rk4()
+        for x in (t.a, t.b, t.c):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
+
     def test_trapezoidal_matches_printed_scheme(self):
         t = tableau_explicit_trapezoidal()
         assert t.a[1, 0] == 0.5
@@ -567,7 +574,7 @@ class TestDualQuaternionChartExactness:
 
     def max_residuals(self, name, dt) -> dict:
         spec = bench.build(name, "se3")
-        rec = integrate_quaternion(spec.model, spec.state0, dt, self.T_FINAL, spec.tableau)
+        rec = integrate_quaternion(spec.model, spec.state0, dt, self.T_FINAL, tableau_rk4())
         return {col: max(vals) for col, vals in cli.run_metrics(spec, rec).items()
                 if "_residual" in col}
 
