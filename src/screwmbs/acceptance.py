@@ -96,20 +96,10 @@ class RunCache:
         return max(map(math.hypot, pos, ori))
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CheckResult:
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.elapsed = time.perf_counter() - start
-        return result
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: kernel identity suite
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_kernel_identities(n: int = 10_000, seed: int = 2024) -> CheckResult:
     """exp vs expm oracle, dexpinv*dexp = I, and the matrix of the stage
     loop's dexpinv kernel (``SE3Group.dexpinv_apply``) vs the ad-polynomial
@@ -145,7 +135,6 @@ def check_kernel_identities(n: int = 10_000, seed: int = 2024) -> CheckResult:
 # criterion 2: constant-twist exactness on the rotating frame
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_rotating_frame() -> CheckResult:
     """Frame circling a fixed axis: the SE(3) trapezoidal update is exact,
     the direct-product position update is not."""
@@ -183,7 +172,6 @@ def check_rotating_frame() -> CheckResult:
 # criterion 3: free body at the COM, spatial rotation
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_free_body_com_spin(cache: RunCache) -> CheckResult:
     worst = {}
     for group in ("se3", "so3xr3"):
@@ -199,7 +187,6 @@ def check_free_body_com_spin(cache: RunCache) -> CheckResult:
 # criterion 4: free body at the COM, rotation plus translation
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_free_body_com_translation(cache: RunCache) -> CheckResult:
     spec = cache.spec("free-body-com-trans", "se3")
     dts = spec.dts
@@ -230,7 +217,6 @@ def check_free_body_com_translation(cache: RunCache) -> CheckResult:
 # criterion 5: off-COM free body, spatial rotation
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_free_body_offset_spin(cache: RunCache) -> CheckResult:
     spec = cache.spec("free-body-offset", "se3")
     drift = {}
@@ -252,7 +238,6 @@ def check_free_body_offset_spin(cache: RunCache) -> CheckResult:
 # criterion 6: heavy top
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_heavy_top(cache: RunCache) -> CheckResult:
     spec = cache.spec("heavy-top", "se3")
     start = time.perf_counter()
@@ -286,7 +271,6 @@ def check_heavy_top(cache: RunCache) -> CheckResult:
 # criterion 7: spherical double pendulum
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_double_pendulum(cache: RunCache) -> CheckResult:
     spec = cache.spec("double-pendulum", "se3")
     j1 = {dt: cache.max_joint_residual("double-pendulum", "se3", dt, 0)
@@ -308,7 +292,6 @@ def check_double_pendulum(cache: RunCache) -> CheckResult:
 # criterion 8: RP chain
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_rp_chain(cache: RunCache) -> CheckResult:
     spec = cache.spec("rp-chain", "se3")
     se3_worst = 0.0
@@ -339,7 +322,6 @@ def check_rp_chain(cache: RunCache) -> CheckResult:
 # criterion 9: planar 4-bar
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_four_bar(cache: RunCache) -> CheckResult:
     spec = cache.spec("four-bar", "se3")
     revolutes = [i for i, j in enumerate(spec.model.joints) if j.kind == "revolute"]
@@ -365,7 +347,6 @@ def check_four_bar(cache: RunCache) -> CheckResult:
 # criterion 10: Cardan transmission
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_cardan(cache: RunCache) -> CheckResult:
     spec = cache.spec("cardan", "se3")
     j2_se3 = max(cache.max_joint_residual("cardan", "se3", dt, 1, part="pos")
@@ -391,7 +372,6 @@ def check_cardan(cache: RunCache) -> CheckResult:
 # criterion 11: quaternion path equivalence
 # ---------------------------------------------------------------------------
 
-@_timed
 def check_quaternion_path(cache: RunCache) -> CheckResult:
     """Kept at the stated 1e-8 pose gate although two distinct 4th-order
     discretizations do not meet it at dt = 1e-3: their pose difference is
@@ -424,7 +404,9 @@ def run_all(report=None) -> list[CheckResult]:
             check_rp_chain, check_four_bar, check_cardan, check_quaternion_path)]
     results = []
     for runner in runners:
+        start = time.perf_counter()
         result = runner()
+        result.elapsed = time.perf_counter() - start
         results.append(result)
         if report:
             report(result.line())

@@ -146,13 +146,17 @@ def _out_path(args, spec: ExperimentSpec, dt: float, single: bool) -> str:
 
 
 def _check_steps(args) -> None:
-    """Reject a bad or repeated --dt, a bad --tf or --stride before any run."""
+    """Reject a bad or repeated --dt, two dts one CSV name would share (it
+    prints dt with %g), and a bad --tf or --stride before any run."""
     steps = [*(args.dt or ()), 1.0 if args.tf is None else args.tf]
     if not all(0.0 < x < math.inf for x in steps) or args.stride < 1:
         raise ValueError("dt and tf must be positive and finite, and stride >= 1")
     for i, dt in enumerate(steps[:-1]):
         if dt in steps[:i]:
             raise ValueError(f"dt = {dt!r} s is given more than once")
+        for other in steps[:i]:
+            if f"{other:g}" == f"{dt:g}":
+                raise ValueError(f"dt = {other!r} s and dt = {dt!r} s both name CSVs dt{dt:g}")
 
 
 def _check_horizon(t_final: float, dts) -> None:
@@ -193,11 +197,9 @@ def _sweep_one(task):
     record = integrate(spec.model, spec.state0, dt, spec.t_final, tableau_rk4(), stride=stride)
     path = os.path.join(out_dir, f"{name}-{group}-dt{dt:g}.csv")
     columns = write_run_csv(path, spec, record)
-    pos = [v for col, vals in columns.items() if col.endswith("_pos_residual_m")
-           for v in vals]
-    ori = [v for col, vals in columns.items() if col.endswith("_ori_residual")
-           for v in vals]
-    max_pos, max_ori = max([0.0, *pos]), max([0.0, *ori])
+    max_pos, max_ori = (max([0.0, *(vals.max() for col, vals in columns.items()
+                                    if col.endswith(suffix))])
+                        for suffix in ("_pos_residual_m", "_ori_residual"))
     energies = columns["total_energy_j"]
     drift = float(np.abs(energies - energies[0]).max())
     return (name, group, dt, max_pos, max_ori, drift)

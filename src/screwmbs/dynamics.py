@@ -1,10 +1,10 @@
 """Constrained Newton-Euler dynamics in body-fixed and mixed representations.
 
-A model is a list of rigid bodies, lower-pair joints and force elements.
-Its velocity representation fixes the configuration-space group it holds
-as ``group``: body-fixed twists (``representation="body"``) on SE(3), mixed
-velocities (``representation="mixed"``) on SO(3)xR3.  The constraint
-Jacobians are written for the matching velocity coordinates.
+A model is a list of rigid bodies, lower-pair joints and force elements on
+one configuration-space group, ``group``, which fixes the velocity
+coordinates: body-fixed twists on SE(3) (``SE3``), mixed velocities on
+SO(3)xR3 (``SO3R3``).  The constraint Jacobians are written for the
+matching velocity coordinates.
 
 Joint constraints are built from three row types:
 
@@ -32,12 +32,7 @@ from importlib import machinery, util
 
 import numpy as np
 
-from .liealg import SE3, SO3R3, Pose, _define, _Emitter, _names, hat3
-
-BODY_FIXED = "body"
-MIXED = "mixed"
-# the velocity representation each configuration-space group integrates
-REPRESENTATION = {"se3": BODY_FIXED, "so3xr3": MIXED}
+from .liealg import SE3, SO3R3, CSpaceGroup, Pose, _define, _Emitter, _names, hat3
 
 TOL_POS, TOL_VEL = 1e-12, 1e-9  # initial-state bounds on |h| per joint and |J V|
 
@@ -218,13 +213,13 @@ class MbsModel:
     bodies: tuple[RigidBody, ...]
     joints: tuple[Joint, ...]
     forces: tuple
-    representation: str = BODY_FIXED
+    group: CSpaceGroup = SE3
 
     def __post_init__(self):
         self.bodies, self.joints, self.forces = (
             tuple(self.bodies), tuple(self.joints), tuple(self.forces))
-        if self.representation not in (BODY_FIXED, MIXED):
-            raise ValueError(f"unknown representation {self.representation!r}")
+        if self.group is not SE3 and self.group is not SO3R3:
+            raise ValueError(f"unknown c-space group {self.group!r}")
         for j in self.joints:
             for idx in (j.body_a, j.body_b):
                 if idx is not None and not 0 <= idx < len(self.bodies):
@@ -240,8 +235,7 @@ class MbsModel:
         """Per-model constants of the step loop, as plain floats, and the
         fixed KKT layout (mass blocks plus the flat positions of the
         Jacobian entries and their transposes)."""
-        self._mixed = self.representation == MIXED
-        self.group = SO3R3 if self._mixed else SE3
+        self._mixed = self.group is SO3R3
         self._spatial_inertias = [spatial_inertia(b) for b in self.bodies]
         self._masses = [float(b.mass) for b in self.bodies]
         self._offsets = [_float_tuple(b.com_offset) if b.com_offset.any() else None
@@ -298,7 +292,7 @@ class MbsModel:
         reference frame is off the COM depends on R: it is a (..., 6, 6)
         stack with the coupling -m R hat(r0) and its transpose
         (``_mixed_coupling``); every other block is constant."""
-        if self.representation == BODY_FIXED:
+        if not self._mixed:
             return self._spatial_inertias
         rotations = np.asarray(rotations, dtype=float)
         blocks = []

@@ -30,7 +30,7 @@ from .dualquat import (
     reconstruct_rates,
 )
 from .dynamics import MbsModel, MbsState, accelerations
-from .liealg import CSpaceGroup, Pose, _define
+from .liealg import SE3, CSpaceGroup, Pose, _define
 
 
 class IntegrationError(RuntimeError):
@@ -296,7 +296,7 @@ def integrate(model: MbsModel, state0: MbsState, dt: float, t_final: float,
 # vector-space ODE in quaternion coordinates
 # ---------------------------------------------------------------------------
 
-def _quat_chart(group_name: str):
+def _quat_chart(group: CSpaceGroup):
     """Width and per-body (pack, unpack, rates, defects) functions of the
     quaternion chart; chart coordinates and rates are flat float sequences,
     ``unpack`` gives the body's (R rows, r) float pair on either group, and
@@ -305,7 +305,7 @@ def _quat_chart(group_name: str):
     def unit(y):
         return abs(math.sqrt(sum(x * x for x in y[:4])) - 1.0)
 
-    if group_name == "se3":
+    if group is SE3:
         def defects(y):
             return unit(y), abs(sum(a * b for a, b in zip(y[:4], y[4:])))
 
@@ -334,7 +334,7 @@ def integrate_quaternion(model: MbsModel, state0: MbsState, dt: float, t_final: 
     is recorded per sample.  The step has no Lie part: its vector part is a
     flat float list of every body's chart coordinates, then the 6n velocities.
     """
-    width, pack, unpack, chart_rates, chart_defects = _quat_chart(model.group.name)
+    width, pack, unpack, chart_rates, chart_defects = _quat_chart(model.group)
     n = model.n_bodies
     nq = width * n
     sample_idx, rec, write = _sampling(n, dt, t_final, stride)

@@ -3,7 +3,7 @@
 YAML documents with explicit units in the field names (``mass_kg``,
 ``stiffness_n_per_m``) to keep unit mistakes visible.  Linear velocities in
 the file are always the spatial rates ``rdot`` of the body reference
-frames, independent of the run's velocity representation; the loader
+frames, independent of the run's configuration-space group; the loader
 converts to body-fixed twists when the SE(3) group is selected.
 """
 
@@ -15,8 +15,6 @@ import numpy as np
 import yaml
 
 from .dynamics import (
-    BODY_FIXED,
-    REPRESENTATION,
     Gravity,
     Joint,
     LinearSpring,
@@ -26,7 +24,7 @@ from .dynamics import (
     check_initial_state,
     project_velocities,
 )
-from .liealg import Pose, is_rotation, so3_exp
+from .liealg import GROUPS, SE3, Pose, is_rotation, so3_exp
 
 
 # libyaml's C parser where this PyYAML build has it: the same constructor
@@ -221,8 +219,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         else:
             raise ModelFileError(f"{where}: unknown force kind {kind!r}")
 
-    representation = REPRESENTATION[group]
-    model = MbsModel(bodies, joints, forces, representation=representation)
+    model = MbsModel(bodies, joints, forces, group=GROUPS[group])
 
     poses = [Pose.identity() for _ in bodies]
     velocities = np.zeros((len(bodies), 6))
@@ -240,7 +237,7 @@ def load_model_file(path, group: str = "se3", project: bool = False):
         omega = _vec3(section, "angular_velocity_radps", where, default=(0, 0, 0))
         rdot = _vec3(section, "linear_velocity_mps", where, default=(0, 0, 0))
         velocities[idx, :3] = omega
-        velocities[idx, 3:] = rot.T @ rdot if representation == BODY_FIXED else rdot
+        velocities[idx, 3:] = rot.T @ rdot if model.group is SE3 else rdot
     state = MbsState(poses, velocities)
 
     if project:
@@ -297,10 +294,9 @@ def dump_model(model: MbsModel, state: MbsState, name: str = "model") -> str:
                 "ground_point_m": listify(force.ground_point),
                 "stiffness_n_per_m": float(force.stiffness),
             })
-    body_frame = model.representation == BODY_FIXED
     for i, (body, pose) in enumerate(zip(model.bodies, state.poses)):
         v = state.velocities[i]
-        rdot = pose.R @ v[3:] if body_frame else v[3:]
+        rdot = pose.R @ v[3:] if model.group is SE3 else v[3:]
         doc["initial_state"].append({
             "body": body.name,
             "rotation": [[float(x) for x in row] for row in pose.R],

@@ -15,7 +15,6 @@ from scipy.linalg import expm
 from screwmbs.dynamics import (
     _float_tuple,
     _frames,
-    MIXED,
     Gravity,
     LinearSpring,
     MbsState,
@@ -27,6 +26,7 @@ from screwmbs.dualquat import quat_mul, quat_rotation_rows
 from screwmbs.integrate import integrate, tableau_rk4
 from screwmbs.liealg import (
     _COEF_SERIES_ANGLE,
+    SO3R3,
     Pose,
     _check_pole,
     _floats,
@@ -460,7 +460,7 @@ def _pose_floats(poses, index):
 def reference_joint_geometry(joint, poses, model) -> np.ndarray:
     """The interpreted residual h(g) the compiled one replaced, kept as its
     bitwise reference, from a ``Pose`` list."""
-    mixed = model.representation == MIXED
+    mixed = model.group is SO3R3
     ra, pa = _pose_floats(poses, joint.body_a)
     rb, pb = _pose_floats(poses, joint.body_b)
     aa, ab = joint._anchors
@@ -864,7 +864,7 @@ def reference_inertia_blocks(model, rotations) -> list[np.ndarray]:
     blocks = []
     for block, mass, r0, r in zip(model._spatial_inertias, model._masses,
                                   model._offsets, rotations):
-        if model.representation == MIXED and r0 is not None:
+        if model.group is SO3R3 and r0 is not None:
             block = block.copy()
             _put_mixed_coupling(block, 0, mass, r0, np.asarray(r).tolist())
         blocks.append(block)

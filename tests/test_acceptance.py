@@ -205,7 +205,7 @@ class TestDexpinvMutation:
         from oracles import coupled_step
 
         model = MbsModel([RigidBody("box", 86.4, np.diag([1.224, 4.68, 5.76]))],
-                         [], [], representation="body")
+                         [], [], group=SE3)
         state = MbsState([Pose.identity()], [[10 * np.pi, 2 * np.pi, 0, 0.5, 0, 0]])
         exact = coupled_step(model, state, 0.05, tableau_rk4())
         monkeypatch.setattr(liealg.SE3Group, "dexpinv_apply",
@@ -232,7 +232,7 @@ class TestDexpinvMutation:
         monkeypatch.setattr(liealg.SE3Group, "dexpinv_apply",
                             staticmethod(_dexpinv_apply_second_order))
         model = MbsModel([RigidBody("box", 86.4, np.diag([1.224, 4.68, 5.76]))],
-                         [], [], representation="body")
+                         [], [], group=SE3)
         v0 = np.array([[10 * np.pi, 2 * np.pi, 0, 0.5, 0, 0]])
         tab = tableau_rk4()
 

@@ -22,9 +22,9 @@ from oracles import (
 )
 from screwmbs import acceptance, bench, cli
 from screwmbs.acceptance import CheckResult
-from screwmbs.dynamics import REPRESENTATION, Gravity, MbsModel, MbsState, parallel_axis
+from screwmbs.dynamics import Gravity, MbsModel, MbsState, parallel_axis
 from screwmbs.integrate import integrate, integrate_quaternion, tableau_rk4
-from screwmbs.liealg import Pose
+from screwmbs.liealg import GROUPS, Pose
 from screwmbs.modelfile import dump_model, load_model_file
 
 
@@ -105,7 +105,7 @@ class TestExitCodes:
         def load_nan_gravity(*args, **kwargs):
             model, state, meta = load(*args, **kwargs)
             model = MbsModel(model.bodies, model.joints, [Gravity([math.nan, 0.0, -9.81])],
-                             representation=model.representation)
+                             group=model.group)
             return model, state, meta
 
         monkeypatch.setattr(cli, "load_model_file", load_nan_gravity)
@@ -236,6 +236,25 @@ class TestBadInput:
                        tmp_path, monkeypatch)
         assert code == 1
         assert "dt = 0.001 s is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # distinct floats that print alike with %g: one would overwrite the other's CSV
+    NEAR_DTS = ("--dt", "0.001", "--dt", "0.001000000000001")
+    NEAR_DT_ERROR = "dt = 0.001 s and dt = 0.001000000000001 s both name CSVs dt0.001"
+
+    def test_simulate_dts_sharing_a_csv_name(self, tmp_path, monkeypatch, capsys):
+        code = run_cli(["simulate", "--model", "heavy-top", *self.NEAR_DTS, "--tf", "0.01",
+                        "--out", "ht.csv"], tmp_path, monkeypatch)
+        assert code == 1
+        assert self.NEAR_DT_ERROR in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_sweep_dts_sharing_a_csv_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        code = run_cli(["sweep", "--model", "heavy-top", "--group", "se3", *self.NEAR_DTS,
+                        "--tf", "0.01", "--out-dir", "out"], tmp_path, monkeypatch)
+        assert code == 1
+        assert self.NEAR_DT_ERROR in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [("--model", "heavy-top"), ("--group", "se3")])
@@ -435,7 +454,7 @@ def _at_rest_spec(group: str) -> bench.ExperimentSpec:
     off = replace(box, name="box_p", com_offset=np.array([0.4, 0.0, 0.0]),
                   inertia_ref=parallel_axis(box.inertia_ref, box.mass, [0.4, 0.0, 0.0]))
     model = MbsModel([off, box, box], [], [Gravity([0.0, 0.0, -0.0])],
-                     representation=REPRESENTATION[group])
+                     group=GROUPS[group])
     velocities = np.array([[-0.0] * 6, [1.0, -2.0, 0.5, 0.0, 0.0, 0.0],
                            [0.0, 0.0, 0.0, 3.0, -1.0, 0.25]])
     state = MbsState([Pose.identity()] * 3, velocities)

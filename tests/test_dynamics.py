@@ -9,9 +9,6 @@ from numpy.testing import assert_allclose
 from screwmbs import dynamics
 from screwmbs.bench import BUILDERS, build
 from screwmbs.dynamics import (
-    BODY_FIXED,
-    MIXED,
-    REPRESENTATION,
     Gravity,
     InfeasibleStateError,
     Joint,
@@ -37,7 +34,7 @@ from screwmbs.dynamics import (
     velocity_residual,
 )
 from screwmbs.integrate import TrajectoryRecord
-from screwmbs.liealg import SE3, SO3R3, Pose, hat3, se3_dexp, se3_exp
+from screwmbs.liealg import GROUPS, SE3, SO3R3, Pose, hat3, se3_dexp, se3_exp
 from screwmbs.modelfile import load_model_file, write_model_file
 from oracles import (
     JOINT_DIMS,
@@ -75,23 +72,21 @@ TOP_C = 1.0e4
 GRAV = 9.81
 
 
-def heavy_top_model(representation) -> MbsModel:
+def heavy_top_model(group) -> MbsModel:
     return MbsModel(
         bodies=[TOP_BODY],
         joints=[Joint("spherical", None, 0, anchor_a=np.zeros(3), anchor_b=TOP_R0,
                       name="pivot")],
         forces=[Gravity([0, 0, -GRAV]),
                 LinearSpring(0, np.zeros(3), TOP_P0, TOP_C)],
-        representation=representation,
+        group=group,
     )
 
 
-def heavy_top_state(representation) -> MbsState:
+def heavy_top_state(group) -> MbsState:
+    # R = I initially: the body-fixed and mixed velocities agree
     omega0 = np.array([0.0, 0.0, 0.5])
-    v0 = np.cross(TOP_R0, omega0)
-    vel = np.concatenate([omega0, v0])
-    if representation == MIXED:
-        vel = np.concatenate([omega0, v0])  # R = I initially, frames match
+    vel = np.concatenate([omega0, np.cross(TOP_R0, omega0)])
     return MbsState([Pose(np.eye(3), -TOP_R0)], vel[None, :])
 
 
@@ -120,12 +115,18 @@ class TestSpatialInertia:
             RigidBody("bad", 1.0, -np.eye(3))
 
 
-def test_representation_fixes_the_group():
+@pytest.mark.parametrize("group", ["mixed", "se3", None])
+def test_model_rejects_a_non_group(group):
+    with pytest.raises(ValueError, match=f"unknown c-space group {group!r}"):
+        MbsModel([TOP_BODY], [], [], group=group)
+
+
+def test_rebuilt_model_recompiles_with_its_group():
     model = build("heavy-top", "se3").model
-    assert model.group is SE3
-    # a rebuilt model recompiles its group with its representation
-    assert dataclasses.replace(model, representation=MIXED).group is SO3R3
-    assert dataclasses.replace(model, representation=BODY_FIXED).group is SE3
+    assert model.group is SE3 and not model._mixed
+    mixed = dataclasses.replace(model, group=SO3R3)
+    assert mixed.group is SO3R3 and mixed._mixed
+    assert not dataclasses.replace(mixed, group=SE3)._mixed
 
 
 class TestNewtonEuler:
@@ -158,8 +159,8 @@ class TestNewtonEuler:
         assert_allclose(mm, mb)
 
 
-def _synthetic_trajectory(joint, n_bodies, representation, rng):
-    """Smooth pose curves; velocities in the requested representation."""
+def _synthetic_trajectory(joint, n_bodies, group, rng):
+    """Smooth pose curves; velocities in the coordinates of the group."""
     a = rng.uniform(-0.6, 0.6, (n_bodies, 6))
     b = rng.uniform(-0.8, 0.8, (n_bodies, 6))
     c = rng.uniform(-0.5, 0.5, (n_bodies, 6))
@@ -174,7 +175,7 @@ def _synthetic_trajectory(joint, n_bodies, representation, rng):
         out = np.zeros((n_bodies, 6))
         for i in range(n_bodies):
             xdot = b[i] + 2 * c[i] * t
-            if representation == MIXED:
+            if group is SO3R3:
                 out[i] = mixed_twist_matrix(coords(i, t)) @ xdot
             else:
                 out[i] = se3_dexp(-coords(i, t)) @ xdot
@@ -201,21 +202,21 @@ JOINTS = [
 ]
 
 
-def _dummy_model(representation, n_bodies, joint):
+def _dummy_model(group, n_bodies, joint):
     bodies = [RigidBody(f"b{i}", 1.0, np.eye(3)) for i in range(n_bodies)]
-    return MbsModel(bodies, [joint], [], representation=representation)
+    return MbsModel(bodies, [joint], [], group=group)
 
 
-@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
 @pytest.mark.parametrize("joint", JOINTS, ids=lambda j: f"{j.kind}-{'g' if j.body_a is None else 'bb'}")
 class TestJointDerivativeConsistency:
     """h, J and eta agree with finite differences along arbitrary flows."""
 
-    def test_jacobian_matches_dh_dt(self, joint, representation):
+    def test_jacobian_matches_dh_dt(self, joint, group):
         n = joint.body_b + 1
-        model = _dummy_model(representation, n, joint)
+        model = _dummy_model(group, n, joint)
         rng = np.random.default_rng(7)
-        poses, velocities = _synthetic_trajectory(joint, n, representation, rng)
+        poses, velocities = _synthetic_trajectory(joint, n, group, rng)
         for t0 in (0.0, 0.31):
             hdot = central_diff(lambda t: joint_geometry(joint, poses(t), model), t0)
             blocks = joint_rows(joint, poses(t0), np.zeros((n, 6)), model)[0]
@@ -223,11 +224,11 @@ class TestJointDerivativeConsistency:
             jv = sum(blk @ v[i] for i, blk in blocks.items())
             assert np.abs(jv - hdot).max() < 1e-6
 
-    def test_acc_rhs_matches_d2h_dt2(self, joint, representation):
+    def test_acc_rhs_matches_d2h_dt2(self, joint, group):
         n = joint.body_b + 1
-        model = _dummy_model(representation, n, joint)
+        model = _dummy_model(group, n, joint)
         rng = np.random.default_rng(13)
-        poses, velocities = _synthetic_trajectory(joint, n, representation, rng)
+        poses, velocities = _synthetic_trajectory(joint, n, group, rng)
         t0 = 0.17
 
         def jv(t):
@@ -243,13 +244,13 @@ class TestJointDerivativeConsistency:
         assert np.abs(central_diff(jv, t0) - (j_vdot - eta)).max() < 1e-5
 
 
-@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
 @pytest.mark.parametrize("joint", JOINTS, ids=lambda j: f"{j.kind}-{'g' if j.body_a is None else 'bb'}")
-def test_relative_frame_rows_match_world_frame_oracle(joint, representation):
+def test_relative_frame_rows_match_world_frame_oracle(joint, group):
     """joint_rows builds its axis-dot rows from Ra^T Rb; on random states off
     the constraint manifold every row equals the world-frame formulation."""
     n = joint.body_b + 1
-    model = _dummy_model(representation, n, joint)
+    model = _dummy_model(group, n, joint)
     rng = np.random.default_rng(41)
     ground = (np.eye(3).tolist(), [0.0] * 3, [0.0] * 3, [0.0] * 3)
     for _ in range(50):
@@ -259,7 +260,7 @@ def test_relative_frame_rows_match_world_frame_oracle(joint, representation):
                   for i, p in enumerate(poses)]
         ref_a, ref_b, ref_eta = world_frame_joint_rows(
             joint, ground if joint.body_a is None else frames[joint.body_a],
-            frames[joint.body_b], representation == MIXED)
+            frames[joint.body_b], group is SO3R3)
         blocks, eta = joint_rows(joint, poses, v, model)
         pairs = [(blocks[joint.body_b], ref_b), (eta, ref_eta)]
         if joint.body_a is not None:
@@ -275,13 +276,13 @@ def _bits(values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
 @pytest.mark.parametrize("joint", JOINTS, ids=lambda j: f"{j.kind}-{'g' if j.body_a is None else 'bb'}")
-def test_compiled_rows_match_reference_kernel_bitwise(joint, representation):
+def test_compiled_rows_match_reference_kernel_bitwise(joint, group):
     """The compiled rows equal the interpreted reference kernel bit for bit on
     random states off the manifold, and propagate a NaN velocity the same way."""
     n = joint.body_b + 1
-    model = _dummy_model(representation, n, joint)
+    model = _dummy_model(group, n, joint)
     rng = np.random.default_rng(83)
     ground = (np.eye(3).tolist(), [0.0] * 3, [0.0] * 3, [0.0] * 3)
     for trial in range(51):
@@ -293,7 +294,7 @@ def test_compiled_rows_match_reference_kernel_bitwise(joint, representation):
                   for i, p in enumerate(poses)]
         ref_a, ref_b, ref_eta = reference_joint_rows(
             joint, ground if joint.body_a is None else frames[joint.body_a],
-            frames[joint.body_b], representation == MIXED)
+            frames[joint.body_b], group is SO3R3)
         blocks, eta = joint_rows(joint, poses, v, model)
         assert _bits(eta) == _bits(ref_eta)
         assert _bits(blocks[joint.body_b]) == _bits(ref_b)
@@ -321,7 +322,7 @@ def test_assembly_matches_reference_kernel_bitwise(name, group):
         assert _bits(rhs) == _bits(ref_rhs)
 
 
-def _off_com_chain(representation) -> MbsModel:
+def _off_com_chain(group) -> MbsModel:
     """Two off-COM bodies on a grounded spherical and a revolute joint: in
     the mixed representation both mass blocks carry the R-dependent
     coupling."""
@@ -331,7 +332,7 @@ def _off_com_chain(representation) -> MbsModel:
               Joint("revolute", 0, 1, anchor_a=[0.2, 0.0, 0.0], anchor_b=[-0.2, 0.1, 0.0],
                     axis_a=[0.0, 0.0, 1.0], axis_b=[0.0, 0.0, 1.0])]
     return MbsModel(bodies, joints, [Gravity([0, 0, -GRAV])],
-                    representation=representation)
+                    group=group)
 
 
 def _kkt_consumer_cases():
@@ -339,12 +340,12 @@ def _kkt_consumer_cases():
         for group in ("se3", "so3xr3"):
             spec = build(name, group)
             yield pytest.param(spec.model, spec.state0, id=f"{name}-{group}")
-    for representation in (BODY_FIXED, MIXED):
-        model = _off_com_chain(representation)
+    for group in (SE3, SO3R3):
+        model = _off_com_chain(group)
         poses = [Pose(np.eye(3), np.array([0.2, 0.0, -0.1])),
                  Pose(np.eye(3), np.array([0.6, -0.1, -0.1]))]
         yield pytest.param(model, MbsState(poses, np.zeros((2, 6))),
-                           id=f"off-com-chain-{representation}")
+                           id=f"off-com-chain-{group.name}")
 
 
 @pytest.mark.parametrize("model, state0", _kkt_consumer_cases())
@@ -372,7 +373,7 @@ def test_kkt_consumers_match_reference_bitwise(model, state0):
 
 def test_row_templates_compile_once_per_structure():
     """Models share compiled row templates: 50 builds of one model compile
-    each of its (row structure, grounded, representation) templates once."""
+    each of its (row structure, grounded, group) templates once."""
     dynamics._row_template.cache_clear()
     models = [build("four-bar", "se3").model for _ in range(50)]
     info = dynamics._row_template.cache_info()
@@ -438,7 +439,7 @@ def test_body_kernels_match_reference_bitwise(name, group):
                                            rng.uniform(-3, 3, (model.n_bodies, 6)))
 
 
-def _sprung_off_com_body(representation, joints=()) -> MbsModel:
+def _sprung_off_com_body(group, joints=()) -> MbsModel:
     """An off-COM body on two springs, one attached off the reference frame
     and one at it, and a body at its COM on one unattached spring, all
     under gravity."""
@@ -448,18 +449,18 @@ def _sprung_off_com_body(representation, joints=()) -> MbsModel:
               Gravity([0.0, 0.0, -GRAV]),
               LinearSpring(1, [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 25.0),
               LinearSpring(0, [0.0, 0.0, 0.0], [-0.5, 0.2, 0.0], 10.0)]
-    return MbsModel(bodies, list(joints), forces, representation=representation)
+    return MbsModel(bodies, list(joints), forces, group=group)
 
 
-@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
 @pytest.mark.parametrize("jointed", [False, True], ids=["free", "jointed"])
-def test_sprung_off_com_body_terms_bitwise(representation, jointed):
+def test_sprung_off_com_body_terms_bitwise(group, jointed):
     """Off-COM bodies with attached and unattached springs, with and without
     joints, on random states, and on velocities holding -0.0 and a NaN and
     a rotation holding a NaN: signed zeros and NaN propagate as in the
     interpreted kernel."""
     joints = [Joint("spherical", 0, 1, anchor_a=[0.2, 0.0, 0.0])] if jointed else []
-    model = _sprung_off_com_body(representation, joints)
+    model = _sprung_off_com_body(group, joints)
     rng = np.random.default_rng(127)
     for _ in range(50):
         _assert_body_terms_match_reference(model, _off_manifold_poses(rng, 2),
@@ -474,7 +475,7 @@ def test_sprung_off_com_body_terms_bitwise(representation, jointed):
     # an unattached spring
     poses[1].R[0, 1] = math.nan
     _assert_body_terms_match_reference(model, poses, -np.zeros((2, 6)))
-    weightless = MbsModel(model.bodies, model.joints, [], representation=representation)
+    weightless = MbsModel(model.bodies, model.joints, [], group=group)
     _assert_body_terms_match_reference(weightless, poses, -np.zeros((2, 6)))
 
 
@@ -492,7 +493,7 @@ def test_model_file_reload_compiles_no_template(tmp_path):
 
 
 def test_body_templates_for_the_built_ins():
-    """The built-in models compile 12 body templates: per representation,
+    """The built-in models compile 12 body templates: per group,
     right-hand sides for a plain body, an off-COM body and a body with an
     unattached or an attached spring, and Vdot = M^-1 Q with and without
     the COM offset for the free bodies."""
@@ -503,13 +504,13 @@ def test_body_templates_for_the_built_ins():
     assert dynamics._body_template.cache_info().currsize == 12
 
 
-@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
 @pytest.mark.parametrize("joint", JOINTS, ids=lambda j: f"{j.kind}-{'g' if j.body_a is None else 'bb'}")
-def test_split_residual_anchors_coincide(joint, representation):
+def test_split_residual_anchors_coincide(joint, group):
     """With the anchors coincident and the rotations arbitrary, the position
     part vanishes and the whole residual sits in the orientation part."""
     n = joint.body_b + 1
-    model = _dummy_model(representation, n, joint)
+    model = _dummy_model(group, n, joint)
     rng = np.random.default_rng(29)
     poses = [Pose(se3_exp(np.concatenate([rng.normal(size=3), [0, 0, 0]])).R,
                   rng.normal(size=3)) for _ in range(n)]
@@ -539,9 +540,9 @@ def _signed_zeros(rng, poses) -> list[Pose]:
     return out
 
 
-@pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
+@pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
 @pytest.mark.parametrize("joint", JOINTS, ids=lambda j: f"{j.kind}-{'g' if j.body_a is None else 'bb'}")
-def test_residual_kernel_bitwise(joint, representation):
+def test_residual_kernel_bitwise(joint, group):
     """The compiled residual equals the interpreted reference as IEEE bytes,
     from Pose lists and from float poses, off the manifold: non-orthonormal
     R, -0.0 entries, random anchors and axes, and -0.0 anchors, whose signs
@@ -556,7 +557,7 @@ def test_residual_kernel_bitwise(joint, representation):
                 dataclasses.replace(joint, anchor_a=-np.zeros(3), anchor_b=-np.zeros(3))]
     for j in variants:
         n = j.body_b + 1
-        model = _dummy_model(representation, n, j)
+        model = _dummy_model(group, n, j)
         cases = [_off_manifold_poses(rng, n) for _ in range(10)]
         cases += [_signed_zeros(rng, _off_manifold_poses(rng, n)) for _ in range(10)]
         cases.append([Pose(np.where(np.eye(3) == 1.0, 1.0, -0.0), -np.zeros(3))] * n)
@@ -672,7 +673,7 @@ def test_axis_must_be_a_3_vector(field, axis):
 
 class TestPaperJacobianForms:
     def test_heavy_top_body_fixed(self):
-        model = heavy_top_model(BODY_FIXED)
+        model = heavy_top_model(SE3)
         # on-manifold at a generic orientation the textbook (r0^, -I) form holds
         r = se3_exp(np.array([0.4, -0.8, 0.3, 0, 0, 0])).R
         poses = [Pose(r, -(r @ TOP_R0))]
@@ -681,7 +682,7 @@ class TestPaperJacobianForms:
         assert_allclose(blk[:, 3:], -np.eye(3), atol=0)
 
     def test_heavy_top_mixed(self):
-        model = heavy_top_model(MIXED)
+        model = heavy_top_model(SO3R3)
         r = se3_exp(np.array([-0.2, 0.5, 0.9, 0, 0, 0])).R
         poses = [Pose(r, -(r @ TOP_R0))]
         blk = joint_rows(model.joints[0], poses, np.zeros((1, 6)), model)[0][0]
@@ -696,17 +697,17 @@ class TestPaperJacobianForms:
 
 
 class TestHeavyTopGeometry:
-    @pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
-    def test_assembled_configuration(self, representation):
-        model = heavy_top_model(representation)
-        state = heavy_top_state(representation)
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    def test_assembled_configuration(self, group):
+        model = heavy_top_model(group)
+        state = heavy_top_state(group)
         h = joint_geometry(model.joints[0], state.poses, model)
         assert np.abs(h).max() < 1e-15
         assert velocity_residual(model, state) < 1e-12
 
     def test_translation_perturbation_is_linear(self):
-        model = heavy_top_model(BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = heavy_top_model(SE3)
+        state = heavy_top_state(SE3)
         delta = np.array([1e-3, -2e-3, 3e-3])
         poses = [Pose(state.poses[0].R, state.poses[0].r + delta)]
         h = joint_geometry(model.joints[0], poses, model)
@@ -716,13 +717,13 @@ class TestHeavyTopGeometry:
 
 class TestForceAssembly:
     def test_no_elements_zero_wrench(self):
-        model = MbsModel([TOP_BODY], [], [], representation=BODY_FIXED)
+        model = MbsModel([TOP_BODY], [], [], group=SE3)
         w = force_assembly(model, [Pose.identity()])
         assert_allclose(w, np.zeros((1, 6)))
 
     def test_heavy_top_initial_spring_force(self):
-        model = heavy_top_model(MIXED)
-        state = heavy_top_state(MIXED)
+        model = heavy_top_model(SO3R3)
+        state = heavy_top_state(SO3R3)
         w = force_assembly(model, state.poses)
         expected_f = TOP_C * (TOP_P0 - (-TOP_R0)) + 21.6 * np.array([0, 0, -GRAV])
         assert_allclose(w[0, 3:], expected_f)
@@ -731,8 +732,8 @@ class TestForceAssembly:
     def test_representations_related_by_frame_transform(self):
         r = se3_exp(np.array([0.3, 0.7, -0.2, 0, 0, 0])).R
         poses = [Pose(r, np.array([0.2, -0.1, 0.4]))]
-        body_model = heavy_top_model(BODY_FIXED)
-        mixed_model = heavy_top_model(MIXED)
+        body_model = heavy_top_model(SE3)
+        mixed_model = heavy_top_model(SO3R3)
         wb = force_assembly(body_model, poses)[0]
         wm = force_assembly(mixed_model, poses)[0]
         assert_allclose(wb[:3], wm[:3], atol=1e-12)
@@ -742,7 +743,7 @@ class TestForceAssembly:
 class TestIndex1Solve:
     def test_unconstrained_reduces_to_newton_euler(self):
         model = MbsModel([BOX_FREE], [], [Gravity([0, 0, -GRAV])],
-                         representation=BODY_FIXED)
+                         group=SE3)
         state = MbsState([Pose.identity()], RNG.normal(size=6)[None, :])
         vdot = np.reshape(accelerations(model, state.poses, state.velocities), (-1, 6))
         m, rhs = newton_euler_body(BOX_FREE, state.velocities[0],
@@ -751,8 +752,8 @@ class TestIndex1Solve:
 
     def test_heavy_top_static_hand_solve(self):
         # independent hand elimination of the 9x9 KKT system at rest
-        model = heavy_top_model(BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = heavy_top_model(SE3)
+        state = heavy_top_state(SE3)
         state.velocities[:] = 0.0
         kkt, rhs = assemble_index1(model, state.poses, state.velocities)
         vdot, lam = solve_index1(model, kkt, rhs)
@@ -765,10 +766,10 @@ class TestIndex1Solve:
         assert_allclose(vdot[0, 3:], np.cross(TOP_R0, wdot), atol=1e-10)
         assert_allclose(lam, 21.6 * np.cross(TOP_R0, wdot) - f, atol=1e-9)
 
-    @pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
-    def test_kkt_residual_on_feasible_state(self, representation):
-        model = heavy_top_model(representation)
-        state = heavy_top_state(representation)
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    def test_kkt_residual_on_feasible_state(self, group):
+        model = heavy_top_model(group)
+        state = heavy_top_state(group)
         kkt, rhs = assemble_index1(model, state.poses, state.velocities)
         vdot, lam = solve_index1(model, kkt, rhs)
         sol = np.concatenate([vdot.reshape(-1), lam])
@@ -778,8 +779,8 @@ class TestIndex1Solve:
         # duplicated spherical joint makes the constraint rows dependent
         j = Joint("spherical", None, 0, anchor_b=TOP_R0, name="pivot")
         j2 = Joint("spherical", None, 0, anchor_b=TOP_R0, name="pivot-copy")
-        model = MbsModel([TOP_BODY], [j, j2], [], representation=BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = MbsModel([TOP_BODY], [j, j2], [], group=SE3)
+        state = heavy_top_state(SE3)
         kkt, rhs = assemble_index1(model, state.poses, state.velocities)
         with pytest.raises(RedundantConstraintError, match="pivot-copy"):
             solve_index1(model, kkt, rhs)
@@ -788,14 +789,14 @@ class TestIndex1Solve:
         # the production right-hand side reports the redundancy as well
         j = Joint("spherical", None, 0, anchor_b=TOP_R0, name="pivot")
         j2 = Joint("spherical", None, 0, anchor_b=TOP_R0, name="pivot-copy")
-        model = MbsModel([TOP_BODY], [j, j2], [], representation=BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = MbsModel([TOP_BODY], [j, j2], [], group=SE3)
+        state = heavy_top_state(SE3)
         with pytest.raises(RedundantConstraintError, match="pivot-copy"):
             accelerations(model, state.poses, state.velocities)
 
     def test_body_and_mixed_accelerations_agree(self):
-        mb = heavy_top_model(BODY_FIXED)
-        mm = heavy_top_model(MIXED)
+        mb = heavy_top_model(SE3)
+        mm = heavy_top_model(SO3R3)
         r = se3_exp(np.array([0.2, -0.3, 0.5, 0, 0, 0])).R
         poses = [Pose(r, -(r @ TOP_R0))]
         omega = np.array([0.3, 0.8, -0.4])
@@ -814,8 +815,8 @@ class TestIndex1Solve:
         theta_p = parallel_axis(np.diag([1.224, 4.68, 5.76]), 86.4, r0)
         body = RigidBody("box_p", 86.4, theta_p, com_offset=r0)
         grav = [Gravity([0, 0, -GRAV])]
-        mb = MbsModel([body], [], grav, representation=BODY_FIXED)
-        mm = MbsModel([body], [], grav, representation=MIXED)
+        mb = MbsModel([body], [], grav, group=SE3)
+        mm = MbsModel([body], [], grav, group=SO3R3)
         r = se3_exp(np.array([0.4, -0.2, 0.7, 0, 0, 0])).R
         poses = [Pose(r, np.array([0.3, -0.6, 0.2]))]
         omega = np.array([2.0, -1.5, 3.0])
@@ -835,7 +836,7 @@ class TestIndex1Solve:
                          [Gravity([0, 0, -GRAV]),
                           LinearSpring(0, np.array([0.1, 0, 0.2]),
                                        np.array([1.0, 0, 1.0]), 500.0)],
-                         representation=MIXED)
+                         group=SO3R3)
         r = se3_exp(np.array([-0.3, 0.8, 0.1, 0, 0, 0])).R
         state = MbsState([Pose(r, np.array([0.2, 0.4, -0.1]))],
                          np.array([[1.0, -2.0, 0.5, 0.3, 0.8, -0.6]]))
@@ -851,12 +852,12 @@ class TestIndex1Solve:
         w = force_assembly(model, state.poses)[0]
         assert abs(tdot - v @ w) < 1e-7 * max(1.0, abs(v @ w))
 
-    @pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
-    def test_instantaneous_power_balance(self, representation):
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    def test_instantaneous_power_balance(self, group):
         # dT/dt must equal the applied-wrench power; the constraint does no
         # work and the gyroscopic terms must cancel against dM/dt
-        model = heavy_top_model(representation)
-        state = heavy_top_state(representation)
+        model = heavy_top_model(group)
+        state = heavy_top_state(group)
         vdot = np.reshape(accelerations(model, state.poses, state.velocities), (-1, 6))[0]
         v = state.velocities[0]
         blocks = model.spatial_inertia_blocks([p.R for p in state.poses])
@@ -891,7 +892,7 @@ class TestJointlessAccelerations:
         # past a mismatch
         pair = MbsModel([BOX_FREE, RigidBody("offset", 2.0, np.diag([0.1, 0.2, 0.3]),
                                              com_offset=[0.1, -0.2, 0.05])],
-                        [], [Gravity([0, 0, -GRAV])], representation=REPRESENTATION[group])
+                        [], [Gravity([0, 0, -GRAV])], group=GROUPS[group])
         cases.append((pair, [se3_exp(rng.normal(size=6)) for _ in range(2)],
                       rng.normal(size=(2, 6))))
         for model, poses, vel in cases:
@@ -923,8 +924,8 @@ class TestDoublePendulumAssembly:
 
 class TestVelocityProjection:
     def test_consistent_state_unchanged(self):
-        model = heavy_top_model(BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = heavy_top_model(SE3)
+        state = heavy_top_state(SE3)
         out = project_velocities(model, state)
         assert_allclose(out.velocities, state.velocities, atol=1e-12)
 
@@ -932,36 +933,36 @@ class TestVelocityProjection:
         # the projection solves through solve_index1, as the step does
         j = Joint("spherical", None, 0, anchor_b=TOP_R0, name="pivot")
         j2 = Joint("spherical", None, 0, anchor_b=TOP_R0, name="pivot-copy")
-        model = MbsModel([TOP_BODY], [j, j2], [], representation=BODY_FIXED)
+        model = MbsModel([TOP_BODY], [j, j2], [], group=SE3)
         with pytest.raises(RedundantConstraintError, match="pivot-copy"):
-            project_velocities(model, heavy_top_state(BODY_FIXED))
+            project_velocities(model, heavy_top_state(SE3))
 
     def test_projection_restores_consistency(self):
-        model = heavy_top_model(BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = heavy_top_model(SE3)
+        state = heavy_top_state(SE3)
         state.velocities = state.velocities + RNG.normal(size=(1, 6))
         assert velocity_residual(model, state) > 1e-3
         out = project_velocities(model, state)
         assert velocity_residual(model, out) < 1e-12
 
     def test_check_initial_state_raises(self):
-        model = heavy_top_model(BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = heavy_top_model(SE3)
+        state = heavy_top_state(SE3)
         state.velocities = state.velocities + 1.0
         with pytest.raises(InfeasibleStateError):
             check_initial_state(model, state)
 
 
 class TestEnergy:
-    @pytest.mark.parametrize("representation", [BODY_FIXED, MIXED])
-    def test_record_series_match_per_state(self, representation):
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
+    def test_record_series_match_per_state(self, group):
         """Over a record the energies are (N,) series whose entries have the
         bits of the per-state references, on random poses off SO(3) of
         off-COM bodies on springs and under a gravity vector with three
         nonzero entries, alone (a 2-D ``com @ g`` changes bits here) and
         after the springs."""
         rng = np.random.default_rng(11)
-        model = _sprung_off_com_body(representation)
+        model = _sprung_off_com_body(group)
         tilted = Gravity([0.7, -0.4, -9.78])
         n = 200
         poses = [_off_manifold_poses(rng, 2) for _ in range(n)]
@@ -978,8 +979,8 @@ class TestEnergy:
                 [reference_potential_energy(model, state) for state in states])
 
     def test_heavy_top_kinetic(self):
-        model = heavy_top_model(BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = heavy_top_model(SE3)
+        state = heavy_top_state(SE3)
         t_expected = 0.5 * (state.velocities[0, :3] @ TOP_BODY.inertia_ref
                             @ state.velocities[0, :3]
                             + 21.6 * state.velocities[0, 3:] @ state.velocities[0, 3:])
@@ -987,8 +988,8 @@ class TestEnergy:
 
     def test_total_energy_conserved_value(self):
         # conserved total at the assembled configuration: T + U_g + spring
-        model = heavy_top_model(BODY_FIXED)
-        state = heavy_top_state(BODY_FIXED)
+        model = heavy_top_model(SE3)
+        state = heavy_top_state(SE3)
         d = TOP_P0 - (-TOP_R0)
         record = one_sample(model, state)
         expected = kinetic_energy(model, record) + 0.5 * TOP_C * d @ d
@@ -1004,7 +1005,7 @@ class TestConstraintJacobianShape:
                   name="j2"),
         ]
         model = MbsModel([b, b], joints, [Gravity([0, 0, -GRAV])],
-                         representation=BODY_FIXED)
+                         group=SE3)
         poses = [Pose(np.eye(3), np.array([0.1, 0, 0])),
                  Pose(np.eye(3), np.array([0.3, 0, 0]))]
         for j in joints:

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 import oracles
 from screwmbs import bench, cli, integrate as integrate_module, liealg
 from screwmbs.dynamics import (
-    REPRESENTATION,
     Gravity,
     Joint,
     LinearSpring,
@@ -40,8 +39,8 @@ RNG = np.random.default_rng(31337)
 BOX = RigidBody("box", 86.4, np.diag([1.224, 4.68, 5.76]))
 
 
-def free_model(representation):
-    return MbsModel([BOX], [], [], representation=representation)
+def free_model(group):
+    return MbsModel([BOX], [], [], group=group)
 
 
 class TestTableaus:
@@ -175,7 +174,7 @@ class TestMkStep:
             lambda rot, phi: calls.append(phi) or advance(rot, phi)))
         tab = tableau_rk4()
         model = MbsModel([BOX, RigidBody("box2", 2.0, np.diag([1.0, 2.0, 3.0]))],
-                         [], [], representation=REPRESENTATION[group.name])
+                         [], [], group=group)
         v = RNG.normal(size=(2, 6))
         state = MbsState([Pose.identity(), Pose(so3_exp([0.1, 0.2, 0.3]), np.ones(3))], v)
         mk_step(group, state.poses, lambda t, g: v, 0.0, 0.01, tab)
@@ -192,7 +191,7 @@ class TestMkStep:
         # a spin about a principal axis (on se3 with a slide along it, on
         # so3xr3 with a COM rdot) has zero accelerations, so one integrate
         # step is mk_step with the constant velocity, bit for bit
-        model = free_model(REPRESENTATION[group.name])
+        model = free_model(group)
         pose = Pose(so3_exp([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.25]))
         v0 = np.array([v0])
         tab, dt = tableau_rk4(), 0.01
@@ -205,7 +204,7 @@ class TestMkStep:
 
 class TestCoupledStep:
     def test_rest_state_is_fixed_point(self):
-        model = free_model("body")
+        model = free_model(SE3)
         state = MbsState([Pose.identity()], np.zeros((1, 6)))
         out = coupled_step(model, state, 0.01, tableau_rk4())
         assert_allclose(out.poses[0].R, np.eye(3), atol=0)
@@ -215,7 +214,7 @@ class TestCoupledStep:
     def test_free_body_translation_exact_on_direct_product(self):
         # rotation about z plus 10 m/s along x: the mixed velocity is
         # constant, so one step lands exactly on r = dt * (10, 0, 0)
-        model = free_model("mixed")
+        model = free_model(SO3R3)
         v0 = np.array([0.0, 0.0, 2 * math.pi, 10.0, 0.0, 0.0])
         state = MbsState([Pose.identity()], v0[None, :])
         dt = 0.01
@@ -227,8 +226,8 @@ class TestCoupledStep:
         # local error ratio between one dt step and two dt/2 steps ~ 2^4
         from test_dynamics import heavy_top_model, heavy_top_state
 
-        model = heavy_top_model("body")
-        state = heavy_top_state("body")
+        model = heavy_top_model(SE3)
+        state = heavy_top_state(SE3)
         tab = tableau_rk4()
         dt = 1e-3
 
@@ -245,7 +244,7 @@ class TestCoupledStep:
 
     def test_spinning_box_order_four(self):
         # global error on the tumbling box over 0.1 s, log-log slope ~ 4
-        model = free_model("body")
+        model = free_model(SE3)
         v0 = np.concatenate([[10 * math.pi, 2 * math.pi, 0], np.zeros(3)])
         tab = tableau_rk4()
 
@@ -267,14 +266,14 @@ class TestCoupledStep:
 
 class TestIntegrate:
     def test_zero_horizon_single_sample(self):
-        model = free_model("body")
+        model = free_model(SE3)
         state = MbsState([Pose.identity()], np.zeros((1, 6)))
         rec = integrate(model, state, 0.01, 0.0, tableau_rk4())
         assert rec.n_samples == 1
         assert rec.times[0] == 0.0
 
     def test_step_count(self):
-        model = free_model("body")
+        model = free_model(SE3)
         v0 = np.array([[0.1, 0, 0, 1.0, 0, 0]])
         state = MbsState([Pose.identity()], v0)
         rec = integrate(model, state, 0.01, 10.0, tableau_rk4())
@@ -282,7 +281,7 @@ class TestIntegrate:
         assert_allclose(rec.times[-1], 10.0)
 
     def test_stride_keeps_final_sample(self):
-        model = free_model("body")
+        model = free_model(SE3)
         state = MbsState([Pose.identity()], np.array([[0.1, 0, 0, 0, 0, 0]]))
         rec = integrate(model, state, 0.1, 1.05, tableau_rk4(), stride=4)
         # steps: 10 -> samples at 0, 4, 8, 10
@@ -292,16 +291,16 @@ class TestIntegrate:
     def test_deterministic(self):
         from test_dynamics import heavy_top_model, heavy_top_state
 
-        model = heavy_top_model("body")
-        a = integrate(model, heavy_top_state("body"), 1e-3, 0.2, tableau_rk4())
-        b = integrate(model, heavy_top_state("body"), 1e-3, 0.2, tableau_rk4())
+        model = heavy_top_model(SE3)
+        a = integrate(model, heavy_top_state(SE3), 1e-3, 0.2, tableau_rk4())
+        b = integrate(model, heavy_top_state(SE3), 1e-3, 0.2, tableau_rk4())
         assert np.array_equal(a.rotations, b.rotations)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
 
     def test_error_carries_step_index(self):
         # a huge velocity drives the chart beyond the dexpinv pole
-        model = free_model("body")
+        model = free_model(SE3)
         state = MbsState([Pose.identity()], np.array([[50.0, 0, 0, 0, 0, 0]]))
         with pytest.raises(IntegrationError, match="step"):
             integrate(model, state, 0.5, 5.0, tableau_rk4())
@@ -316,7 +315,7 @@ class TestIntegrate:
         forces = [Gravity([math.nan, 0.0, -9.81]),
                   *(f for f in spec.model.forces if not isinstance(f, Gravity))]
         model = MbsModel(spec.model.bodies, spec.model.joints, forces,
-                         representation=spec.model.representation)
+                         group=spec.model.group)
         with pytest.raises(IntegrationError, match="non-finite") as exc:
             integrator(model, spec.state0, 1e-3, 0.01, tableau_rk4())
         assert (exc.value.step, exc.value.t) == (1, 0.0)
@@ -544,9 +543,9 @@ class TestIntegrateQuaternion:
             expected = {"euler_reconstruct_rates": per_stage}
         assert calls == expected
 
-    @pytest.mark.parametrize("group", [SE3, SO3R3])
+    @pytest.mark.parametrize("group", [SE3, SO3R3], ids=lambda g: g.name)
     def test_sampling_matches_matrix_chart(self, group):
-        model = free_model("body" if group is SE3 else "mixed")
+        model = free_model(group)
         state = MbsState([Pose.identity()], np.array([[0.1, 0.2, 0, 0, 0.3, 0]]))
         a = integrate(model, state, 0.1, 1.05, tableau_rk4(), stride=4)
         b = integrate_quaternion(model, state, 0.1, 1.05, tableau_rk4(), stride=4)

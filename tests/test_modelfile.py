@@ -60,6 +60,17 @@ class TestLoad:
         assert_allclose(state.poses[0].r, [0.5, 0, 0])
         assert_allclose(state.velocities[0], [0, 0, 0.5, 0, 0.25, 0])
 
+    def test_numeric_strings_are_numbers(self, tmp_path):
+        # PyYAML follows YAML 1.1, which reads 1.0e4 (no sign after the e)
+        # as a string; the loader parses it, and a quoted number, as a float
+        text = HEAVY_TOP_YAML.replace("mass_kg: 21.6", 'mass_kg: "2.5"')
+        assert yaml.safe_load(text)["forces"][1]["stiffness_n_per_m"] == "1.0e4"
+        path = tmp_path / "strings.yaml"
+        path.write_text(text)
+        model, _, _ = load_model_file(str(path), "se3")
+        assert (model.bodies[0].mass, model.forces[1].stiffness) == (2.5, 1.0e4)
+        assert type(model.bodies[0].mass) is type(model.forces[1].stiffness) is float
+
     def test_matches_builtin(self, top_file):
         model, state, _ = load_model_file(top_file, "se3")
         spec = bench.build("heavy-top", "se3")

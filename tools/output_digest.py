@@ -36,8 +36,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from screwmbs import cli  # noqa: E402
 from screwmbs.bench import BUILDERS, build  # noqa: E402
-from screwmbs.dynamics import MIXED, Gravity, Joint, MbsModel, MbsState, RigidBody  # noqa: E402
-from screwmbs.liealg import Pose  # noqa: E402
+from screwmbs.dynamics import Gravity, Joint, MbsModel, MbsState, RigidBody  # noqa: E402
+from screwmbs.liealg import SO3R3, Pose  # noqa: E402
 from screwmbs.modelfile import write_model_file  # noqa: E402
 
 GROUPS = ("se3", "so3xr3")
@@ -60,7 +60,7 @@ def _off_com_chain() -> tuple[MbsModel, MbsState]:
     joints = [Joint("spherical", None, 0, anchor_b=[-0.2, 0.0, 0.1]),
               Joint("revolute", 0, 1, anchor_a=[0.2, 0.0, 0.0], anchor_b=[-0.2, 0.1, 0.0],
                     axis_a=[0.0, 0.0, 1.0], axis_b=[0.0, 0.0, 1.0])]
-    model = MbsModel(bodies, joints, [Gravity([0.0, 0.0, -9.81])], representation=MIXED)
+    model = MbsModel(bodies, joints, [Gravity([0.0, 0.0, -9.81])], group=SO3R3)
     poses = [Pose(np.eye(3), np.array([0.2, 0.0, -0.1])),
              Pose(np.eye(3), np.array([0.6, -0.1, -0.1]))]
     return model, MbsState(poses, np.zeros((2, 6)))
